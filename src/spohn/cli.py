@@ -29,17 +29,16 @@ from .errors import (
 from .network import SpohnianNetwork
 from .ocf import OCF, Proposition, StateSpace
 from .oracle import compare as oracle_compare
-from .oracle import ensure_tractable, oracle_revise
+from .oracle import ensure_tractable, oracle_impose, oracle_revise
 from .propagation import (
     EvidenceSpec,
     Schedule,
     TraceEntry,
-    augment_with_dummy,
     propagate_certain_multi,
     propagate_single,
     propagate_uncertain_multi,
 )
-from .ranks import INF, _Infinity
+from .ranks import INF
 
 
 def _read(path: str, what: str) -> str:
@@ -47,10 +46,6 @@ def _read(path: str, what: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DocumentError(f"cannot read {what} {path!r}: {exc}") from exc
-
-
-def _rank_text(value) -> str:
-    return str(value)
 
 
 def _parse_prop(net: SpohnianNetwork, text: str) -> tuple[str, tuple[str, ...]]:
@@ -130,12 +125,13 @@ def cmd_query(args: argparse.Namespace) -> int:
     if args.marginal is not None:
         marg = net.marginal(args.marginal)
         domain = marg.space.variables[0].domain
-        print(" ".join(f"{v}:{_rank_text(r)}" for v, r in zip(domain, marg.ranks)))
+        print(" ".join(f"{v}:{r}" for v, r in zip(domain, marg.ranks)))
         return 0
     if args.joint:
+        ensure_tractable(net.diagram.space)
         joint = net.joint()
         for i, r in enumerate(joint.ranks):
-            print(f"{','.join(joint.space.state_at(i))}:{_rank_text(r)}")
+            print(f"{','.join(joint.space.state_at(i))}:{r}")
         return 0
     text = args.believe if args.believe is not None else args.beta
     name, values = _parse_prop(net, text)
@@ -147,9 +143,9 @@ def cmd_query(args: argparse.Namespace) -> int:
             print("believed" if held else "not believed")
         else:
             beta = marg.belief_strength(prop)
-            print(f"{'believed' if held else 'not believed'} (beta={_rank_text(beta)})")
+            print(f"{'believed' if held else 'not believed'} (beta={beta})")
         return 0
-    print(_rank_text(marg.belief_strength(prop)))
+    print(marg.belief_strength(prop))
     return 0
 
 
@@ -172,23 +168,14 @@ def cmd_propagate(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     net = parse_network(_read(args.network, "network file"))
     evidence = _mode_evidence(args.mode, parse_evidence(_read(args.evidence, "evidence file"), net))
-    schedule = _schedule(args)
-    if args.mode == "uncertain":
-        # The oracle conditions the dummy-augmented joint, so guard that size.
-        augmented = net
-        for name, target in _targets(net, evidence):
-            augmented, _ = augment_with_dummy(augmented, name, target)
-        ensure_tractable(augmented.diagram.space)
-        engine = _run_engine(net, evidence, args.mode, schedule)
-        dummies = [n for n in augmented.diagram.names if n not in net.diagram.names]
-        conditioned = oracle_revise(
-            augmented.joint(),
-            [EvidenceSpec(d, values=("observed",)) for d in dummies],
-        )
-        oracle_joint = conditioned.marginalize(net.diagram.names)
+    uncertain = args.mode == "uncertain"
+    # Refuse before running anything: in uncertain mode the oracle's joint
+    # carries one binary dummy per target.
+    ensure_tractable(net.diagram.space, len(evidence) if uncertain else 0)
+    engine = _run_engine(net, evidence, args.mode, _schedule(args))
+    if uncertain:
+        oracle_joint = oracle_impose(net, _targets(net, evidence))
     else:
-        ensure_tractable(net.diagram.space)
-        engine = _run_engine(net, evidence, args.mode, schedule)
         oracle_joint = oracle_revise(net.joint(), evidence)
     report = oracle_compare(engine, oracle_joint)
     for line in report.to_lines():

@@ -24,10 +24,10 @@ from .errors import DocumentError, InvalidTarget
 from .network import SpohnianNetwork
 from .ocf import OCF, StateSpace, Variable
 from .propagation import EvidenceSpec
-from .ranks import INF, Rank, SignedDelta, _Infinity
+from .ranks import INF, Rank, _Infinity
 
 
-def _rank_from_json(value: Any, where: str, *, signed: bool = False) -> Rank | SignedDelta:
+def _rank_from_json(value: Any, where: str, *, signed: bool = False) -> Rank:
     if value == "inf":
         return INF
     if type(value) is int:
@@ -123,6 +123,7 @@ def parse_network(text: str) -> SpohnianNetwork:
         family = diagram.family_variables(node)
         if (
             not isinstance(order, list)
+            or not all(isinstance(n, str) for n in order)
             or sorted(order) != sorted(family)
         ):
             raise DocumentError(

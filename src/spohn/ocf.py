@@ -269,9 +269,6 @@ class Proposition:
             yield low.bit_length() - 1
             mask ^= low
 
-    def states(self) -> list[tuple[str, ...]]:
-        return [self.space.state_at(i) for i in self.indices()]
-
 
 @dataclass(frozen=True)
 class OCF:

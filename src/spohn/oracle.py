@@ -2,9 +2,11 @@
 
 The oracle ignores the network structure entirely: it folds evidence into
 the joint OCF one revision at a time, then projects the result back onto
-families. Agreement between that and the message engine is the strongest
-correctness check this package has, so nothing here may ever share code
-with the propagation module's update logic.
+families. Target marginals take the long way round: explicit dummy
+children (augment_with_dummy), conditioned on being observed. Agreement
+between that and the message engine is the strongest correctness check
+this package has, so nothing here may ever share code with the
+propagation module's update logic.
 """
 
 from __future__ import annotations
@@ -17,17 +19,20 @@ from .diagram import InfluenceDiagram
 from .errors import TooLargeForOracle
 from .network import SpohnianNetwork
 from .ocf import OCF, Proposition, StateSpace
-from .propagation import EvidenceSpec
+from .propagation import EvidenceSpec, augment_with_dummy
 
 # Exhaustive enumeration is the point; past 12 bits of state space it stops
 # being a test tool and starts being a space heater.
 ORACLE_STATE_LIMIT = 4096
 
 
-def ensure_tractable(space: StateSpace) -> None:
-    if space.size > ORACLE_STATE_LIMIT:
+def ensure_tractable(space: StateSpace, dummies: int = 0) -> None:
+    """Refuse a space the oracle cannot enumerate, counting dummies extra
+    binary variables that will join it before the joint is built."""
+    size = space.size << dummies
+    if size > ORACLE_STATE_LIMIT:
         raise TooLargeForOracle(
-            f"state space has {space.size} states, oracle limit is {ORACLE_STATE_LIMIT}"
+            f"state space has {size} states, oracle limit is {ORACLE_STATE_LIMIT}"
         )
 
 
@@ -72,6 +77,24 @@ def oracle_revise(kappa: OCF, evidence: Sequence[EvidenceSpec]) -> OCF:
         prop = Proposition.constrain(out.space, {ev.variable: ev.values})
         out = out.revise(prop, ev.strength)
     return out
+
+
+def oracle_impose(net: SpohnianNetwork, targets: Sequence[tuple[str, OCF]]) -> OCF:
+    """Posterior joint over the network's own variables after imposing targets.
+
+    The reference construction: one binary dummy child per target
+    (augment_with_dummy), the augmented joint conditioned on every dummy
+    being observed, and the dummies projected away.
+    """
+    augmented = net
+    for name, target in targets:
+        augmented, _ = augment_with_dummy(augmented, name, target)
+    ensure_tractable(augmented.diagram.space)
+    dummies = augmented.diagram.names[len(net.diagram.names):]
+    conditioned = oracle_revise(
+        augmented.joint(), [EvidenceSpec(d, values=("observed",)) for d in dummies]
+    )
+    return conditioned.marginalize(net.diagram.names)
 
 
 def compare(result: SpohnianNetwork, oracle_joint: OCF) -> OracleReport:

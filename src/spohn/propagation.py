@@ -1,34 +1,32 @@
 """Evidence propagation on singly connected Spohnian networks.
 
-Three entry points, one per evidence regime:
+One asynchronous message engine carries every evidence regime. Messages
+carry per-value changes in implausibility for the shared variable of an
+edge. Because deliveries add deltas, the totals telescope and the final
+tables do not depend on delivery order; constant offsets picked up from
+cross traffic vanish in the single s-normalization performed per node at
+quiescence. Normalizing earlier would bake the constants in, so nothing is
+normalized mid-flight.
 
-- propagate_single: one piece of evidence at one variable, any finite
-  strength. The observed variable's marginal is revised, then each family
-  that can reach the evidence is rebuilt from its connector, the one member
-  through which every path from the evidence enters the family: the table
-  is conditioned on the connector and the connector's revised marginal is
-  added back. A family fires as soon as its connector's posterior is known,
-  and every rebuilt table hands out posteriors for all of its members, so
-  the wave moves outward one family at a time. Working per family rather
-  than per skeleton edge matters at a node with several parents: evidence
-  arriving through one parent may leave a co-parent's marginal untouched
-  even though the family table shifts, and only the family rebuild gets
-  that right.
+The three entry points differ only in the first message each observation
+injects at its own variable:
 
-- propagate_certain_multi: several pieces of certain evidence, applied by
-  an asynchronous message engine. Messages carry per-value changes in
-  implausibility for the shared variable of an edge. Because deliveries
-  add deltas, the totals telescope and the final tables do not depend on
-  delivery order; constant offsets picked up from cross traffic vanish in
-  the single s-normalization performed per node at quiescence. Normalizing
-  earlier would bake the constants in, so nothing is normalized mid-flight.
+- propagate_single: finite evidence (A, alpha) injects the revised
+  marginal minus the prior one, prior.revise(A, alpha) - prior. Strength
+  inf is certain evidence on A, strength -inf certain evidence on the rest
+  of the domain.
 
-- propagate_uncertain_multi: target marginals are imposed by attaching a
-  binary dummy child per target, observing it with certainty, running the
-  certain engine, and discarding the dummies. With one target the final
-  marginal equals the target exactly; with several targets on dependent
-  variables the imposed marginals can land elsewhere, which is inherent to
-  the construction and pinned by a regression test rather than "fixed".
+- propagate_certain_multi: certain evidence injects 0 on the accepted
+  values and inf on the others.
+
+- propagate_uncertain_multi: a target marginal injects target - current.
+  That is the lambda-message of a binary dummy child observed with
+  certainty (augment_with_dummy, kept as the oracle's reference
+  construction) less a constant, and normalization removes the constant.
+  With one target the final marginal equals the target exactly; with
+  several targets on dependent variables the imposed marginals can land
+  elsewhere, which is inherent to the construction and pinned by a
+  regression test rather than "fixed".
 
 The engine mutates only its own per-node working vectors; input networks
 are never modified.
@@ -37,7 +35,6 @@ are never modified.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,15 +50,7 @@ from .errors import (
 )
 from .network import SpohnianNetwork
 from .ocf import OCF, Proposition, StateSpace, Variable
-from .ranks import (
-    INF,
-    NEG_INF,
-    BeliefStrength,
-    Rank,
-    SignedDelta,
-    rank_delta,
-    s_normalize,
-)
+from .ranks import INF, NEG_INF, BeliefStrength, Rank, rank_delta, s_normalize
 
 
 @dataclass(frozen=True)
@@ -86,24 +75,15 @@ class EvidenceSpec:
 
 
 @dataclass(frozen=True)
-class UpdateMessage:
-    """Per-value implausibility changes for one variable, sent along one edge.
-
-    edge is (sender, receiver); evidence injections use (v, v). deltas is
-    indexed by the variable's domain order.
-    """
-
-    edge: tuple[str, str]
-    variable: str
-    deltas: tuple[SignedDelta, ...]
-
-
-@dataclass(frozen=True)
 class TraceEntry:
+    """One delivered message: per-value implausibility changes for one
+    variable, sent along edge (sender, receiver); injections use (v, v).
+    deltas is indexed by the variable's domain order."""
+
     seq: int
     edge: tuple[str, str]
     variable: str
-    deltas: tuple[SignedDelta, ...]
+    deltas: tuple[Rank, ...]
 
     def format(self) -> str:
         rendered = ",".join(str(d) for d in self.deltas)
@@ -146,12 +126,8 @@ def _require_valid(net: SpohnianNetwork) -> None:
         raise InvalidNetwork("; ".join(report.problems))
 
 
-def _single_var_prop(space_1d, variable: str, values: Sequence[str]) -> Proposition:
-    return Proposition.constrain(space_1d, {variable: values})
-
-
-def _marginal_vector(vec: list[SignedDelta], digit_of: list[int], card: int) -> list[SignedDelta]:
-    out: list[SignedDelta] = [INF] * card
+def _marginal_vector(vec: list[Rank], digit_of: list[int], card: int) -> list[Rank]:
+    out: list[Rank] = [INF] * card
     for i, r in enumerate(vec):
         j = digit_of[i]
         if r < out[j]:
@@ -159,109 +135,47 @@ def _marginal_vector(vec: list[SignedDelta], digit_of: list[int], card: int) -> 
     return out
 
 
-def propagate_single(
-    net: SpohnianNetwork,
-    evidence: EvidenceSpec,
-    trace: list[TraceEntry] | None = None,
-) -> SpohnianNetwork:
-    """Assimilate one observation and return the updated network.
-
-    Infinite strength is the certain case and is handed to the message
-    engine with a one-element evidence list; the result is the same
-    conditioning, reached through the same machinery as multi-evidence runs.
-    """
-    _require_valid(net)
-    if evidence.values is None:
-        raise ValueError("single-evidence propagation needs a value proposition")
-    d = net.diagram
-    observed = evidence.variable
-    domain = d.variable(observed).domain
-    if evidence.strength is INF:
-        return propagate_certain_multi(net, [evidence], trace=trace)
-    if evidence.strength is NEG_INF:
-        flipped = tuple(v for v in domain if v not in set(evidence.values))
-        if not flipped:
-            raise ImpossibleEvidence("certainly disbelieving the full domain is contradictory")
-        return propagate_certain_multi(
-            net, [EvidenceSpec(observed, values=flipped)], trace=trace
+def _certain_deltas(
+    net: SpohnianNetwork, variable: str, values: Sequence[str]
+) -> tuple[Rank, ...]:
+    """First message of certain evidence: 0 on the accepted values, inf elsewhere."""
+    domain = net.diagram.variable(variable).domain
+    for v in values:
+        if v not in domain:
+            raise UnknownValue(f"variable {variable!r} has no value {v!r}")
+    prior = net.marginal(variable).ranks
+    if all(r is INF for v, r in zip(domain, prior) if v in values):
+        raise ImpossibleEvidence(
+            f"evidence on {variable} is already ruled out by the network"
         )
-
-    prior = net.marginal(observed)
-    prop = _single_var_prop(prior.space, observed, evidence.values)
-    post = prior.revise(prop, evidence.strength)
-
-    post_marg: dict[str, OCF] = {observed: post}
-    seq = 1
-    if trace is not None:
-        deltas = tuple(rank_delta(post.ranks[j], prior.ranks[j]) for j in range(len(domain)))
-        trace.append(TraceEntry(seq, (observed, observed), observed, deltas))
-
-    connector = {
-        node: d.unique_connector(d.family(node), observed) for node in d.names
-    }
-    new_tables: dict[str, OCF] = {}
-    pending = list(d.names)
-    while pending:
-        held: list[str] = []
-        fired = False
-        for node in pending:
-            y = connector[node]
-            if y is None:
-                new_tables[node] = net.tables[node]
-                fired = True
-                continue
-            if y not in post_marg:
-                held.append(node)
-                continue
-            fired = True
-            table = net.tables[node]
-            post_y = post_marg[y]
-            prior_y = table.marginalize((y,))
-            deltas = tuple(
-                rank_delta(post_y.ranks[j], prior_y.ranks[j])
-                for j in range(len(prior_y.ranks))
-            )
-            if any(dv != 0 for dv in deltas):
-                rebuilt = _rebuild_from_connector(table, y, post_y)
-                if trace is not None and node != observed:
-                    seq += 1
-                    trace.append(TraceEntry(seq, (y, node), y, deltas))
-            else:
-                rebuilt = table
-            new_tables[node] = rebuilt
-            for member in rebuilt.space.names:
-                if member not in post_marg:
-                    post_marg[member] = rebuilt.marginalize((member,))
-        if not fired:
-            raise InvalidNetwork(
-                "propagation stalled; the diagram is not singly connected"
-            )
-        pending = held
-    return SpohnianNetwork(d, new_tables)
+    return tuple(0 if v in values else INF for v in domain)
 
 
-def _rebuild_from_connector(table: OCF, connector: str, post: OCF) -> OCF:
-    """New family table: old table conditioned on the connector, plus the
-    connector's revised marginal."""
-    digit = table.space.projection((connector,))
-    marg = table.marginalize((connector,))
-    out: list[Rank] = []
-    for i, r in enumerate(table.ranks):
-        if r is INF:
-            out.append(INF)
-            continue
-        j = digit[i]
-        out.append(r - marg.ranks[j] + post.ranks[j])
-    return OCF(table.space, tuple(out))
+def _target_deltas(
+    net: SpohnianNetwork, variable: str, target: OCF
+) -> tuple[Rank, ...]:
+    """First message of a target marginal: target minus current."""
+    var = net.diagram.variable(variable)
+    if target.space != StateSpace((var,)):
+        raise SpaceMismatch(
+            f"target for {variable} must be a single-variable ranking over it, "
+            f"got one over {target.space.names}"
+        )
+    current = net.marginal(variable).ranks
+    if any(t is not INF and c is INF for t, c in zip(target.ranks, current)):
+        raise ImpossibleEvidence(
+            f"target gives finite rank to an impossible value of {variable}"
+        )
+    return tuple(map(rank_delta, target.ranks, current))
 
 
-def propagate_certain_multi(
+def _run(
     net: SpohnianNetwork,
-    evidence: Sequence[EvidenceSpec],
-    schedule: Schedule = Schedule.fifo(),
-    trace: list[TraceEntry] | None = None,
+    injections: Sequence[tuple[str, tuple[Rank, ...]]],
+    schedule: Schedule,
+    trace: list[TraceEntry] | None,
 ) -> SpohnianNetwork:
-    """Assimilate several pieces of certain evidence by message passing.
+    """Deliver each (variable, deltas) injection and every message it sets off.
 
     Every delivery adds the message's per-value deltas into the receiving
     family's working vector, advances the arrival edge's outbound snapshot
@@ -270,21 +184,14 @@ def propagate_certain_multi(
     sent. Tables are s-normalized once, at quiescence; a node whose vector
     has gone entirely infinite names the contradiction.
     """
-    _require_valid(net)
     d = net.diagram
-    for ev in evidence:
-        if ev.values is None:
-            raise ValueError("certain propagation needs value evidence, not targets")
-        if ev.strength is not INF:
-            raise ValueError("certain propagation requires strength inf for every item")
-
-    vec: dict[str, list[SignedDelta]] = {
+    vec: dict[str, list[Rank]] = {
         node: list(net.tables[node].ranks) for node in d.names
     }
     spaces: dict[str, StateSpace] = {node: net.tables[node].space for node in d.names}
     # Outbound snapshot per (node, incident edge): the shared-variable
     # marginal as of the last send, advanced by arrivals over that edge.
-    snap: dict[tuple[str, tuple[str, str]], list[SignedDelta]] = {}
+    snap: dict[tuple[str, tuple[str, str]], list[Rank]] = {}
     for node in d.names:
         for edge in d.incident_edges(node):
             shared = edge[0]
@@ -292,34 +199,21 @@ def propagate_certain_multi(
             card = len(d.variable(shared).domain)
             snap[(node, edge)] = _marginal_vector(vec[node], digit, card)
 
-    queue: list[UpdateMessage] = []
-    for ev in evidence:
-        domain = d.variable(ev.variable).domain
-        chosen = set(ev.values)
-        for v in chosen:
-            if v not in domain:
-                raise UnknownValue(f"variable {ev.variable!r} has no value {v!r}")
-        prior = net.marginal(ev.variable)
-        prop = _single_var_prop(prior.space, ev.variable, ev.values)
-        if prior.rank_of(prop) is INF:
-            raise ImpossibleEvidence(
-                f"evidence on {ev.variable} is already ruled out by the network"
-            )
-        deltas = tuple(0 if v in chosen else INF for v in domain)
-        queue.append(UpdateMessage((ev.variable, ev.variable), ev.variable, deltas))
-
+    # Pending messages as (edge, variable, deltas).
+    queue = [((v, v), v, deltas) for v, deltas in injections]
     rng = random.Random(schedule.seed) if schedule.policy == "random" else None
     seq = 0
     while queue:
-        msg = queue.pop(0) if rng is None else queue.pop(rng.randrange(len(queue)))
+        msg_edge, variable, deltas = (
+            queue.pop(0) if rng is None else queue.pop(rng.randrange(len(queue)))
+        )
         seq += 1
         if trace is not None:
-            trace.append(TraceEntry(seq, msg.edge, msg.variable, msg.deltas))
-        node = msg.edge[1]
+            trace.append(TraceEntry(seq, msg_edge, variable, deltas))
+        node = msg_edge[1]
         space = spaces[node]
-        digit = space.projection((msg.variable,))
+        digit = space.projection((variable,))
         work = vec[node]
-        deltas = msg.deltas
         for i in range(len(work)):
             dd = deltas[digit[i]]
             if dd is INF:
@@ -327,8 +221,8 @@ def propagate_certain_multi(
             elif dd != 0 and work[i] is not INF:
                 work[i] += dd
         arrival: tuple[str, str] | None = None
-        if msg.edge[0] != msg.edge[1]:
-            a, b = msg.edge
+        if msg_edge[0] != msg_edge[1]:
+            a, b = msg_edge
             arrival = (a, b) if (a, b) in d._edge_set else (b, a)
             snapshot = snap[(node, arrival)]
             for j, dd in enumerate(deltas):
@@ -348,7 +242,7 @@ def propagate_certain_multi(
             if any(dd != 0 for dd in out):
                 snap[(node, edge)] = current
                 receiver = edge[1] if edge[0] == node else edge[0]
-                queue.append(UpdateMessage((node, receiver), shared, out))
+                queue.append(((node, receiver), shared, out))
 
     new_tables: dict[str, OCF] = {}
     for node in d.names:
@@ -362,14 +256,85 @@ def propagate_certain_multi(
     return SpohnianNetwork(d, new_tables)
 
 
+def propagate_single(
+    net: SpohnianNetwork,
+    evidence: EvidenceSpec,
+    trace: list[TraceEntry] | None = None,
+) -> SpohnianNetwork:
+    """Assimilate one observation of any strength and return the updated network.
+
+    A finite strength injects the change revision makes to the observed
+    variable's marginal. Strength inf conditions on the accepted values,
+    strength -inf on the rest of the domain.
+    """
+    _require_valid(net)
+    if evidence.values is None:
+        raise ValueError("single-evidence propagation needs a value proposition")
+    observed, values, strength = evidence.variable, evidence.values, evidence.strength
+    domain = net.diagram.variable(observed).domain
+    if strength is NEG_INF:
+        values = tuple(v for v in domain if v not in values)
+        if not values:
+            raise ImpossibleEvidence("certainly disbelieving the full domain is contradictory")
+        strength = INF
+    if strength is INF:
+        deltas = _certain_deltas(net, observed, values)
+    else:
+        prior = net.marginal(observed)
+        post = prior.revise(Proposition.constrain(prior.space, {observed: values}), strength)
+        deltas = tuple(map(rank_delta, post.ranks, prior.ranks))
+    return _run(net, [(observed, deltas)], Schedule.fifo(), trace)
+
+
+def propagate_certain_multi(
+    net: SpohnianNetwork,
+    evidence: Sequence[EvidenceSpec],
+    schedule: Schedule = Schedule.fifo(),
+    trace: list[TraceEntry] | None = None,
+) -> SpohnianNetwork:
+    """Assimilate several pieces of certain evidence by message passing."""
+    _require_valid(net)
+    for ev in evidence:
+        if ev.values is None:
+            raise ValueError("certain propagation needs value evidence, not targets")
+        if ev.strength is not INF:
+            raise ValueError("certain propagation requires strength inf for every item")
+    injections = [
+        (ev.variable, _certain_deltas(net, ev.variable, ev.values)) for ev in evidence
+    ]
+    return _run(net, injections, schedule, trace)
+
+
+def propagate_uncertain_multi(
+    net: SpohnianNetwork,
+    targets: Sequence[tuple[str, OCF]],
+    schedule: Schedule = Schedule.fifo(),
+    trace: list[TraceEntry] | None = None,
+) -> SpohnianNetwork:
+    """Impose target marginals by message passing; see the module docstring
+    for what several targets on dependent variables do."""
+    _require_valid(net)
+    seen: set[str] = set()
+    for name, _ in targets:
+        if name in seen:
+            raise DuplicateTargetVariable(f"two targets for variable {name!r}")
+        seen.add(name)
+    if not targets:
+        return net
+    injections = [(name, _target_deltas(net, name, target)) for name, target in targets]
+    return _run(net, injections, schedule, trace)
+
+
 def augment_with_dummy(
     net: SpohnianNetwork, variable: str, target: OCF
 ) -> tuple[SpohnianNetwork, Variable]:
     """Attach a binary dummy child whose observation imposes the target.
 
-    The dummy's pair table puts target + offset under "observed" and the
-    current marginal under "unobserved"; the offset keeps the variable's
-    marginal untouched until the dummy is actually observed.
+    This is the reference construction the oracle conditions on; the engine
+    injects the equivalent first message instead. The dummy's pair table
+    puts target + offset under "observed" and the current marginal under
+    "unobserved"; the offset keeps the variable's marginal untouched until
+    the dummy is actually observed.
     """
     d = net.diagram
     var = d.variable(variable)
@@ -406,29 +371,3 @@ def augment_with_dummy(
     tables = dict(net.tables)
     tables[name] = OCF(pair_space, tuple(ranks))
     return SpohnianNetwork(new_diagram, tables), dummy
-
-
-def propagate_uncertain_multi(
-    net: SpohnianNetwork,
-    targets: Sequence[tuple[str, OCF]],
-    schedule: Schedule = Schedule.fifo(),
-    trace: list[TraceEntry] | None = None,
-) -> SpohnianNetwork:
-    """Impose target marginals via dummy observations, then strip the dummies."""
-    _require_valid(net)
-    seen: set[str] = set()
-    for name, _ in targets:
-        if name in seen:
-            raise DuplicateTargetVariable(f"two targets for variable {name!r}")
-        seen.add(name)
-    if not targets:
-        return net
-    augmented = net
-    dummy_names: list[str] = []
-    for name, target in targets:
-        augmented, dummy = augment_with_dummy(augmented, name, target)
-        dummy_names.append(dummy.name)
-    evidence = [EvidenceSpec(dn, values=("observed",)) for dn in dummy_names]
-    settled = propagate_certain_multi(augmented, evidence, schedule, trace)
-    kept = {node: settled.tables[node] for node in net.diagram.names}
-    return SpohnianNetwork(net.diagram, kept)

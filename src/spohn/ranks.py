@@ -116,7 +116,6 @@ def _restore_neg_inf():
 
 
 Rank: TypeAlias = Union[int, _Infinity]
-SignedDelta: TypeAlias = Union[int, _Infinity]
 BeliefStrength: TypeAlias = Union[int, _Infinity, _NegInfinity]
 
 
@@ -133,7 +132,7 @@ def check_rank(value: object, what: str = "rank") -> Rank:
     return value  # type: ignore[return-value]
 
 
-def rank_delta(new: Rank, old: Rank) -> SignedDelta:
+def rank_delta(new: Rank, old: Rank) -> Rank:
     """Change in implausibility, new relative to old.
 
     A value already impossible stays impossible, so inf-to-inf counts as
@@ -146,7 +145,7 @@ def rank_delta(new: Rank, old: Rank) -> SignedDelta:
     return new - old
 
 
-def s_normalize(entries: Iterable[SignedDelta]) -> tuple[Rank, ...]:
+def s_normalize(entries: Iterable[Rank]) -> tuple[Rank, ...]:
     """Shift a signed rank vector so its least finite entry becomes 0.
 
     Infinite entries stay infinite. Raises AllInfinite when nothing is

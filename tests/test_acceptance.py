@@ -21,7 +21,6 @@ from generators import (
 from spohn import (
     INF,
     OCF,
-    EvidenceSpec,
     InfluenceDiagram,
     Proposition,
     Schedule,
@@ -29,6 +28,7 @@ from spohn import (
     StateSpace,
     Variable,
     augment_with_dummy,
+    oracle_impose,
     oracle_revise,
     propagate_certain_multi,
     propagate_single,
@@ -175,6 +175,32 @@ def test_criterion_5_every_schedule_lands_on_the_same_tables():
         posterior_joint = oracle_revise(net.joint(), evidence)
         assert first == SpohnianNetwork.from_joint(posterior_joint, net.diagram)
 
+    # target evidence: several targets, same engine, same guarantee
+    for _ in range(50):
+        net = random_instance(rng, rng.randint(2, 5), p_detach=0.0)
+        names = rng.sample(net.diagram.names, rng.randint(1, min(3, len(net.diagram.names))))
+        targets = []
+        for name in names:
+            var = net.diagram.variable(name)
+            targets.append((name, OCF(StateSpace((var,)), random_target(rng, var.domain))))
+        first = propagate_uncertain_multi(net, targets, Schedule.fifo())
+        reference = serialize_network(first)
+        for seed in range(50):
+            again = propagate_uncertain_multi(net, targets, Schedule.seeded(seed))
+            assert serialize_network(again) == reference
+        assert first == SpohnianNetwork.from_joint(oracle_impose(net, targets), net.diagram)
+
+    # finite evidence is the target its revision produces, under any schedule
+    for _ in range(50):
+        net = random_instance(rng, rng.randint(2, 7), p_detach=0.0)
+        ev = random_value_evidence(rng, net)
+        prior = net.marginal(ev.variable)
+        prop = Proposition.constrain(prior.space, {ev.variable: ev.values})
+        target = [(ev.variable, prior.revise(prop, ev.strength))]
+        single = propagate_single(net, ev)
+        for seed in range(50):
+            assert propagate_uncertain_multi(net, target, Schedule.seeded(seed)) == single
+
 
 @timed(6, 10.0)
 def test_criterion_6_revision_properties():
@@ -263,11 +289,7 @@ def test_criterion_7_dummy_children_encode_uncertain_evidence():
         target = OCF(StateSpace((var,)), random_target(rng, var.domain))
         engine = propagate_uncertain_multi(net, [(name, target)])
         assert engine.marginal(name) == target
-        augmented, dummy = augment_with_dummy(net, name, target)
-        conditioned = oracle_revise(
-            augmented.joint(), [EvidenceSpec(dummy.name, values=("observed",))]
-        )
-        back = conditioned.marginalize(net.diagram.names)
+        back = oracle_impose(net, [(name, target)])
         assert engine == SpohnianNetwork.from_joint(back, net.diagram)
 
     # pinned caveat: targets on dependent variables need not both hold

@@ -72,6 +72,16 @@ class TestValidate:
         assert code == 1
         assert "tables.C" in err and "rank-0" in err
 
+    def test_order_with_a_non_name_is_a_clean_error(self, capsys, tmp_path):
+        doc = json.loads(Path(FIVE).read_text())
+        doc["tables"]["D"]["order"] = [["B"], "C", "D"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 1
+        assert err.startswith("error: tables.D.order")
+        assert "Traceback" not in err
+
     def test_unreadable_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "validate", str(tmp_path / "absent.json"))
         assert code == 1
@@ -95,6 +105,22 @@ class TestQuery:
         code, out, _ = run(capsys, "query", str(path), "--joint")
         assert code == 0
         assert out == "x:1\ny:0\nz:inf\n"
+
+    def test_oversized_joint_is_refused(self, capsys, tmp_path, monkeypatch):
+        variables = tuple(Variable(f"V{i}", ("f", "t")) for i in range(13))
+        tables = {v.name: OCF(StateSpace((v,)), (0, 0)) for v in variables}
+        net = SpohnianNetwork(InfluenceDiagram(variables, ()), tables)
+        path = tmp_path / "big.json"
+        path.write_text(serialize_network(net))
+
+        def refuse(self):
+            raise AssertionError("the joint must not be built")
+
+        monkeypatch.setattr(SpohnianNetwork, "joint", refuse)
+        code, out, err = run(capsys, "query", str(path), "--joint")
+        assert code == 1
+        assert out == ""
+        assert "8192" in err and "4096" in err
 
     def test_believe_after_one_lesson(self, capsys, tmp_path):
         t1 = tmp_path / "t1.json"
@@ -279,5 +305,23 @@ class TestCompare:
             json.dumps({"evidence": [{"variable": "V0", "values": ["f"], "strength": "inf"}]})
         )
         code, _, err = run(capsys, "compare", str(path), str(ev), "--mode", "certain")
+        assert code == 1
+        assert "8192" in err and "4096" in err
+
+    def test_uncertain_mode_counts_the_dummies(self, capsys, tmp_path, monkeypatch):
+        # 2^12 states fit the oracle; the target's dummy doubles them
+        variables = tuple(Variable(f"V{i}", ("f", "t")) for i in range(12))
+        tables = {v.name: OCF(StateSpace((v,)), (0, 0)) for v in variables}
+        net = SpohnianNetwork(InfluenceDiagram(variables, ()), tables)
+        path = tmp_path / "big.json"
+        path.write_text(serialize_network(net))
+        ev = tmp_path / "ev.json"
+        ev.write_text(json.dumps({"evidence": [{"variable": "V0", "target": [0, 1]}]}))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the engine must not run")
+
+        monkeypatch.setattr(spohn.cli, "_run_engine", refuse)
+        code, _, err = run(capsys, "compare", str(path), str(ev), "--mode", "uncertain")
         assert code == 1
         assert "8192" in err and "4096" in err

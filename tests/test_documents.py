@@ -156,6 +156,12 @@ class TestNetworkParseErrors:
         with pytest.raises(DocumentError, match="permutation"):
             parse_network(json.dumps(doc))
 
+    def test_order_entries_must_be_names(self, five_node_net):
+        doc = self.base(five_node_net)
+        doc["tables"]["D"]["order"] = [["B"], "C", "D"]
+        with pytest.raises(DocumentError, match="permutation"):
+            parse_network(json.dumps(doc))
+
     def test_wrong_rank_count(self, five_node_net):
         doc = self.base(five_node_net)
         doc["tables"]["D"]["ranks"] = [0, 1, 2]

@@ -16,6 +16,7 @@ from spohn import (
     Variable,
     augment_with_dummy,
     compare,
+    oracle_impose,
     oracle_revise,
     propagate_certain_multi,
     propagate_single,
@@ -24,9 +25,11 @@ from spohn import (
 from spohn.errors import (
     ContradictoryEvidence,
     DuplicateTargetVariable,
+    EmptyProposition,
     ImpossibleEvidence,
     InvalidNetwork,
     SpaceMismatch,
+    UnknownValue,
     UnknownVariable,
 )
 
@@ -109,6 +112,44 @@ class TestSingleEvidence:
         post = propagate_single(penguin_net, ev)
         assert post.marginal("species").ranks[0] is INF
 
+    @pytest.mark.parametrize(
+        "strength, error", [(NEG_INF, ImpossibleEvidence), (-1, EmptyProposition)]
+    )
+    def test_disbelieving_the_full_domain_is_refused(self, penguin_net, strength, error):
+        everything = penguin_net.diagram.variable("species").domain
+        trace = []
+        with pytest.raises(error):
+            propagate_single(
+                penguin_net,
+                EvidenceSpec("species", values=everything, strength=strength),
+                trace=trace,
+            )
+        assert trace == []
+
+    @pytest.mark.parametrize("strength", [2, INF])
+    def test_unknown_value_raises_before_any_message(self, penguin_net, strength):
+        trace = []
+        with pytest.raises(UnknownValue):
+            propagate_single(
+                penguin_net,
+                EvidenceSpec("species", values=("DODO",), strength=strength),
+                trace=trace,
+            )
+        assert trace == []
+
+    @pytest.mark.parametrize("strength", [2, INF])
+    def test_ruled_out_evidence_raises_before_any_message(self, strength):
+        a = Variable("A", ("a0", "a1"))
+        net = SpohnianNetwork(
+            InfluenceDiagram((a,), ()), {"A": OCF(StateSpace((a,)), (0, INF))}
+        )
+        trace = []
+        with pytest.raises(ImpossibleEvidence):
+            propagate_single(
+                net, EvidenceSpec("A", values=("a1",), strength=strength), trace=trace
+            )
+        assert trace == []
+
     def test_families_off_the_component_are_untouched(self):
         a, b, c = (Variable(n, (n.lower() + "0", n.lower() + "1")) for n in "ABC")
         dia = InfluenceDiagram((a, b, c), (("A", "B"),))
@@ -158,9 +199,9 @@ class TestSingleEvidence:
         pat = re.compile(r"^seq=\d+ edge=\w+->\w+ var=\w+ deltas=\[[-0-9a-z,]+\]$")
         for entry in trace:
             assert pat.match(entry.format()), entry.format()
-        # injection, then one entry per family whose connector actually moved:
-        # B from A and D from B. C's marginal is untouched (the update reaches
-        # it only through the collider at D), so C and E stay silent.
+        # injection, then one entry per delivery: B from A and D from B. C's
+        # marginal is untouched (the update reaches it only through the
+        # collider at D), so D sends nothing on to C and E stays silent.
         assert [(t.edge, t.variable) for t in trace] == [
             (("A", "A"), "A"),
             (("A", "B"), "A"),
@@ -338,15 +379,55 @@ class TestUncertainMulti:
             var = net.diagram.variable(name)
             target = OCF(StateSpace((var,)), random_target(rng, var.domain))
             post = propagate_uncertain_multi(net, [(name, target)], Schedule.fifo())
-            augmented, dummy = augment_with_dummy(net, name, target)
-            conditioned = oracle_revise(
-                augmented.joint(),
-                [EvidenceSpec(dummy.name, values=("observed",))],
-            )
-            expected = conditioned.marginalize(net.diagram.names)
-            report = compare(post, expected)
+            report = compare(post, oracle_impose(net, [(name, target)]))
             assert report.passed, report.first_divergence
             assert post.marginal(name).ranks == target.ranks
+
+    def test_multi_target_matches_the_oracle_pipeline(self):
+        rng = random.Random(53)
+        for _ in range(25):
+            net = random_instance(rng, rng.randint(2, 6), max_domain=2, p_detach=0.1)
+            names = rng.sample(net.diagram.names, rng.randint(2, len(net.diagram.names)))
+            targets = []
+            for name in names:
+                var = net.diagram.variable(name)
+                targets.append((name, OCF(StateSpace((var,)), random_target(rng, var.domain))))
+            post = propagate_uncertain_multi(net, targets, Schedule.seeded(rng.randrange(99)))
+            report = compare(post, oracle_impose(net, targets))
+            assert report.passed, report.first_divergence
+
+    def test_target_is_the_first_message(self, five_node_net):
+        c = five_node_net.diagram.variable("C")
+        trace = []
+        propagate_uncertain_multi(
+            five_node_net, [("C", OCF(StateSpace((c,)), (2, 0)))], trace=trace
+        )
+        # target (2, 0) minus the current marginal (0, 3)
+        assert (trace[0].edge, trace[0].variable, trace[0].deltas) == (
+            ("C", "C"),
+            "C",
+            (2, -3),
+        )
+        assert {t.edge[1] for t in trace} <= set(five_node_net.diagram.names)
+
+    @pytest.mark.parametrize(
+        "over, ranks, error",
+        [("B", (0, 1), SpaceMismatch), ("A", (1, 0), ImpossibleEvidence)],
+    )
+    def test_bad_targets_raise_before_any_message(self, over, ranks, error):
+        a = Variable("A", ("a0", "a1"))
+        b = Variable("B", ("b0", "b1"))
+        net = SpohnianNetwork(
+            InfluenceDiagram((a, b), ()),
+            {"A": OCF(StateSpace((a,)), (0, INF)), "B": OCF(StateSpace((b,)), (0, 1))},
+        )
+        bad = OCF(StateSpace((net.diagram.variable(over),)), ranks)
+        trace = []
+        with pytest.raises(error):
+            propagate_uncertain_multi(
+                net, [("B", OCF(StateSpace((b,)), (1, 0))), ("A", bad)], trace=trace
+            )
+        assert trace == []
 
     def test_target_equal_to_the_current_marginal_changes_nothing(self, five_node_net):
         c = five_node_net.diagram.variable("C")
@@ -386,14 +467,5 @@ class TestUncertainMulti:
         assert post.marginal("A").ranks == (0, 4)
         assert post.marginal("B").ranks == (0, 5)
         # the engine still agrees with brute force on the combined update
-        augmented = net
-        dummies = []
-        for name, target in targets:
-            augmented, dummy = augment_with_dummy(augmented, name, target)
-            dummies.append(dummy.name)
-        conditioned = oracle_revise(
-            augmented.joint(),
-            [EvidenceSpec(d, values=("observed",)) for d in dummies],
-        )
-        report = compare(post, conditioned.marginalize(net.diagram.names))
+        report = compare(post, oracle_impose(net, targets))
         assert report.passed, report.first_divergence
