@@ -81,7 +81,7 @@ class InfluenceDiagram:
         out: dict[str, list[str]] = {n: [] for n in self.names}
         for a, b in self.edges:
             out[b].append(a)
-        order = {n: i for i, n in enumerate(self.names)}
+        order = self.space._position
         return {n: tuple(sorted(ps, key=order.__getitem__)) for n, ps in out.items()}
 
     @cached_property
@@ -89,7 +89,7 @@ class InfluenceDiagram:
         out: dict[str, list[str]] = {n: [] for n in self.names}
         for a, b in self.edges:
             out[a].append(b)
-        order = {n: i for i, n in enumerate(self.names)}
+        order = self.space._position
         return {n: tuple(sorted(cs, key=order.__getitem__)) for n, cs in out.items()}
 
     @cached_property
@@ -102,7 +102,7 @@ class InfluenceDiagram:
         for a, b in self.edges:
             out[a].append(b)
             out[b].append(a)
-        order = {n: i for i, n in enumerate(self.names)}
+        order = self.space._position
         return {n: tuple(sorted(set(ns), key=order.__getitem__)) for n, ns in out.items()}
 
     def variable(self, name: str) -> Variable:
@@ -142,8 +142,8 @@ class InfluenceDiagram:
 
     def family_variables(self, child: str) -> tuple[str, ...]:
         """The family's members in diagram declaration order."""
-        members = set(self.family(child).members)
-        return tuple(n for n in self.names if n in members)
+        members = {*self.parents(child), child}
+        return tuple(sorted(members, key=self.space._position.__getitem__))
 
     @cached_property
     def _component(self) -> dict[str, int]:
@@ -197,9 +197,21 @@ class InfluenceDiagram:
                     queue.append(m)
         if seen == len(self.names):
             return None
-        # Walk inside the leftover subgraph until a node repeats.
+        # Prune the leftover nodes that only lead out of the cycles, so every
+        # one kept has a child kept; then walk from the first declared one
+        # until a node repeats.
         stuck = {n for n in self.names if indeg[n] > 0}
-        start = next(iter(sorted(stuck, key=self.names.index)))
+        outdeg = {n: sum(m in stuck for m in self._children[n]) for n in stuck}
+        dead_ends = [n for n in stuck if outdeg[n] == 0]
+        while dead_ends:
+            n = dead_ends.pop()
+            stuck.discard(n)
+            for p in self._parents[n]:
+                if p in stuck:
+                    outdeg[p] -= 1
+                    if outdeg[p] == 0:
+                        dead_ends.append(p)
+        start = min(stuck, key=self.space._position.__getitem__)
         trail = [start]
         positions = {start: 0}
         cur = start

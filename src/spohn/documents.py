@@ -20,7 +20,7 @@ import json
 from typing import Any
 
 from .diagram import InfluenceDiagram
-from .errors import DocumentError, InvalidTarget
+from .errors import DocumentError, InvalidTarget, UnknownVariable
 from .network import SpohnianNetwork
 from .ocf import OCF, StateSpace, Variable
 from .propagation import EvidenceSpec
@@ -99,7 +99,7 @@ def parse_network(text: str) -> SpohnianNetwork:
         edges.append((item[0], item[1]))
     try:
         diagram = InfluenceDiagram(tuple(variables), tuple(edges))
-    except Exception as exc:
+    except (ValueError, UnknownVariable) as exc:
         raise DocumentError(f"edges: {exc}") from exc
 
     raw_tables = doc["tables"]
@@ -192,7 +192,7 @@ def parse_evidence(text: str, net: SpohnianNetwork) -> list[EvidenceSpec]:
             raise DocumentError(f"{where}.variable: expected a string")
         try:
             var = net.diagram.variable(name)
-        except Exception as exc:
+        except UnknownVariable as exc:
             raise DocumentError(f"{where}.variable: {exc}") from exc
         has_values = "values" in item
         has_target = "target" in item

@@ -28,6 +28,15 @@ injects at its own variable:
   elsewhere, which is inherent to the construction and pinned by a
   regression test rather than "fixed".
 
+Each run first builds, in one pass over the diagram's edges, a per-run
+adjacency table: for every node its incident edges in declaration order,
+each with the receiver, the shared variable, that variable's digit map in
+the node's table and its cardinality. A queued message carries the
+position of its arrival edge in the receiver's list, so a delivery costs
+time in the receiving family only, never a scan of the diagram, and a run
+is linear in the size of the network. The table lives only for the run;
+nothing is cached on the diagram or the network.
+
 The engine mutates only its own per-node working vectors; input networks
 are never modified.
 """
@@ -35,6 +44,7 @@ are never modified.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -189,30 +199,46 @@ def _run(
         node: list(net.tables[node].ranks) for node in d.names
     }
     spaces: dict[str, StateSpace] = {node: net.tables[node].space for node in d.names}
-    # Outbound snapshot per (node, incident edge): the shared-variable
+    # Per-run adjacency, built in one pass over the edges: each node's
+    # incident edges in declaration order, as (receiver, shared variable,
+    # digit map of the shared variable in the node's table, cardinality,
+    # position of the same edge in the receiver's list).
+    links: dict[str, list[tuple[str, str, list[int], int, int]]] = {
+        node: [] for node in d.names
+    }
+    for a, b in d.edges:
+        card = len(d.variable(a).domain)
+        at_a, at_b = len(links[a]), len(links[b])
+        links[a].append((b, a, spaces[a].projection((a,)), card, at_b))
+        links[b].append((a, a, spaces[b].projection((a,)), card, at_a))
+    # Outbound snapshot per incident edge, parallel to links: the shared
     # marginal as of the last send, advanced by arrivals over that edge.
-    snap: dict[tuple[str, tuple[str, str]], list[Rank]] = {}
-    for node in d.names:
-        for edge in d.incident_edges(node):
-            shared = edge[0]
-            digit = spaces[node].projection((shared,))
-            card = len(d.variable(shared).domain)
-            snap[(node, edge)] = _marginal_vector(vec[node], digit, card)
+    snap: dict[str, list[list[Rank]]] = {
+        node: [_marginal_vector(vec[node], digit, card) for _, _, digit, card, _ in out]
+        for node, out in links.items()
+    }
 
-    # Pending messages as (edge, variable, deltas).
-    queue = [((v, v), v, deltas) for v, deltas in injections]
+    # Pending messages as (sender, receiver, arrival, variable, deltas);
+    # arrival is the edge's position in the receiver's links, -1 for an
+    # injection.
+    queue = deque((v, v, -1, v, deltas) for v, deltas in injections)
     rng = random.Random(schedule.seed) if schedule.policy == "random" else None
     seq = 0
     while queue:
-        msg_edge, variable, deltas = (
-            queue.pop(0) if rng is None else queue.pop(rng.randrange(len(queue)))
-        )
+        if rng is None:
+            sender, node, arrival, variable, deltas = queue.popleft()
+        else:
+            i = rng.randrange(len(queue))
+            sender, node, arrival, variable, deltas = queue[i]
+            del queue[i]
         seq += 1
         if trace is not None:
-            trace.append(TraceEntry(seq, msg_edge, variable, deltas))
-        node = msg_edge[1]
-        space = spaces[node]
-        digit = space.projection((variable,))
+            trace.append(TraceEntry(seq, (sender, node), variable, deltas))
+        node_links = links[node]
+        snaps = snap[node]
+        digit = (
+            node_links[arrival][2] if arrival >= 0 else spaces[node].projection((variable,))
+        )
         work = vec[node]
         for i in range(len(work)):
             dd = deltas[digit[i]]
@@ -220,29 +246,22 @@ def _run(
                 work[i] = INF
             elif dd != 0 and work[i] is not INF:
                 work[i] += dd
-        arrival: tuple[str, str] | None = None
-        if msg_edge[0] != msg_edge[1]:
-            a, b = msg_edge
-            arrival = (a, b) if (a, b) in d._edge_set else (b, a)
-            snapshot = snap[(node, arrival)]
+        if arrival >= 0:
+            snapshot = snaps[arrival]
             for j, dd in enumerate(deltas):
                 if dd is INF:
                     snapshot[j] = INF
                 elif dd != 0 and snapshot[j] is not INF:
                     snapshot[j] += dd
-        for edge in d.incident_edges(node):
-            if edge == arrival:
+        for k, (receiver, shared, digit_s, card, back) in enumerate(node_links):
+            if k == arrival:
                 continue
-            shared = edge[0]
-            digit_s = space.projection((shared,))
-            card = len(d.variable(shared).domain)
             current = _marginal_vector(work, digit_s, card)
-            snapshot = snap[(node, edge)]
-            out = tuple(rank_delta(current[j], snapshot[j]) for j in range(card))
-            if any(dd != 0 for dd in out):
-                snap[(node, edge)] = current
-                receiver = edge[1] if edge[0] == node else edge[0]
-                queue.append(((node, receiver), shared, out))
+            snapshot = snaps[k]
+            change = tuple(rank_delta(current[j], snapshot[j]) for j in range(card))
+            if any(dd != 0 for dd in change):
+                snaps[k] = current
+                queue.append((node, receiver, back, shared, change))
 
     new_tables: dict[str, OCF] = {}
     for node in d.names:

@@ -186,6 +186,48 @@ class TestPropagate:
             "seq=2 edge=species->flight var=species deltas=[0,0,1]",
         ]
 
+    @pytest.mark.parametrize(
+        "seed, expected",
+        [
+            (
+                (),
+                [
+                    "seq=1 edge=B->B var=B deltas=[inf,0]",
+                    "seq=2 edge=E->E var=E deltas=[inf,0]",
+                    "seq=3 edge=B->A var=A deltas=[2,0]",
+                    "seq=4 edge=B->D var=B deltas=[inf,0]",
+                    "seq=5 edge=E->C var=C deltas=[2,1]",
+                    "seq=6 edge=D->C var=C deltas=[1,1]",
+                    "seq=7 edge=C->D var=C deltas=[2,1]",
+                    "seq=8 edge=C->E var=C deltas=[1,1]",
+                    "seq=9 edge=D->B var=B deltas=[0,2]",
+                    "seq=10 edge=B->A var=A deltas=[2,2]",
+                ],
+            ),
+            (
+                ("--seed", "1"),
+                [
+                    "seq=1 edge=B->B var=B deltas=[inf,0]",
+                    "seq=2 edge=B->D var=B deltas=[inf,0]",
+                    "seq=3 edge=E->E var=E deltas=[inf,0]",
+                    "seq=4 edge=D->C var=C deltas=[1,1]",
+                    "seq=5 edge=B->A var=A deltas=[2,0]",
+                    "seq=6 edge=C->E var=C deltas=[1,1]",
+                    "seq=7 edge=E->C var=C deltas=[2,1]",
+                    "seq=8 edge=C->D var=C deltas=[2,1]",
+                    "seq=9 edge=D->B var=B deltas=[0,2]",
+                    "seq=10 edge=B->A var=A deltas=[2,2]",
+                ],
+            ),
+        ],
+    )
+    def test_certain_mode_trace_is_pinned(self, capsys, seed, expected):
+        code, _, err = run(
+            capsys, "propagate", FIVE, EV_CERTAIN, "--mode", "certain", "--trace", *seed
+        )
+        assert code == 0
+        assert err.splitlines() == expected
+
     def test_certain_mode_trace_lines_parse(self, capsys):
         code, _, err = run(
             capsys, "propagate", FIVE, EV_CERTAIN, "--mode", "certain", "--trace"

@@ -34,6 +34,32 @@ def test_accessors(polytree):
     assert polytree.ancestors("A") == ()
 
 
+def test_family_variables_is_the_declaration_order_scan():
+    def scan(d, child):
+        members = {*d.parents(child), child}
+        return tuple(n for n in d.names if n in members)
+
+    rng = random.Random(7)
+    for _ in range(60):
+        base = random_diagram(rng, rng.randint(1, 12), p_detach=0.2)
+        declared = list(base.variables)
+        rng.shuffle(declared)
+        for d in (base, InfluenceDiagram(tuple(declared), base.edges)):
+            for child in d.names:
+                assert d.family_variables(child) == scan(d, child)
+
+
+def test_family_variables_edge_cases():
+    # Child declared before its parents, and a constructible self-loop.
+    d = InfluenceDiagram((v("D"), v("B"), v("A")), (("A", "D"), ("B", "D")))
+    assert d.family_variables("D") == ("D", "B", "A")
+    loop = InfluenceDiagram((v("A"), v("B")), (("A", "A"), ("B", "A")))
+    assert loop.family_variables("A") == ("A", "B")
+    assert loop.family_variables("B") == ("B",)
+    with pytest.raises(UnknownVariable):
+        d.family_variables("Z")
+
+
 def test_unknown_endpoint_raises():
     with pytest.raises(UnknownVariable):
         InfluenceDiagram((v("A"),), (("A", "Z"),))
@@ -69,6 +95,20 @@ class TestValidate:
         report = diagram([("A", "B"), ("A", "C"), ("B", "C")]).validate()
         assert not report.ok
         assert any("multiply-connected" in p for p in report.problems)
+
+    def test_cycle_above_a_dead_end_is_named(self):
+        # A hangs below the cycle and is declared first; the walk must not
+        # start from it.
+        d = InfluenceDiagram((v("A"), v("B"), v("C")), (("B", "C"), ("C", "B"), ("B", "A")))
+        assert "directed cycle: B -> C -> B" in d.validate().problems
+
+    def test_long_cycle_is_named_from_its_first_node(self):
+        n = 2000
+        names = [f"N{i}" for i in range(n)]
+        edges = [(names[i], names[(i + 1) % n]) for i in range(n)]
+        d = InfluenceDiagram(tuple(Variable(x, ("0", "1")) for x in names), tuple(edges))
+        cycle = d.validate().problems[0]
+        assert cycle == "directed cycle: " + " -> ".join(names + ["N0"])
 
     def test_forest_is_valid(self):
         d = InfluenceDiagram((v("A"), v("B"), v("C")), (("A", "B"),))

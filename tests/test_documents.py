@@ -1,9 +1,12 @@
 """Document layer: round trips, canonical layout, and parse failures."""
 
+import copy
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spohn import (
     INF,
@@ -265,3 +268,89 @@ class TestEvidenceParsing:
     def test_top_level_shape(self, five_node_net):
         with pytest.raises(DocumentError, match="JSON object"):
             parse_evidence("[]", five_node_net)
+
+
+# Mutation fuzz of the shipped five-node documents. Each example applies up
+# to three edits (replace, delete, duplicate or insert a node of the JSON
+# tree) and may truncate the text; derandomized, so every run replays the
+# same examples.
+FUZZ = settings(
+    derandomize=True,
+    database=None,
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+FUZZ_NAMES = [
+    "A", "B", "C", "D", "E", "Z", "", "inf", "a0", "b1", "c0", "c1", "e1",
+    "variables", "edges", "tables", "name", "domain", "order", "ranks",
+    "evidence", "variable", "values", "target", "strength",
+]
+FUZZ_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 8)
+    | st.sampled_from([1.5, 1e300, -0.0])
+    | st.sampled_from(FUZZ_NAMES),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(FUZZ_NAMES), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _slots(node, out):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            out.append((node, key))
+            _slots(value, out)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            out.append((node, i))
+            _slots(value, out)
+    return out
+
+
+def _mutated_text(data, path):
+    doc = json.loads(path.read_text())
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = _slots(doc, [])
+        if not slots:
+            break
+        parent, key = data.draw(st.sampled_from(slots))
+        op = data.draw(st.sampled_from(["replace", "delete", "duplicate", "insert"]))
+        if op == "replace":
+            parent[key] = data.draw(FUZZ_VALUES)
+        elif op == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            item = copy.deepcopy(parent[key]) if op == "duplicate" else data.draw(FUZZ_VALUES)
+            parent.insert(key, item)
+        else:
+            item = copy.deepcopy(parent[key]) if op == "duplicate" else data.draw(FUZZ_VALUES)
+            parent[data.draw(st.sampled_from(FUZZ_NAMES))] = item
+    text = json.dumps(doc)
+    cut = data.draw(st.none() | st.integers(0, len(text)))
+    return text if cut is None else text[:cut]
+
+
+class TestMutationFuzz:
+    @FUZZ
+    @given(st.data())
+    def test_network_parses_or_fails_cleanly(self, data):
+        text = _mutated_text(data, DOCS / "five_node.json")
+        try:
+            net = parse_network(text)
+        except DocumentError:
+            return
+        assert isinstance(net, SpohnianNetwork)
+
+    @FUZZ
+    @given(st.data(), st.sampled_from(["evidence_certain.json", "evidence_target.json"]))
+    def test_evidence_parses_or_fails_cleanly(self, data, name):
+        net = parse_network((DOCS / "five_node.json").read_text())
+        text = _mutated_text(data, DOCS / name)
+        try:
+            evidence = parse_evidence(text, net)
+        except (DocumentError, InvalidTarget):
+            return
+        assert evidence and all(ev.variable in net.diagram.names for ev in evidence)

@@ -36,6 +36,7 @@ from spohn.errors import (
 from generators import (
     random_certain_evidence,
     random_instance,
+    random_network,
     random_target,
     random_value_evidence,
 )
@@ -236,6 +237,31 @@ class TestCertainMulti:
         forward = propagate_certain_multi(net, evidence, Schedule.fifo())
         backward = propagate_certain_multi(net, evidence[::-1], Schedule.fifo())
         assert forward == backward
+
+    def test_diagram_queries_stay_local(self, monkeypatch):
+        # Per-node work must not scan the whole diagram: the engine reads no
+        # incident_edges, and families are looked up a bounded number of
+        # times per node.
+        n = 200
+        variables = tuple(Variable(f"V{i}", ("x", "y")) for i in range(n))
+        chain = InfluenceDiagram(variables, tuple((f"V{i}", f"V{i + 1}") for i in range(n - 1)))
+        net = random_network(random.Random(44), chain)
+        evidence = [
+            EvidenceSpec("V0", values=("x",), strength=INF),
+            EvidenceSpec(f"V{n - 1}", values=("y",), strength=INF),
+        ]
+        calls = {"incident_edges": 0, "family_variables": 0}
+        for name in calls:
+            real = getattr(InfluenceDiagram, name)
+
+            def counted(self, *args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(self, *args)
+
+            monkeypatch.setattr(InfluenceDiagram, name, counted)
+        propagate_certain_multi(net, evidence, Schedule.fifo())
+        assert calls["incident_edges"] == 0
+        assert calls["family_variables"] <= 2 * n
 
     def test_repeated_variable_evidence_is_a_conjunction(self, five_node_net):
         evidence = [
