@@ -48,18 +48,12 @@ def _read(path: str, what: str) -> str:
         raise DocumentError(f"cannot read {what} {path!r}: {exc}") from exc
 
 
-def _parse_prop(net: SpohnianNetwork, text: str) -> tuple[str, tuple[str, ...]]:
+def _parse_prop(text: str) -> tuple[str, tuple[str, ...]]:
+    """Split VAR=VALUE[,VALUE...]; the names are checked where they are used."""
     name, sep, raw = text.partition("=")
     if not sep or not name or not raw:
         raise DocumentError(f"bad proposition {text!r}, expected VAR=VALUE[,VALUE...]")
-    values = tuple(v for v in raw.split(",") if v)
-    var = net.diagram.variable(name)
-    for v in values:
-        if v not in var.domain:
-            from .errors import UnknownValue
-
-            raise UnknownValue(f"variable {name!r} has no value {v!r}")
-    return name, values
+    return name, tuple(v for v in raw.split(",") if v)
 
 
 def _schedule(args: argparse.Namespace) -> Schedule:
@@ -134,7 +128,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             print(f"{','.join(joint.space.state_at(i))}:{r}")
         return 0
     text = args.believe if args.believe is not None else args.beta
-    name, values = _parse_prop(net, text)
+    name, values = _parse_prop(text)
     marg = net.marginal(name)
     prop = Proposition.constrain(marg.space, {name: values})
     if args.believe is not None:

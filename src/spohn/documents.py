@@ -129,29 +129,28 @@ def parse_network(text: str) -> SpohnianNetwork:
             raise DocumentError(
                 f"{where}.order: expected a permutation of {list(family)}, got {order!r}"
             )
-        doc_space = StateSpace(tuple(diagram.variable(n) for n in order))
+        space = StateSpace(tuple(diagram.variable(n) for n in family))
         raw_ranks = entry["ranks"]
-        if not isinstance(raw_ranks, list) or len(raw_ranks) != doc_space.size:
+        # Any order is a permutation of the family, so its space has the same size.
+        if not isinstance(raw_ranks, list) or len(raw_ranks) != space.size:
             raise DocumentError(
-                f"{where}.ranks: expected {doc_space.size} entries, got "
+                f"{where}.ranks: expected {space.size} entries, got "
                 f"{len(raw_ranks) if isinstance(raw_ranks, list) else type(raw_ranks).__name__}"
             )
-        doc_ranks = [
+        ranks = [
             _rank_from_json(v, f"{where}.ranks[{i}]") for i, v in enumerate(raw_ranks)
         ]
-        canonical_space = StateSpace(tuple(diagram.variable(n) for n in family))
-        if order == list(family):
-            ranks = doc_ranks
-        else:
-            pos = {n: i for i, n in enumerate(order)}
+        if order != list(family):
+            doc_space = StateSpace(tuple(diagram.variable(n) for n in order))
+            doc_ranks = ranks
             ranks = []
-            for i in range(canonical_space.size):
-                state = canonical_space.state_at(i)
+            for i in range(space.size):
+                state = space.state_at(i)
                 reordered = tuple(state[family.index(n)] for n in order)
                 ranks.append(doc_ranks[doc_space.index_of(reordered)])
         if min(ranks) != 0:
             raise DocumentError(f"{where}: table has no rank-0 entry")
-        tables[node] = OCF(canonical_space, tuple(ranks))
+        tables[node] = OCF(space, tuple(ranks))
 
     return SpohnianNetwork(diagram, tables)
 

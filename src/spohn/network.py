@@ -15,7 +15,7 @@ from typing import Mapping
 
 from .diagram import InfluenceDiagram, ValidationReport
 from .errors import InconsistentTables, SpaceMismatch
-from .ocf import OCF
+from .ocf import OCF, _least_ranks
 from .ranks import INF, Rank
 
 
@@ -62,11 +62,11 @@ class SpohnianNetwork:
             table = self.tables[node]
             proj_fam = full.projection(table.space.names)
             parents = self.diagram.parents(node)
-            if parents:
-                pmarg = table.marginalize(parents)
-                proj_par = full.projection(pmarg.space.names)
-                pranks = pmarg.ranks
             tranks = table.ranks
+            if parents:
+                size = table.space.size // len(self.diagram.variable(node).domain)
+                pranks = _least_ranks(tranks, table.space.projection(parents), size)
+                proj_par = full.projection(parents)
             for i in range(full.size):
                 if total[i] is INF:
                     continue
@@ -104,13 +104,12 @@ class SpohnianNetwork:
     def validate(self) -> ValidationReport:
         """Diagram shape plus marginal agreement across every edge."""
         problems = list(self.diagram.validate().problems)
-        for node in self.diagram.names:
-            if min(self.tables[node].ranks) != 0:
-                problems.append(f"table for {node} has no rank-0 cell")
         for parent, child in self.diagram.edges:
-            from_child = self.tables[child].marginalize((parent,))
-            from_parent = self.tables[parent].marginalize((parent,))
-            if from_child.ranks != from_parent.ranks:
+            card = len(self.diagram.variable(parent).domain)
+            child_t, parent_t = self.tables[child], self.tables[parent]
+            from_child = _least_ranks(child_t.ranks, child_t.space.projection((parent,)), card)
+            from_parent = _least_ranks(parent_t.ranks, parent_t.space.projection((parent,)), card)
+            if from_child != from_parent:
                 problems.append(
                     f"edge {parent}->{child}: tables disagree on the marginal of {parent}"
                 )

@@ -270,6 +270,19 @@ class Proposition:
             mask ^= low
 
 
+def _least_ranks(ranks: Sequence[Rank], digit_of: Sequence[int], size: int) -> list[Rank]:
+    """Least rank per reduced state: out[j] = min of ranks[i] with digit_of[i] == j.
+
+    digit_of maps each cell to a reduced state, as StateSpace.projection
+    does; a reduced state nothing maps to keeps INF. Ranks may be signed.
+    """
+    out: list[Rank] = [INF] * size
+    for r, j in zip(ranks, digit_of):
+        if r < out[j]:
+            out[j] = r
+    return out
+
+
 @dataclass(frozen=True)
 class OCF:
     """A ranking of all states: dense, min 0, possibly infinite entries."""
@@ -395,14 +408,9 @@ class OCF:
             raise ValueError("must keep at least one variable")
         if keep == self.space.names:
             return self
-        proj = self.space.projection(keep)
         sub = self.space.subspace(keep)
-        out: list[Rank] = [INF] * sub.size
-        for i, r in enumerate(self.ranks):
-            j = proj[i]
-            if r < out[j]:
-                out[j] = r
-        return OCF(sub, tuple(out))
+        ranks = _least_ranks(self.ranks, self.space.projection(keep), sub.size)
+        return OCF(sub, tuple(ranks))
 
     def is_independent(self, x: str, y: str, given: Iterable[str] = ()) -> bool:
         """Variable-level conditional independence of x and y given a set.

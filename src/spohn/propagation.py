@@ -59,7 +59,7 @@ from .errors import (
     UnknownValue,
 )
 from .network import SpohnianNetwork
-from .ocf import OCF, Proposition, StateSpace, Variable
+from .ocf import OCF, Proposition, StateSpace, Variable, _least_ranks
 from .ranks import INF, NEG_INF, BeliefStrength, Rank, rank_delta, s_normalize
 
 
@@ -120,6 +120,8 @@ class Schedule:
             raise ValueError(f"unknown schedule policy {self.policy!r}")
         if self.policy == "random" and self.seed is None:
             raise ValueError("random schedule needs a seed")
+        if self.policy == "fifo" and self.seed is not None:
+            raise ValueError("fifo schedule takes no seed")
 
     @classmethod
     def fifo(cls) -> Schedule:
@@ -136,13 +138,20 @@ def _require_valid(net: SpohnianNetwork) -> None:
         raise InvalidNetwork("; ".join(report.problems))
 
 
-def _marginal_vector(vec: list[Rank], digit_of: list[int], card: int) -> list[Rank]:
-    out: list[Rank] = [INF] * card
-    for i, r in enumerate(vec):
-        j = digit_of[i]
-        if r < out[j]:
-            out[j] = r
-    return out
+def _marginal_ranks(net: SpohnianNetwork, variable: str, card: int) -> list[Rank]:
+    """The variable's marginal ranks, read off its own table."""
+    table = net.tables[variable]
+    return _least_ranks(table.ranks, table.space.projection((variable,)), card)
+
+
+def _add_deltas(vector: list[Rank], deltas: Sequence[Rank], digit_of: Sequence[int]) -> None:
+    """Add deltas[digit_of[i]] into vector[i] in place; INF absorbs."""
+    for i, j in enumerate(digit_of):
+        dd = deltas[j]
+        if dd is INF:
+            vector[i] = INF
+        elif dd != 0 and vector[i] is not INF:
+            vector[i] += dd
 
 
 def _certain_deltas(
@@ -153,7 +162,7 @@ def _certain_deltas(
     for v in values:
         if v not in domain:
             raise UnknownValue(f"variable {variable!r} has no value {v!r}")
-    prior = net.marginal(variable).ranks
+    prior = _marginal_ranks(net, variable, len(domain))
     if all(r is INF for v, r in zip(domain, prior) if v in values):
         raise ImpossibleEvidence(
             f"evidence on {variable} is already ruled out by the network"
@@ -171,7 +180,7 @@ def _target_deltas(
             f"target for {variable} must be a single-variable ranking over it, "
             f"got one over {target.space.names}"
         )
-    current = net.marginal(variable).ranks
+    current = _marginal_ranks(net, variable, len(var.domain))
     if any(t is not INF and c is INF for t, c in zip(target.ranks, current)):
         raise ImpossibleEvidence(
             f"target gives finite rank to an impossible value of {variable}"
@@ -214,7 +223,7 @@ def _run(
     # Outbound snapshot per incident edge, parallel to links: the shared
     # marginal as of the last send, advanced by arrivals over that edge.
     snap: dict[str, list[list[Rank]]] = {
-        node: [_marginal_vector(vec[node], digit, card) for _, _, digit, card, _ in out]
+        node: [_least_ranks(vec[node], digit, card) for _, _, digit, card, _ in out]
         for node, out in links.items()
     }
 
@@ -240,23 +249,13 @@ def _run(
             node_links[arrival][2] if arrival >= 0 else spaces[node].projection((variable,))
         )
         work = vec[node]
-        for i in range(len(work)):
-            dd = deltas[digit[i]]
-            if dd is INF:
-                work[i] = INF
-            elif dd != 0 and work[i] is not INF:
-                work[i] += dd
+        _add_deltas(work, deltas, digit)
         if arrival >= 0:
-            snapshot = snaps[arrival]
-            for j, dd in enumerate(deltas):
-                if dd is INF:
-                    snapshot[j] = INF
-                elif dd != 0 and snapshot[j] is not INF:
-                    snapshot[j] += dd
+            _add_deltas(snaps[arrival], deltas, range(len(deltas)))
         for k, (receiver, shared, digit_s, card, back) in enumerate(node_links):
             if k == arrival:
                 continue
-            current = _marginal_vector(work, digit_s, card)
+            current = _least_ranks(work, digit_s, card)
             snapshot = snaps[k]
             change = tuple(rank_delta(current[j], snapshot[j]) for j in range(card))
             if any(dd != 0 for dd in change):

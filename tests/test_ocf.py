@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from spohn.errors import (
     ImpossibleEvidence,
     SpaceMismatch,
 )
+from spohn.ocf import _least_ranks
 
 from conftest import AFTER_BIRD, AFTER_PENGUIN, FLIGHT, PRIOR, SPECIES
 from generators import random_ocf
@@ -243,6 +245,33 @@ class TestMarginalize:
 
     def test_projection_of_everything_is_identity(self, prior):
         assert prior.marginalize(("species", "flight")) is prior
+
+    def test_least_ranks_is_the_min_over_matching_states(self):
+        # Brute force from the definition: for each reduced state, the least
+        # rank among the full states that restrict to it. Ranks are signed,
+        # as in the engine's working vectors, and some cells are INF.
+        rng = random.Random(17)
+        for _ in range(40):
+            space = StateSpace(tuple(
+                Variable(f"V{k}", tuple(f"v{j}" for j in range(rng.randint(2, 3))))
+                for k in range(rng.randint(1, 3))
+            ))
+            ranks = [INF if rng.random() < 0.3 else rng.randint(-3, 5) for _ in range(space.size)]
+            for width in range(1, len(space.names) + 1):
+                for keep in itertools.combinations(space.names, width):
+                    sub = space.subspace(keep)
+                    pos = [space.names.index(n) for n in keep]
+                    want = [
+                        min(
+                            (ranks[i] for i in range(space.size)
+                             if tuple(space.state_at(i)[p] for p in pos) == state),
+                            default=INF,
+                        )
+                        for state in sub.states()
+                    ]
+                    assert _least_ranks(ranks, space.projection(keep), sub.size) == want
+        # A reduced state nothing maps to stays INF.
+        assert _least_ranks([3, INF, -1], [0, 0, 2], 4) == [3, INF, -1, INF]
 
 
 class TestIndependence:

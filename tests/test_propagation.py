@@ -62,6 +62,8 @@ class TestEvidenceSpec:
             Schedule("lifo")
         with pytest.raises(ValueError):
             Schedule("random")
+        with pytest.raises(ValueError):
+            Schedule("fifo", seed=5)
         assert Schedule.seeded(3).seed == 3
 
 
