@@ -153,7 +153,10 @@ def cmd_propagate(args: argparse.Namespace) -> int:
             print(entry.format(), file=sys.stderr)
     doc = serialize_network(result)
     if args.out:
-        Path(args.out).write_text(doc, encoding="utf-8")
+        try:
+            Path(args.out).write_text(doc, encoding="utf-8")
+        except OSError as exc:
+            raise DocumentError(f"cannot write output file {args.out!r}: {exc}") from exc
     else:
         sys.stdout.write(doc)
     return 0

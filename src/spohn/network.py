@@ -1,11 +1,15 @@
 """Spohnian networks: an influence diagram plus one rank table per family.
 
 Each node carries an OCF over itself and its parents (variables kept in
-diagram declaration order). The joint ranking is assembled by the
-conditional chain rule: every node contributes its family rank minus its
-own table's parent marginal. Networks produced by from_joint are coherent
-by construction; validate() checks the structural half (diagram shape) and
-the semantic half (neighboring tables agree on shared marginals).
+diagram declaration order). The joint ranking is the sum of the family
+tables less the marginals that neighboring tables share: a node's own
+marginal is shared on every edge to a child, so it is subtracted once per
+child. On a polytree the families form a tree joined by these
+single-variable separators, so when every edge agrees on its marginal the
+tables are exactly the family marginals of that joint, whether or not a
+node's parents are independent (evidence at or below a collider makes
+them dependent). validate() checks the structural half (diagram shape)
+and the semantic half (neighboring tables agree on shared marginals).
 """
 
 from __future__ import annotations
@@ -55,34 +59,24 @@ class SpohnianNetwork:
         return self.tables[name].marginalize((name,))
 
     def joint(self) -> OCF:
-        """Assemble the full ranking by the conditional chain rule."""
+        """Assemble the full ranking: family tables minus shared marginals.
+
+        Every table is added once; a node's own marginal, read off its own
+        table, is subtracted once per child. Tables that fail validate() can
+        sum to a negative rank or to no rank-0 state: InconsistentTables.
+        """
         full = self.diagram.space
         total: list[Rank] = [0] * full.size
         for node in self.diagram.names:
             table = self.tables[node]
-            proj_fam = full.projection(table.space.names)
-            parents = self.diagram.parents(node)
-            tranks = table.ranks
-            if parents:
-                size = table.space.size // len(self.diagram.variable(node).domain)
-                pranks = _least_ranks(tranks, table.space.projection(parents), size)
-                proj_par = full.projection(parents)
-            for i in range(full.size):
-                if total[i] is INF:
-                    continue
-                t = tranks[proj_fam[i]]
-                if t is INF:
-                    total[i] = INF
-                    continue
-                if parents:
-                    p = pranks[proj_par[i]]
-                    if p is INF:
-                        raise InconsistentTables(
-                            f"table for {node}: finite cell under an impossible parent configuration"
-                        )
-                    total[i] += t - p
-                else:
-                    total[i] += t
+            cells = table.ranks
+            shared = len(self.diagram.children(node))
+            if shared:
+                own = table.space.projection((node,))
+                marg = _least_ranks(cells, own, len(self.diagram.variable(node).domain))
+                cells = [t if t is INF else t - shared * marg[x] for t, x in zip(cells, own)]
+            proj = full.projection(table.space.names)
+            total = [t + cells[j] for t, j in zip(total, proj)]
         try:
             return OCF(full, tuple(total))
         except ValueError as exc:

@@ -158,7 +158,10 @@ class StateSpace:
     def projection(self, names: Iterable[str]) -> list[int]:
         """Map each full state index to its index in subspace(names).
 
-        Computed with an odometer sweep, O(size), and cached per subset.
+        Built by prefix expansion over the variables in declared order, so
+        O(size), and cached per subset: a kept variable with c values turns
+        each entry p into p*c + d for every digit d, a dropped one repeats
+        each entry c times.
         """
         keep = self.canonical_subset(names)
         if not keep:
@@ -167,25 +170,13 @@ class StateSpace:
         if cached is not None:
             return cached
         kept_set = set(keep)
-        sub_stride = 1
-        reduced_stride = [0] * len(self.variables)
-        for pos in range(len(self.variables) - 1, -1, -1):
-            if self.variables[pos].name in kept_set:
-                reduced_stride[pos] = sub_stride
-                sub_stride *= len(self.variables[pos].domain)
-        cards = [len(v.domain) for v in self.variables]
-        proj = [0] * self.size
-        digits = [0] * len(self.variables)
-        ridx = 0
-        for i in range(self.size):
-            proj[i] = ridx
-            for pos in range(len(self.variables) - 1, -1, -1):
-                digits[pos] += 1
-                ridx += reduced_stride[pos]
-                if digits[pos] < cards[pos]:
-                    break
-                ridx -= digits[pos] * reduced_stride[pos]
-                digits[pos] = 0
+        proj = [0]
+        for v in self.variables:
+            digits = range(len(v.domain))
+            if v.name in kept_set:
+                proj = [p * len(digits) + d for p in proj for d in digits]
+            else:
+                proj = [p for p in proj for _ in digits]
         self._proj_cache[keep] = proj
         return proj
 

@@ -82,6 +82,8 @@ class EvidenceSpec:
             raise ValueError("evidence needs exactly one of values or target")
         if self.values is not None and not self.values:
             raise ValueError("evidence value list must be non-empty")
+        if self.target is not None and self.strength is not INF:
+            raise ValueError("target evidence takes no strength")
 
 
 @dataclass(frozen=True)

@@ -170,6 +170,16 @@ class TestPropagate:
         assert code == 0
         assert out == "believed (beta=1)\n"
 
+    def test_unwritable_output_is_a_clean_error(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "out.json"
+        code, out, err = run(
+            capsys, "propagate", PENGUIN, EV_BIRD, "--mode", "single", "--out", str(out_path)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot write output file")
+        assert not out_path.exists()
+
     def test_updated_document_goes_to_stdout_by_default(self, capsys):
         code, out, err = run(capsys, "propagate", PENGUIN, EV_BIRD, "--mode", "single")
         assert code == 0
@@ -308,6 +318,23 @@ class TestCompare:
             code, out, _ = run(capsys, "compare", net, ev, "--mode", mode)
             assert code == 0
             assert out == "match\n"
+
+    def test_posterior_of_a_collider_observation_matches(self, capsys, tmp_path):
+        # Observing the collider D couples its parents B and C in the
+        # posterior; the posterior still validates, so further evidence
+        # must agree with the oracle in every regime.
+        observe_d = tmp_path / "D.json"
+        observe_b = tmp_path / "B.json"
+        posterior = tmp_path / "t.json"
+        for path, name, value in ((observe_d, "D", "d1"), (observe_b, "B", "b1")):
+            item = {"variable": name, "values": [value], "strength": "inf"}
+            path.write_text(json.dumps({"evidence": [item]}))
+        argv = ["propagate", FIVE, str(observe_d), "--mode", "certain", "--out", str(posterior)]
+        assert run(capsys, *argv)[0] == 0
+        assert run(capsys, "validate", str(posterior)) == (0, "ok\n", "")
+        for ev, mode in ((observe_b, "certain"), (EV_TARGET, "uncertain")):
+            code, out, _ = run(capsys, "compare", str(posterior), str(ev), "--mode", mode)
+            assert (code, out) == (0, "match\n")
 
     def test_corrupted_engine_is_caught(self, capsys, monkeypatch):
         real = spohn.cli._run_engine

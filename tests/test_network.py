@@ -2,10 +2,30 @@ import random
 
 import pytest
 
-from spohn import INF, OCF, InfluenceDiagram, SpohnianNetwork, StateSpace, Variable
+from spohn import (
+    INF,
+    OCF,
+    EvidenceSpec,
+    InfluenceDiagram,
+    Schedule,
+    SpohnianNetwork,
+    StateSpace,
+    Variable,
+    compare,
+    oracle_impose,
+    oracle_revise,
+    propagate_certain_multi,
+    propagate_single,
+    propagate_uncertain_multi,
+)
 from spohn.errors import InconsistentTables, SpaceMismatch
 
-from generators import random_diagram, random_instance, random_network
+from generators import (
+    random_certain_evidence,
+    random_diagram,
+    random_instance,
+    random_network,
+)
 
 
 def test_tables_must_cover_exactly_the_diagram(penguin_net):
@@ -170,3 +190,125 @@ def test_joint_handles_infinite_cells():
         assert min(joint.ranks) == 0
         rebuilt = SpohnianNetwork.from_joint(joint, net.diagram)
         assert rebuilt.joint() == joint
+
+
+def _collider(c_ranks):
+    """A -> C <- B with A (0, 1), B (0, 2) and the given (A, B, C) table."""
+    a, b, c = (Variable(n, (n.lower() + "0", n.lower() + "1")) for n in "ABC")
+    dia = InfluenceDiagram((a, b, c), (("A", "C"), ("B", "C")))
+    return SpohnianNetwork(
+        dia,
+        {
+            "A": OCF(StateSpace((a,)), (0, 1)),
+            "B": OCF(StateSpace((b,)), (0, 2)),
+            "C": OCF(StateSpace((a, b, c)), c_ranks),
+        },
+    )
+
+
+def _parent_block(net, node):
+    return net.tables[node].marginalize(net.diagram.parents(node)).ranks
+
+
+def _check_updates(rng, net):
+    """One update per regime on net, each checked against the oracle."""
+    joint = net.joint()
+    name = rng.choice(net.diagram.names)
+    var = net.diagram.variable(name)
+    marg = net.marginal(name).ranks
+    possible = [v for v, r in zip(var.domain, marg) if r is not INF]
+    # single: a finite lesson about some of the still-possible values
+    values = tuple(rng.sample(possible, rng.randint(1, len(possible))))
+    if len(values) < len(var.domain):
+        ev = EvidenceSpec(name, values=values, strength=rng.randint(0, 4))
+        post = propagate_single(net, ev)
+        report = compare(post, oracle_revise(joint, [ev]))
+        assert report.passed, ("single", report.first_divergence)
+    # certain: one or two jointly possible observations
+    evidence = random_certain_evidence(rng, net, rng.randint(1, min(2, len(net.diagram.names))))
+    post = propagate_certain_multi(net, evidence, Schedule.seeded(rng.randrange(99)))
+    report = compare(post, oracle_revise(joint, evidence))
+    assert report.passed, ("certain", report.first_divergence)
+    # uncertain: a target that leaves impossible values impossible
+    target = [INF if r is INF else rng.randint(0, 4) for r in marg]
+    target[var.domain.index(rng.choice(possible))] = 0
+    targets = [(name, OCF(StateSpace((var,)), tuple(target)))]
+    post = propagate_uncertain_multi(net, targets, Schedule.fifo())
+    report = compare(post, oracle_impose(net, targets))
+    assert report.passed, ("uncertain", report.first_divergence)
+
+
+def _valid_implies_exact(rng, net):
+    assert net.validate().ok
+    assert SpohnianNetwork.from_joint(net.joint(), net.diagram) == net
+    _check_updates(rng, net)
+
+
+def _perturbed(rng, net):
+    """net with one cell of one table changed, or None if that breaks the table."""
+    node = rng.choice(net.diagram.names)
+    table = net.tables[node]
+    ranks = list(table.ranks)
+    i = rng.randrange(len(ranks))
+    ranks[i] = rng.choice([r for r in (0, 1, 2, 3, 5, INF) if r != ranks[i]])
+    if 0 not in ranks:
+        return None
+    return SpohnianNetwork(net.diagram, {**net.tables, node: OCF(table.space, tuple(ranks))})
+
+
+class TestValidImpliesExact:
+    """validate().ok must mean: the tables are the family marginals of
+    joint(), and the engine agrees with the oracle in every regime."""
+
+    def test_dependent_parents_of_a_valid_table(self):
+        # C's parent block (0, 2, 1, 2) is not the sum (0, 2, 1, 3) of the
+        # parents' marginals; the edges agree, so the network is valid.
+        net = _collider((0, 1, 2, 3, 1, 2, 2, 4))
+        assert _parent_block(net, "C") == (0, 2, 1, 2)
+        assert net.joint().ranks == net.tables["C"].ranks
+        _valid_implies_exact(random.Random(1), net)
+        for name in net.diagram.names:
+            for value in net.diagram.variable(name).domain:
+                evidence = [EvidenceSpec(name, values=(value,))]
+                post = propagate_certain_multi(net, evidence)
+                report = compare(post, oracle_revise(net.joint(), evidence))
+                assert report.passed, report.first_divergence
+
+    def test_evidence_at_a_collider_couples_its_parents(self):
+        # The prior's parents are independent; certain evidence on C makes
+        # them dependent, and the engine's output must still compose.
+        net = _collider((0, 3, 2, 3, 1, 1, 3, 5))
+        assert _parent_block(net, "C") == (0, 2, 1, 3)
+        post = propagate_certain_multi(net, [EvidenceSpec("C", values=("c1",))])
+        assert _parent_block(post, "C") == (2, 2, 0, 4)
+        sums = [a + b for a in post.marginal("A").ranks for b in post.marginal("B").ranks]
+        assert sums == [2, 4, 0, 2]
+        _valid_implies_exact(random.Random(2), post)
+
+    def test_generated_networks(self):
+        rng = random.Random(31)
+        for _ in range(100):
+            net = random_instance(rng, rng.randint(2, 6), p_inf=0.15)
+            _valid_implies_exact(rng, net)
+
+    def test_engine_results_after_certain_evidence(self):
+        rng = random.Random(32)
+        for _ in range(100):
+            net = random_instance(rng, rng.randint(3, 6), p_inf=0.1)
+            evidence = random_certain_evidence(rng, net, rng.randint(1, 2))
+            post = propagate_certain_multi(net, evidence, Schedule.seeded(rng.randrange(99)))
+            _valid_implies_exact(rng, post)
+
+    def test_one_cell_perturbations_that_still_validate(self):
+        rng = random.Random(33)
+        checked = 0
+        while checked < 150:
+            net = random_instance(rng, rng.randint(2, 5), p_inf=0.1)
+            if rng.random() < 0.5:
+                evidence = random_certain_evidence(rng, net, 1)
+                net = propagate_certain_multi(net, evidence)
+            bent = _perturbed(rng, net)
+            if bent is None or bent == net or not bent.validate().ok:
+                continue
+            _valid_implies_exact(rng, bent)
+            checked += 1

@@ -57,6 +57,29 @@ class TestStateSpace:
         for i in range(penguin_space.size):
             assert sub.state_at(proj[i]) == (penguin_space.state_at(i)[1],)
 
+    def test_projection_is_the_index_of_the_restricted_state(self):
+        # Definition: state i maps to the index, in subspace(keep), of
+        # state_at(i) restricted to keep, whatever order the names come in.
+        rng = random.Random(41)
+        for _ in range(40):
+            variables = [
+                Variable(f"V{k}", tuple(f"v{k}_{j}" for j in range(rng.randint(2, 3))))
+                for k in range(rng.randint(1, 5))
+            ]
+            rng.shuffle(variables)
+            space = StateSpace(tuple(variables))
+            for width in range(1, len(variables) + 1):
+                for keep in itertools.combinations(space.names, width):
+                    asked = list(keep)
+                    rng.shuffle(asked)
+                    sub = space.subspace(keep)
+                    pos = [space.names.index(n) for n in keep]
+                    want = [
+                        sub.index_of(tuple(space.state_at(i)[p] for p in pos))
+                        for i in range(space.size)
+                    ]
+                    assert space.projection(asked) == want
+
 
 class TestProposition:
     def test_set_algebra(self, penguin_space):

@@ -56,6 +56,8 @@ class TestEvidenceSpec:
             EvidenceSpec("X", values=("a",), target=(0, 1))
         with pytest.raises(ValueError):
             EvidenceSpec("X", values=())
+        with pytest.raises(ValueError, match="takes no strength"):
+            EvidenceSpec("X", target=(0, 1), strength=3)
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
