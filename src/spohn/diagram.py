@@ -145,29 +145,6 @@ class InfluenceDiagram:
         members = {*self.parents(child), child}
         return tuple(sorted(members, key=self.space._position.__getitem__))
 
-    @cached_property
-    def _component(self) -> dict[str, int]:
-        comp: dict[str, int] = {}
-        next_id = 0
-        for start in self.names:
-            if start in comp:
-                continue
-            comp[start] = next_id
-            queue = deque([start])
-            while queue:
-                n = queue.popleft()
-                for m in self._neighbors[n]:
-                    if m not in comp:
-                        comp[m] = next_id
-                        queue.append(m)
-            next_id += 1
-        return comp
-
-    def same_component(self, a: str, b: str) -> bool:
-        self.variable(a)
-        self.variable(b)
-        return self._component[a] == self._component[b]
-
     def validate(self) -> ValidationReport:
         """Check acyclicity and single-connectedness, naming offenders."""
         problems: list[str] = []

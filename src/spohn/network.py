@@ -8,13 +8,15 @@ child. On a polytree the families form a tree joined by these
 single-variable separators, so when every edge agrees on its marginal the
 tables are exactly the family marginals of that joint, whether or not a
 node's parents are independent (evidence at or below a collider makes
-them dependent). validate() checks the structural half (diagram shape)
-and the semantic half (neighboring tables agree on shared marginals).
+them dependent). validate() checks the diagram's shape and the shared
+marginals, which are the message engine's starting snapshots: a network
+is valid exactly when every edge's two starting snapshots agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 from .diagram import InfluenceDiagram, ValidationReport
@@ -46,7 +48,11 @@ class SpohnianNetwork:
                     f"table for {node} is over {table.space.names}, expected {fam}"
                 )
             canonical[node] = table
-        object.__setattr__(self, "tables", canonical)
+        object.__setattr__(self, "tables", MappingProxyType(canonical))
+
+    def __reduce__(self):
+        # The read-only mapping does not pickle; rebuild through the constructor.
+        return type(self), (self.diagram, dict(self.tables))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpohnianNetwork):
@@ -96,15 +102,22 @@ class SpohnianNetwork:
         return cls(diagram, tables)
 
     def validate(self) -> ValidationReport:
-        """Diagram shape plus marginal agreement across every edge."""
+        """Diagram shape plus marginal agreement across every edge: its two
+        starting snapshots in the message engine must be equal."""
+        return self._check()[0]
+
+    def _check(self) -> tuple[ValidationReport, list[tuple]]:
+        """validate()'s report plus, per edge (a, b) in declaration order, a's
+        digit map and marginal in a's table, then the same in b's table."""
         problems = list(self.diagram.validate().problems)
-        for parent, child in self.diagram.edges:
-            card = len(self.diagram.variable(parent).domain)
-            child_t, parent_t = self.tables[child], self.tables[parent]
-            from_child = _least_ranks(child_t.ranks, child_t.space.projection((parent,)), card)
-            from_parent = _least_ranks(parent_t.ranks, parent_t.space.projection((parent,)), card)
-            if from_child != from_parent:
-                problems.append(
-                    f"edge {parent}->{child}: tables disagree on the marginal of {parent}"
-                )
-        return ValidationReport(not problems, tuple(problems))
+        ends = []
+        for a, b in self.diagram.edges:
+            card = len(self.diagram.variable(a).domain)
+            ta, tb = self.tables[a], self.tables[b]
+            digit_a, digit_b = ta.space.projection((a,)), tb.space.projection((a,))
+            marg_a = _least_ranks(ta.ranks, digit_a, card)
+            marg_b = _least_ranks(tb.ranks, digit_b, card)
+            if marg_a != marg_b:
+                problems.append(f"edge {a}->{b}: tables disagree on the marginal of {a}")
+            ends.append((digit_a, marg_a, digit_b, marg_b))
+        return ValidationReport(not problems, tuple(problems)), ends

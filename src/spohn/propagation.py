@@ -28,14 +28,15 @@ injects at its own variable:
   elsewhere, which is inherent to the construction and pinned by a
   regression test rather than "fixed".
 
-Each run first builds, in one pass over the diagram's edges, a per-run
-adjacency table: for every node its incident edges in declaration order,
-each with the receiver, the shared variable, that variable's digit map in
-the node's table and its cardinality. A queued message carries the
-position of its arrival edge in the receiver's list, so a delivery costs
-time in the receiving family only, never a scan of the diagram, and a run
-is linear in the size of the network. The table lives only for the run;
-nothing is cached on the diagram or the network.
+Each run first builds, in one pass over the edges, a per-run adjacency
+table: for every node its incident edges in declaration order, each with
+the receiver, the shared variable, its digit map in the node's table, its
+cardinality and the outbound snapshot, all taken from the validation pass.
+A queued message carries the position of its arrival edge in the
+receiver's list, so a delivery costs time in the receiving family only,
+never a scan of the diagram, and a run is linear in the size of the
+network. The table lives only for the run; nothing is cached on the
+diagram or the network.
 
 The engine mutates only its own per-node working vectors; input networks
 are never modified.
@@ -134,10 +135,11 @@ class Schedule:
         return cls("random", seed)
 
 
-def _require_valid(net: SpohnianNetwork) -> None:
-    report = net.validate()
+def _require_valid(net: SpohnianNetwork) -> list[tuple]:
+    report, ends = net._check()
     if not report.ok:
         raise InvalidNetwork("; ".join(report.problems))
+    return ends
 
 
 def _marginal_ranks(net: SpohnianNetwork, variable: str, card: int) -> list[Rank]:
@@ -192,6 +194,7 @@ def _target_deltas(
 
 def _run(
     net: SpohnianNetwork,
+    ends: Sequence[tuple],
     injections: Sequence[tuple[str, tuple[Rank, ...]]],
     schedule: Schedule,
     trace: list[TraceEntry] | None,
@@ -209,25 +212,23 @@ def _run(
     vec: dict[str, list[Rank]] = {
         node: list(net.tables[node].ranks) for node in d.names
     }
-    spaces: dict[str, StateSpace] = {node: net.tables[node].space for node in d.names}
-    # Per-run adjacency, built in one pass over the edges: each node's
-    # incident edges in declaration order, as (receiver, shared variable,
-    # digit map of the shared variable in the node's table, cardinality,
-    # position of the same edge in the receiver's list).
+    # Per-run adjacency, built in one pass over validation's per-edge ends:
+    # each node's incident edges in declaration order, as (receiver, shared
+    # variable, its digit map in the node's table, cardinality, position of
+    # the same edge in the receiver's list). In parallel, the outbound
+    # snapshot per incident edge: the shared marginal as of the last send,
+    # advanced by arrivals over that edge.
     links: dict[str, list[tuple[str, str, list[int], int, int]]] = {
         node: [] for node in d.names
     }
-    for a, b in d.edges:
-        card = len(d.variable(a).domain)
+    snap: dict[str, list[list[Rank]]] = {node: [] for node in d.names}
+    for (a, b), (digit_a, marg_a, digit_b, marg_b) in zip(d.edges, ends):
+        card = len(marg_a)
         at_a, at_b = len(links[a]), len(links[b])
-        links[a].append((b, a, spaces[a].projection((a,)), card, at_b))
-        links[b].append((a, a, spaces[b].projection((a,)), card, at_a))
-    # Outbound snapshot per incident edge, parallel to links: the shared
-    # marginal as of the last send, advanced by arrivals over that edge.
-    snap: dict[str, list[list[Rank]]] = {
-        node: [_least_ranks(vec[node], digit, card) for _, _, digit, card, _ in out]
-        for node, out in links.items()
-    }
+        links[a].append((b, a, digit_a, card, at_b))
+        links[b].append((a, a, digit_b, card, at_a))
+        snap[a].append(marg_a)
+        snap[b].append(marg_b)
 
     # Pending messages as (sender, receiver, arrival, variable, deltas);
     # arrival is the edge's position in the receiver's links, -1 for an
@@ -247,13 +248,12 @@ def _run(
             trace.append(TraceEntry(seq, (sender, node), variable, deltas))
         node_links = links[node]
         snaps = snap[node]
-        digit = (
-            node_links[arrival][2] if arrival >= 0 else spaces[node].projection((variable,))
-        )
         work = vec[node]
-        _add_deltas(work, deltas, digit)
         if arrival >= 0:
+            _add_deltas(work, deltas, node_links[arrival][2])
             _add_deltas(snaps[arrival], deltas, range(len(deltas)))
+        else:
+            _add_deltas(work, deltas, net.tables[node].space.projection((variable,)))
         for k, (receiver, shared, digit_s, card, back) in enumerate(node_links):
             if k == arrival:
                 continue
@@ -272,7 +272,7 @@ def _run(
             raise ContradictoryEvidence(
                 f"evidence drives every cell of {node}'s table to infinity"
             ) from exc
-        new_tables[node] = OCF(spaces[node], normalized)
+        new_tables[node] = OCF(net.tables[node].space, normalized)
     return SpohnianNetwork(d, new_tables)
 
 
@@ -287,7 +287,7 @@ def propagate_single(
     variable's marginal. Strength inf conditions on the accepted values,
     strength -inf on the rest of the domain.
     """
-    _require_valid(net)
+    ends = _require_valid(net)
     if evidence.values is None:
         raise ValueError("single-evidence propagation needs a value proposition")
     observed, values, strength = evidence.variable, evidence.values, evidence.strength
@@ -303,7 +303,7 @@ def propagate_single(
         prior = net.marginal(observed)
         post = prior.revise(Proposition.constrain(prior.space, {observed: values}), strength)
         deltas = tuple(map(rank_delta, post.ranks, prior.ranks))
-    return _run(net, [(observed, deltas)], Schedule.fifo(), trace)
+    return _run(net, ends, [(observed, deltas)], Schedule.fifo(), trace)
 
 
 def propagate_certain_multi(
@@ -313,7 +313,7 @@ def propagate_certain_multi(
     trace: list[TraceEntry] | None = None,
 ) -> SpohnianNetwork:
     """Assimilate several pieces of certain evidence by message passing."""
-    _require_valid(net)
+    ends = _require_valid(net)
     for ev in evidence:
         if ev.values is None:
             raise ValueError("certain propagation needs value evidence, not targets")
@@ -322,7 +322,7 @@ def propagate_certain_multi(
     injections = [
         (ev.variable, _certain_deltas(net, ev.variable, ev.values)) for ev in evidence
     ]
-    return _run(net, injections, schedule, trace)
+    return _run(net, ends, injections, schedule, trace)
 
 
 def propagate_uncertain_multi(
@@ -333,7 +333,7 @@ def propagate_uncertain_multi(
 ) -> SpohnianNetwork:
     """Impose target marginals by message passing; see the module docstring
     for what several targets on dependent variables do."""
-    _require_valid(net)
+    ends = _require_valid(net)
     seen: set[str] = set()
     for name, _ in targets:
         if name in seen:
@@ -342,7 +342,7 @@ def propagate_uncertain_multi(
     if not targets:
         return net
     injections = [(name, _target_deltas(net, name, target)) for name, target in targets]
-    return _run(net, injections, schedule, trace)
+    return _run(net, ends, injections, schedule, trace)
 
 
 def augment_with_dummy(

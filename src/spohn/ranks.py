@@ -126,12 +126,6 @@ def is_rank(value: object) -> bool:
     return type(value) is int and value >= 0
 
 
-def check_rank(value: object, what: str = "rank") -> Rank:
-    if not is_rank(value):
-        raise ValueError(f"{what} must be a non-negative integer or INF, got {value!r}")
-    return value  # type: ignore[return-value]
-
-
 def rank_delta(new: Rank, old: Rank) -> Rank:
     """Change in implausibility, new relative to old.
 

@@ -113,8 +113,6 @@ class TestValidate:
     def test_forest_is_valid(self):
         d = InfluenceDiagram((v("A"), v("B"), v("C")), (("A", "B"),))
         assert d.validate().ok
-        assert d.same_component("A", "B")
-        assert not d.same_component("A", "C")
 
 
 class TestSeparation:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -45,6 +47,39 @@ def test_tables_must_cover_exactly_the_diagram(penguin_net):
 def test_marginal_reads_off_the_node_table(penguin_net):
     assert penguin_net.marginal("species").ranks == (1, 0, 0)
     assert penguin_net.marginal("flight").ranks == (0, 0)
+
+
+class TestReadOnlyTables:
+    def test_assignment_raises(self, five_node_net):
+        with pytest.raises(TypeError):
+            five_node_net.tables["A"] = five_node_net.tables["B"]
+        with pytest.raises(TypeError):
+            del five_node_net.tables["A"]
+        assert five_node_net.validate().ok
+
+    def test_callers_dict_does_not_leak_in(self, penguin_net):
+        tables = dict(penguin_net.tables)
+        net = SpohnianNetwork(penguin_net.diagram, tables)
+        tables["species"] = OCF(penguin_net.tables["species"].space, (0, 0, 0))
+        del tables["flight"]
+        assert net == penguin_net
+        assert net.validate().ok
+
+    def test_pickle_and_copies_round_trip(self, five_node_net):
+        for twin in (
+            pickle.loads(pickle.dumps(five_node_net)),
+            copy.deepcopy(five_node_net),
+            copy.copy(five_node_net),
+        ):
+            assert type(twin) is SpohnianNetwork
+            assert twin == five_node_net
+            assert twin.validate().ok
+            with pytest.raises(TypeError):
+                twin.tables["A"] = twin.tables["B"]
+
+    def test_tables_still_compare_equal_to_a_dict(self, penguin_net):
+        assert penguin_net.tables == dict(penguin_net.tables)
+        assert dict(penguin_net.tables) == penguin_net.tables
 
 
 def test_joint_of_a_chain_is_the_conditional_sum(penguin_net):

@@ -267,6 +267,30 @@ class TestCertainMulti:
         assert calls["incident_edges"] == 0
         assert calls["family_variables"] <= 2 * n
 
+    def test_each_edge_marginal_is_read_once(self, monkeypatch):
+        # The engine makes no validation pass of its own: validation's
+        # per-edge read is its starting snapshots, so a call projects each
+        # edge's two tables once, plus the observed table twice (its prior
+        # marginal and the injection).
+        n = 200
+        variables = tuple(Variable(f"V{i}", ("x", "y")) for i in range(n))
+        chain = InfluenceDiagram(variables, tuple((f"V{i}", f"V{i + 1}") for i in range(n - 1)))
+        net = random_network(random.Random(45), chain)
+        evidence = [EvidenceSpec(f"V{n // 2}", values=("y",), strength=INF)]
+        expected = propagate_certain_multi(net, evidence, Schedule.fifo())
+        calls = {"validate": 0, "projection": 0}
+        for name, owner in (("validate", SpohnianNetwork), ("projection", StateSpace)):
+            real = getattr(owner, name)
+
+            def counted(self, *args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(self, *args)
+
+            monkeypatch.setattr(owner, name, counted)
+        assert propagate_certain_multi(net, evidence, Schedule.fifo()) == expected
+        assert calls["validate"] == 0
+        assert calls["projection"] <= 2 * len(chain.edges) + 2
+
     def test_repeated_variable_evidence_is_a_conjunction(self, five_node_net):
         evidence = [
             EvidenceSpec("B", values=("b0", "b1"), strength=INF),

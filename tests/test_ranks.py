@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from spohn import INF, NEG_INF, RankArithmeticError, rank_delta, s_normalize
 from spohn.errors import AllInfinite
-from spohn.ranks import check_rank, is_rank
+from spohn.ranks import is_rank
 
 finite = st.integers(min_value=0, max_value=10**6)
 rank = st.one_of(finite, st.just(INF))
@@ -106,10 +106,3 @@ def test_is_rank_accepts_only_nonnegative_ints_and_inf():
     assert not is_rank(1.0)
     assert not is_rank("inf")
     assert not is_rank(NEG_INF)
-
-
-def test_check_rank_raises_with_the_offending_value():
-    with pytest.raises(ValueError, match="-3"):
-        check_rank(-3)
-    assert check_rank(5) == 5
-    assert check_rank(INF) is INF
