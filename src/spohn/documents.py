@@ -24,7 +24,7 @@ from .errors import DocumentError, InvalidTarget, UnknownVariable
 from .network import SpohnianNetwork
 from .ocf import OCF, StateSpace, Variable
 from .propagation import EvidenceSpec
-from .ranks import INF, Rank, _Infinity
+from .ranks import INF, Rank
 
 
 def _rank_from_json(value: Any, where: str, *, signed: bool = False) -> Rank:
@@ -38,10 +38,6 @@ def _rank_from_json(value: Any, where: str, *, signed: bool = False) -> Rank:
         if not signed
         else f"{where}: expected an integer or \"inf\", got {value!r}"
     )
-
-
-def _rank_to_json(value: Rank) -> Any:
-    return "inf" if isinstance(value, _Infinity) else value
 
 
 def _load_json(text: str, what: str) -> Any:
@@ -155,21 +151,66 @@ def parse_network(text: str) -> SpohnianNetwork:
     return SpohnianNetwork(diagram, tables)
 
 
+def _json_list(items: list[str], indent: str) -> str:
+    """Rendered items as a JSON list in json.dumps(indent=2) layout; indent
+    is that of the line the list opens on."""
+    if not items:
+        return "[]"
+    pad = indent + "  "
+    return "[\n" + pad + (",\n" + pad).join(items) + "\n" + indent + "]"
+
+
+def _json_object(fields: list[tuple[str, str]], indent: str) -> str:
+    """Rendered (key, value) pairs as a JSON object in the same layout."""
+    if not fields:
+        return "{}"
+    pad = indent + "  "
+    body = ",\n".join(f"{pad}{key}: {value}" for key, value in fields)
+    return "{\n" + body + "\n" + indent + "}"
+
+
 def serialize_network(net: SpohnianNetwork) -> str:
-    doc = {
-        "variables": [
-            {"name": v.name, "domain": list(v.domain)} for v in net.diagram.variables
+    """The canonical document, byte for byte what json.dumps(doc, indent=2)
+    gives, written directly: for a dict json.dumps with indent falls back to
+    its pure-Python encoder. Strings still go through json.dumps, so their
+    escaping is the json module's."""
+    d = net.diagram
+    quoted = {v.name: json.dumps(v.name) for v in d.variables}
+    inner = " " * 6
+    variables = [
+        _json_object(
+            [
+                ('"name"', quoted[v.name]),
+                ('"domain"', _json_list([json.dumps(x) for x in v.domain], inner)),
+            ],
+            "    ",
+        )
+        for v in d.variables
+    ]
+    edges = [_json_list([quoted[a], quoted[b]], "    ") for a, b in d.edges]
+    tables = []
+    for node in d.names:
+        table = net.tables[node]
+        order = [quoted[n] for n in table.space.names]
+        ranks = ['"inf"' if r is INF else str(r) for r in table.ranks]
+        tables.append(
+            (
+                quoted[node],
+                _json_object(
+                    [('"order"', _json_list(order, inner)), ('"ranks"', _json_list(ranks, inner))],
+                    "    ",
+                ),
+            )
+        )
+    doc = _json_object(
+        [
+            ('"variables"', _json_list(variables, "  ")),
+            ('"edges"', _json_list(edges, "  ")),
+            ('"tables"', _json_object(tables, "  ")),
         ],
-        "edges": [[a, b] for a, b in net.diagram.edges],
-        "tables": {
-            node: {
-                "order": list(net.tables[node].space.names),
-                "ranks": [_rank_to_json(r) for r in net.tables[node].ranks],
-            }
-            for node in net.diagram.names
-        },
-    }
-    return json.dumps(doc, indent=2) + "\n"
+        "",
+    )
+    return doc + "\n"
 
 
 def parse_evidence(text: str, net: SpohnianNetwork) -> list[EvidenceSpec]:

@@ -16,6 +16,7 @@ is valid exactly when every edge's two starting snapshots agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -103,21 +104,49 @@ class SpohnianNetwork:
 
     def validate(self) -> ValidationReport:
         """Diagram shape plus marginal agreement across every edge: its two
-        starting snapshots in the message engine must be equal."""
+        starting snapshots in the message engine must be equal. Recomputed
+        on every call."""
         return self._check()[0]
 
-    def _check(self) -> tuple[ValidationReport, list[tuple]]:
-        """validate()'s report plus, per edge (a, b) in declaration order, a's
-        digit map and marginal in a's table, then the same in b's table."""
-        problems = list(self.diagram.validate().problems)
-        ends = []
-        for a, b in self.diagram.edges:
-            card = len(self.diagram.variable(a).domain)
+    @cached_property
+    def _gate(self) -> tuple[ValidationReport, dict[str, list[tuple]]]:
+        """_check(), once per network: the message engine's gate and adjacency.
+
+        Sound because the diagram is immutable and tables is a read-only
+        mapping over OCFs, which are immutable too. Pickling and copying
+        rebuild through the constructor, so the copy computes its own.
+        """
+        return self._check()
+
+    def _check(self) -> tuple[ValidationReport, dict[str, list[tuple]]]:
+        """validate()'s report plus, per node, its incident edges in
+        declaration order as (receiver, shared variable, its digit map in the
+        node's table, cardinality, position of the same edge in the
+        receiver's list)."""
+        d = self.diagram
+        problems = list(d.validate().problems)
+        links: dict[str, list[tuple]] = {node: [] for node in d.names}
+        for a, b in d.edges:
+            card = len(d.variable(a).domain)
             ta, tb = self.tables[a], self.tables[b]
             digit_a, digit_b = ta.space.projection((a,)), tb.space.projection((a,))
             marg_a = _least_ranks(ta.ranks, digit_a, card)
             marg_b = _least_ranks(tb.ranks, digit_b, card)
             if marg_a != marg_b:
                 problems.append(f"edge {a}->{b}: tables disagree on the marginal of {a}")
-            ends.append((digit_a, marg_a, digit_b, marg_b))
-        return ValidationReport(not problems, tuple(problems)), ends
+            at_a, at_b = len(links[a]), len(links[b])
+            links[a].append((b, a, digit_a, card, at_b))
+            links[b].append((a, a, digit_b, card, at_a))
+        return ValidationReport(not problems, tuple(problems)), links
+
+    def _revised(self, tables: dict[str, OCF]) -> SpohnianNetwork:
+        """The message engine's output: this diagram, tables over the same
+        spaces (so the constructor's space checks are skipped), and this
+        network's gate and adjacency. It validates by construction: at
+        quiescence every edge's two marginals agree, and s-normalization
+        shifts both by the same least rank."""
+        out = object.__new__(type(self))
+        object.__setattr__(out, "diagram", self.diagram)
+        object.__setattr__(out, "tables", MappingProxyType(tables))
+        out.__dict__["_gate"] = self._gate
+        return out

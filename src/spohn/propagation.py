@@ -28,15 +28,18 @@ injects at its own variable:
   elsewhere, which is inherent to the construction and pinned by a
   regression test rather than "fixed".
 
-Each run first builds, in one pass over the edges, a per-run adjacency
-table: for every node its incident edges in declaration order, each with
-the receiver, the shared variable, its digit map in the node's table, its
-cardinality and the outbound snapshot, all taken from the validation pass.
-A queued message carries the position of its arrival edge in the
-receiver's list, so a delivery costs time in the receiving family only,
-never a scan of the diagram, and a run is linear in the size of the
-network. The table lives only for the run; nothing is cached on the
-diagram or the network.
+The engine's adjacency is computed once per network, together with its
+validation gate (SpohnianNetwork._gate), and engine outputs share it:
+for every node its incident edges in declaration order, each with the
+receiver, the shared variable, its digit map in the node's table, its
+cardinality and the position of the same edge in the receiver's list. A
+queued message carries the position of its arrival edge, so a delivery
+costs time in the receiving family only, never a scan of the diagram.
+A family's working vector and outbound snapshots are made when it first
+receives a message, from its own table, and only those families are
+s-normalized and rebuilt; every other output table is the input's own
+OCF. A warm call therefore costs O(touched families + messages), plus
+one copy of the table mapping.
 
 The engine mutates only its own per-node working vectors; input networks
 are never modified.
@@ -135,11 +138,11 @@ class Schedule:
         return cls("random", seed)
 
 
-def _require_valid(net: SpohnianNetwork) -> list[tuple]:
-    report, ends = net._check()
+def _require_valid(net: SpohnianNetwork) -> dict[str, list[tuple]]:
+    report, links = net._gate
     if not report.ok:
         raise InvalidNetwork("; ".join(report.problems))
-    return ends
+    return links
 
 
 def _marginal_ranks(net: SpohnianNetwork, variable: str, card: int) -> list[Rank]:
@@ -194,42 +197,26 @@ def _target_deltas(
 
 def _run(
     net: SpohnianNetwork,
-    ends: Sequence[tuple],
+    links: dict[str, list[tuple]],
     injections: Sequence[tuple[str, tuple[Rank, ...]]],
     schedule: Schedule,
     trace: list[TraceEntry] | None,
 ) -> SpohnianNetwork:
     """Deliver each (variable, deltas) injection and every message it sets off.
 
-    Every delivery adds the message's per-value deltas into the receiving
-    family's working vector, advances the arrival edge's outbound snapshot
-    by the same deltas (so nothing a neighbor said is echoed back at it),
-    and forwards the change in each other shared marginal since it was last
-    sent. Tables are s-normalized once, at quiescence; a node whose vector
-    has gone entirely infinite names the contradiction.
+    A family's first delivery copies its table into a working vector and
+    takes one outbound snapshot per incident edge: the shared marginal in
+    that table. Every delivery adds the message's per-value deltas into
+    the working vector, advances the arrival edge's snapshot by the same
+    deltas (so nothing a neighbor said is echoed back at it), and forwards
+    the change in each other shared marginal since it was last sent.
+    Touched tables are s-normalized once, at quiescence; the first node in
+    declaration order whose vector has gone entirely infinite names the
+    contradiction.
     """
-    d = net.diagram
-    vec: dict[str, list[Rank]] = {
-        node: list(net.tables[node].ranks) for node in d.names
-    }
-    # Per-run adjacency, built in one pass over validation's per-edge ends:
-    # each node's incident edges in declaration order, as (receiver, shared
-    # variable, its digit map in the node's table, cardinality, position of
-    # the same edge in the receiver's list). In parallel, the outbound
-    # snapshot per incident edge: the shared marginal as of the last send,
-    # advanced by arrivals over that edge.
-    links: dict[str, list[tuple[str, str, list[int], int, int]]] = {
-        node: [] for node in d.names
-    }
-    snap: dict[str, list[list[Rank]]] = {node: [] for node in d.names}
-    for (a, b), (digit_a, marg_a, digit_b, marg_b) in zip(d.edges, ends):
-        card = len(marg_a)
-        at_a, at_b = len(links[a]), len(links[b])
-        links[a].append((b, a, digit_a, card, at_b))
-        links[b].append((a, a, digit_b, card, at_a))
-        snap[a].append(marg_a)
-        snap[b].append(marg_b)
-
+    tables = net.tables
+    vec: dict[str, list[Rank]] = {}
+    snap: dict[str, list[list[Rank]]] = {}
     # Pending messages as (sender, receiver, arrival, variable, deltas);
     # arrival is the edge's position in the receiver's links, -1 for an
     # injection.
@@ -247,13 +234,20 @@ def _run(
         if trace is not None:
             trace.append(TraceEntry(seq, (sender, node), variable, deltas))
         node_links = links[node]
-        snaps = snap[node]
-        work = vec[node]
+        work = vec.get(node)
+        if work is None:
+            ranks = tables[node].ranks
+            work = vec[node] = list(ranks)
+            snaps = snap[node] = [
+                _least_ranks(ranks, digit_s, card) for _, _, digit_s, card, _ in node_links
+            ]
+        else:
+            snaps = snap[node]
         if arrival >= 0:
             _add_deltas(work, deltas, node_links[arrival][2])
             _add_deltas(snaps[arrival], deltas, range(len(deltas)))
         else:
-            _add_deltas(work, deltas, net.tables[node].space.projection((variable,)))
+            _add_deltas(work, deltas, tables[node].space.projection((variable,)))
         for k, (receiver, shared, digit_s, card, back) in enumerate(node_links):
             if k == arrival:
                 continue
@@ -264,16 +258,21 @@ def _run(
                 snaps[k] = current
                 queue.append((node, receiver, back, shared, change))
 
-    new_tables: dict[str, OCF] = {}
-    for node in d.names:
+    # The read-only proxy's copy() copies its dict whole; dict(tables) would
+    # go key by key.
+    new_tables = tables.copy()
+    dead: dict[str, AllInfinite] = {}
+    for node, work in vec.items():
         try:
-            normalized = s_normalize(vec[node])
+            new_tables[node] = OCF(tables[node].space, s_normalize(work))
         except AllInfinite as exc:
-            raise ContradictoryEvidence(
-                f"evidence drives every cell of {node}'s table to infinity"
-            ) from exc
-        new_tables[node] = OCF(net.tables[node].space, normalized)
-    return SpohnianNetwork(d, new_tables)
+            dead[node] = exc
+    if dead:
+        node = next(n for n in net.diagram.names if n in dead)
+        raise ContradictoryEvidence(
+            f"evidence drives every cell of {node}'s table to infinity"
+        ) from dead[node]
+    return net._revised(new_tables)
 
 
 def propagate_single(
@@ -287,7 +286,7 @@ def propagate_single(
     variable's marginal. Strength inf conditions on the accepted values,
     strength -inf on the rest of the domain.
     """
-    ends = _require_valid(net)
+    links = _require_valid(net)
     if evidence.values is None:
         raise ValueError("single-evidence propagation needs a value proposition")
     observed, values, strength = evidence.variable, evidence.values, evidence.strength
@@ -303,7 +302,7 @@ def propagate_single(
         prior = net.marginal(observed)
         post = prior.revise(Proposition.constrain(prior.space, {observed: values}), strength)
         deltas = tuple(map(rank_delta, post.ranks, prior.ranks))
-    return _run(net, ends, [(observed, deltas)], Schedule.fifo(), trace)
+    return _run(net, links, [(observed, deltas)], Schedule.fifo(), trace)
 
 
 def propagate_certain_multi(
@@ -313,7 +312,7 @@ def propagate_certain_multi(
     trace: list[TraceEntry] | None = None,
 ) -> SpohnianNetwork:
     """Assimilate several pieces of certain evidence by message passing."""
-    ends = _require_valid(net)
+    links = _require_valid(net)
     for ev in evidence:
         if ev.values is None:
             raise ValueError("certain propagation needs value evidence, not targets")
@@ -322,7 +321,7 @@ def propagate_certain_multi(
     injections = [
         (ev.variable, _certain_deltas(net, ev.variable, ev.values)) for ev in evidence
     ]
-    return _run(net, ends, injections, schedule, trace)
+    return _run(net, links, injections, schedule, trace)
 
 
 def propagate_uncertain_multi(
@@ -333,7 +332,7 @@ def propagate_uncertain_multi(
 ) -> SpohnianNetwork:
     """Impose target marginals by message passing; see the module docstring
     for what several targets on dependent variables do."""
-    ends = _require_valid(net)
+    links = _require_valid(net)
     seen: set[str] = set()
     for name, _ in targets:
         if name in seen:
@@ -342,7 +341,7 @@ def propagate_uncertain_multi(
     if not targets:
         return net
     injections = [(name, _target_deltas(net, name, target)) for name, target in targets]
-    return _run(net, ends, injections, schedule, trace)
+    return _run(net, links, injections, schedule, trace)
 
 
 def augment_with_dummy(

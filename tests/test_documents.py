@@ -2,6 +2,7 @@
 
 import copy
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,8 @@ from spohn import (
     parse_network,
     serialize_network,
 )
+
+from generators import random_instance
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -91,6 +94,71 @@ class TestRoundTrip:
         }
         net = parse_network(json.dumps(doc))
         assert not net.validate().ok
+
+
+def json_module_layout(net):
+    """The canonical document as json.dumps(indent=2) lays it out: the
+    reference the hand-written serializer must match byte for byte."""
+    doc = {
+        "variables": [{"name": v.name, "domain": list(v.domain)} for v in net.diagram.variables],
+        "edges": [[a, b] for a, b in net.diagram.edges],
+        "tables": {
+            node: {
+                "order": list(net.tables[node].space.names),
+                "ranks": ["inf" if r is INF else r for r in net.tables[node].ranks],
+            }
+            for node in net.diagram.names
+        },
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+class TestSerializerLayout:
+    def test_no_edges(self):
+        a, b = Variable("A", ("a0", "a1")), Variable("B", ("b0", "b1", "b2"))
+        net = SpohnianNetwork(
+            InfluenceDiagram((a, b), ()),
+            {"A": OCF(StateSpace((a,)), (0, 3)), "B": OCF(StateSpace((b,)), (1, 0, 2))},
+        )
+        text = serialize_network(net)
+        assert '\n  "edges": [],\n' in text
+        assert text == json_module_layout(net)
+
+    def test_infinite_cells(self):
+        a, b = Variable("A", ("a0", "a1")), Variable("B", ("b0", "b1"))
+        net = SpohnianNetwork(
+            InfluenceDiagram((a, b), (("A", "B"),)),
+            {
+                "A": OCF(StateSpace((a,)), (0, INF)),
+                "B": OCF(StateSpace((a, b)), (0, INF, INF, INF)),
+            },
+        )
+        text = serialize_network(net)
+        assert '        "inf"' in text
+        assert text == json_module_layout(net)
+        assert parse_network(text) == net
+
+    def test_names_and_values_that_need_escaping(self):
+        odd = Variable('sa"y \\ hi', ("café", "☃", 'q"'))
+        plain = Variable("nün", ("x", "a\\b"))
+        net = SpohnianNetwork(
+            InfluenceDiagram((odd, plain), ((odd.name, plain.name),)),
+            {
+                odd.name: OCF(StateSpace((odd,)), (0, 1, INF)),
+                plain.name: OCF(StateSpace((odd, plain)), (0, 1, 1, 2, INF, INF)),
+            },
+        )
+        text = serialize_network(net)
+        assert '"sa\\"y \\\\ hi"' in text and '"caf\\u00e9"' in text
+        assert text.isascii()
+        assert text == json_module_layout(net)
+        assert parse_network(text) == net
+
+    def test_generated_networks(self):
+        rng = random.Random(71)
+        for _ in range(60):
+            net = random_instance(rng, rng.randint(1, 7), p_inf=0.2, p_detach=rng.random())
+            assert serialize_network(net) == json_module_layout(net)
 
 
 class TestNetworkParseErrors:

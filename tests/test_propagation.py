@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 
@@ -268,8 +270,8 @@ class TestCertainMulti:
         assert calls["family_variables"] <= 2 * n
 
     def test_each_edge_marginal_is_read_once(self, monkeypatch):
-        # The engine makes no validation pass of its own: validation's
-        # per-edge read is its starting snapshots, so a call projects each
+        # The engine makes no validate() call of its own: its gate reads each
+        # edge's two tables once per network, so a call projects at most each
         # edge's two tables once, plus the observed table twice (its prior
         # marginal and the injection).
         n = 200
@@ -523,3 +525,137 @@ class TestUncertainMulti:
         # the engine still agrees with brute force on the combined update
         report = compare(post, oracle_impose(net, targets))
         assert report.passed, report.first_divergence
+
+
+def _independent_chain(n):
+    """A binary chain V0 -> ... -> V{n-1} whose every conditional row is the
+    same min-zero row, so a rank-0 observation moves one edge's marginal."""
+    variables = tuple(Variable(f"V{i}", ("x", "y")) for i in range(n))
+    chain = InfluenceDiagram(variables, tuple((f"V{i}", f"V{i + 1}") for i in range(n - 1)))
+    tables = {"V0": OCF(StateSpace(variables[:1]), (0, 2))}
+    for i in range(1, n):
+        # parent marginal (0, 2) plus the child's row (0, 2)
+        tables[f"V{i}"] = OCF(StateSpace(variables[i - 1 : i + 1]), (0, 2, 2, 4))
+    return SpohnianNetwork(chain, tables)
+
+
+def _counting(monkeypatch, owner, name, calls):
+    real = getattr(owner, name)
+
+    def counted(self, *args, **kwargs):
+        calls[name] += 1
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+class TestWarmCalls:
+    def test_a_warm_call_touches_only_the_families_its_messages_reach(self, monkeypatch):
+        n = 2000
+        net = _independent_chain(n)
+        propagate_certain_multi(net, [EvidenceSpec("V10", values=("y",))])
+        calls = {"_check": 0, "__post_init__": 0}
+        _counting(monkeypatch, SpohnianNetwork, "_check", calls)
+        _counting(monkeypatch, OCF, "__post_init__", calls)
+        trace = []
+        out = propagate_certain_multi(net, [EvidenceSpec("V1000", values=("x",))], trace=trace)
+        monkeypatch.undo()
+        touched = {t.edge[1] for t in trace}
+        assert touched == {"V1000", "V1001"}
+        assert calls["_check"] == 0
+        assert calls["__post_init__"] <= len(touched)
+        for name in net.diagram.names:
+            if name not in touched:
+                assert out.tables[name] is net.tables[name]
+        assert out.marginal("V1000").ranks == (0, INF)
+        rebuilt = SpohnianNetwork(out.diagram, dict(out.tables))
+        assert out == rebuilt
+        assert pickle.loads(pickle.dumps(out)) == out
+        assert copy.deepcopy(out) == out
+
+    def test_first_repeated_and_rebuilt_calls_agree(self):
+        rng = random.Random(61)
+        for _ in range(30):
+            net = random_instance(rng, rng.randint(2, 7), p_inf=0.1)
+            name = rng.choice(net.diagram.names)
+            var = net.diagram.variable(name)
+            target = OCF(StateSpace((var,)), random_target(rng, var.domain))
+            single = random_value_evidence(rng, net)
+            certain = [
+                EvidenceSpec(n, values=(rng.choice(net.diagram.variable(n).domain),))
+                for n in rng.sample(net.diagram.names, 2)
+            ]
+            calls = [lambda m, tr: propagate_single(m, single, tr)]
+            for schedule in (Schedule.fifo(), Schedule.seeded(rng.randrange(99))):
+                calls.append(lambda m, tr, s=schedule: propagate_certain_multi(m, certain, s, tr))
+                calls.append(
+                    lambda m, tr, s=schedule: propagate_uncertain_multi(m, [(name, target)], s, tr)
+                )
+            for call in calls:
+                first = SpohnianNetwork(net.diagram, dict(net.tables))
+                runs = [_outcome(call, first), _outcome(call, first)]
+                rebuilt = pickle.loads(pickle.dumps(first))
+                assert "_gate" in first.__dict__ and "_gate" not in rebuilt.__dict__
+                runs.append(_outcome(call, rebuilt))
+                assert runs[0] == runs[1] == runs[2]
+                out = runs[0][1]
+                if isinstance(out, SpohnianNetwork):
+                    # an output shares its input's gate, which must be what
+                    # a fresh check of the output finds
+                    fresh = SpohnianNetwork(out.diagram, dict(out.tables))
+                    assert out._gate == fresh._check()
+
+    def test_invalid_network_fails_the_same_way_every_call(self):
+        rng = random.Random(62)
+        seen = 0
+        while seen < 20:
+            net = random_instance(rng, rng.randint(2, 6))
+            node = rng.choice(net.diagram.names)
+            table = net.tables[node]
+            ranks = list(table.ranks)
+            ranks[rng.randrange(len(ranks))] += 1
+            if 0 not in ranks:
+                continue
+            tables = {**net.tables, node: OCF(table.space, tuple(ranks))}
+            bent = SpohnianNetwork(net.diagram, tables)
+            problems = bent.validate().problems
+            if not problems:
+                continue
+            evidence = [EvidenceSpec(node, values=(table.space.variable(node).domain[0],))]
+            for _ in range(2):
+                with pytest.raises(InvalidNetwork) as err:
+                    propagate_certain_multi(bent, evidence)
+                assert str(err.value) == "; ".join(problems)
+            seen += 1
+
+    def test_validate_repeats_its_edge_pass_on_every_call(self, monkeypatch):
+        net = random_instance(random.Random(63), 8, p_detach=0.0)
+        propagate_single(net, random_value_evidence(random.Random(64), net))
+        calls = {"_check": 0}
+        _counting(monkeypatch, SpohnianNetwork, "_check", calls)
+        for k in range(1, 4):
+            assert net.validate().ok
+            assert calls["_check"] == k
+
+    def test_contradiction_names_the_first_dead_node_in_declaration_order(self):
+        # B's contradiction wipes out B, then A and C. Declared C, B, A, so
+        # C is named, though B went infinite first and A's message came first.
+        c, b, a = (Variable(v, (v.lower() + "0", v.lower() + "1")) for v in "CBA")
+        dia = InfluenceDiagram((c, b, a), (("A", "B"), ("B", "C")))
+        net = random_network(random.Random(65), dia)
+        evidence = [
+            EvidenceSpec("B", values=("b0",), strength=INF),
+            EvidenceSpec("B", values=("b1",), strength=INF),
+        ]
+        for schedule in (Schedule.fifo(), Schedule.seeded(3)):
+            with pytest.raises(ContradictoryEvidence, match="every cell of C's table"):
+                propagate_certain_multi(net, evidence, schedule)
+
+
+def _outcome(call, net):
+    trace = []
+    try:
+        out = call(net, trace)
+    except (ImpossibleEvidence, ContradictoryEvidence) as exc:
+        out = (type(exc), str(exc))
+    return [t.format() for t in trace], out
