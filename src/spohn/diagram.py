@@ -105,8 +105,20 @@ class InfluenceDiagram:
         order = self.space._position
         return {n: tuple(sorted(set(ns), key=order.__getitem__)) for n, ns in out.items()}
 
+    @cached_property
+    def _unit_spaces(self) -> dict[str, StateSpace]:
+        return {}
+
     def variable(self, name: str) -> Variable:
         return self.space.variable(name)
+
+    def _unit_space(self, name: str) -> StateSpace:
+        """The node's one-variable space, made on first use and kept, so
+        every marginal read of the node shares it and its projection cache."""
+        space = self._unit_spaces.get(name)
+        if space is None:
+            space = self._unit_spaces[name] = StateSpace((self.variable(name),))
+        return space
 
     def parents(self, name: str) -> tuple[str, ...]:
         self.variable(name)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .diagram import InfluenceDiagram, ValidationReport
 from .errors import InconsistentTables, SpaceMismatch
@@ -61,9 +61,30 @@ class SpohnianNetwork:
         return self.diagram == other.diagram and self.tables == other.tables
 
     def marginal(self, name: str) -> OCF:
-        """The single-variable ranking of a node, read off its own table."""
-        self.diagram.variable(name)
-        return self.tables[name].marginalize((name,))
+        """The single-variable ranking of a node, read off its own table.
+
+        A root's table is its marginal and is returned as is. Any other
+        node's marginal is one least-rank pass over its table, on the
+        diagram's one-variable space for the node, which every read of the
+        node (on this network or on an engine result sharing its diagram)
+        reuses. Equal to table.marginalize((name,)), and on a valid network
+        to joint().marginalize((name,)); an unknown name raises
+        UnknownVariable.
+        """
+        space = self.diagram._unit_space(name)
+        table = self.tables[name]
+        if len(table.space.variables) == 1:
+            return table
+        return OCF(space, tuple(self._marginal_ranks(name)))
+
+    def _marginal_ranks(self, name: str) -> Sequence[Rank]:
+        """marginal(name).ranks without building an OCF, for the message
+        engine's first messages. The name must be known."""
+        table = self.tables[name]
+        if len(table.space.variables) == 1:
+            return table.ranks
+        card = self.diagram._unit_space(name).size
+        return _least_ranks(table.ranks, table.space.projection((name,)), card)
 
     def joint(self) -> OCF:
         """Assemble the full ranking: family tables minus shared marginals.

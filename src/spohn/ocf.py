@@ -142,9 +142,14 @@ class StateSpace:
         return (self.state_at(i) for i in range(self.size))
 
     def canonical_subset(self, names: Iterable[str]) -> tuple[str, ...]:
-        """The given names, deduplicated and put in declared order."""
+        """The given names, deduplicated and put in declared order.
+
+        An unknown name raises UnknownVariable naming the first one in the
+        caller's order.
+        """
+        names = tuple(names)
         wanted = set(names)
-        for n in wanted:
+        for n in names:
             if n not in self._position:
                 raise UnknownVariable(f"unknown variable {n!r}")
         return tuple(n for n in self.names if n in wanted)
@@ -161,8 +166,13 @@ class StateSpace:
         Built by prefix expansion over the variables in declared order, so
         O(size), and cached per subset: a kept variable with c values turns
         each entry p into p*c + d for every digit d, a dropped one repeats
-        each entry c times.
+        each entry c times. The cache is keyed by canonical tuples, so a
+        caller's tuple that is one is looked up before canonicalising.
         """
+        if type(names) is tuple:
+            cached = self._proj_cache.get(names)
+            if cached is not None:
+                return cached
         keep = self.canonical_subset(names)
         if not keep:
             raise ValueError("projection needs at least one variable")
@@ -274,6 +284,23 @@ def _least_ranks(ranks: Sequence[Rank], digit_of: Sequence[int], size: int) -> l
     return out
 
 
+def _least_in_out(ranks: Sequence[Rank], mask: int) -> tuple[Rank, Rank]:
+    """Least rank among the cells in the bitset mask, and among the rest.
+
+    One walk over the cells; a side with no finite cell keeps INF.
+    """
+    k_in = k_out = INF
+    for r in ranks:
+        if r is not INF:
+            if mask & 1:
+                if k_in is INF or r < k_in:
+                    k_in = r
+            elif k_out is INF or r < k_out:
+                k_out = r
+        mask >>= 1
+    return k_in, k_out
+
+
 @dataclass(frozen=True)
 class OCF:
     """A ranking of all states: dense, min 0, possibly infinite entries."""
@@ -321,12 +348,12 @@ class OCF:
             raise EmptyProposition("belief strength of the empty proposition is undefined")
         if prop.is_full:
             raise FullProposition("belief strength of the full space is undefined")
-        k = self.rank_of(prop)
-        if isinstance(k, _Infinity):
+        k_in, k_out = _least_in_out(self.ranks, prop.mask)
+        if k_in is INF:
             return NEG_INF
-        if k > 0:
-            return -k
-        return self.rank_of(~prop)
+        if k_in > 0:
+            return -k_in
+        return k_out
 
     def revise(self, prop: Proposition, strength: BeliefStrength) -> OCF:
         """Learn (prop, strength): best prop-state to 0, best complement-state to strength.
@@ -346,12 +373,11 @@ class OCF:
             return self.revise(~prop, -strength)
         if prop.is_full:
             return self
-        k_in = self.rank_of(prop)
+        k_in, k_out = _least_in_out(self.ranks, prop.mask)
         if isinstance(k_in, _Infinity):
             raise ImpossibleEvidence("the proposition is already ruled out")
         if isinstance(strength, _Infinity):
             return self.revise_certain(prop)
-        k_out = self.rank_of(~prop)
         out = []
         for i, r in enumerate(self.ranks):
             if prop.has(i):

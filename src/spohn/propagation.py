@@ -145,12 +145,6 @@ def _require_valid(net: SpohnianNetwork) -> dict[str, list[tuple]]:
     return links
 
 
-def _marginal_ranks(net: SpohnianNetwork, variable: str, card: int) -> list[Rank]:
-    """The variable's marginal ranks, read off its own table."""
-    table = net.tables[variable]
-    return _least_ranks(table.ranks, table.space.projection((variable,)), card)
-
-
 def _add_deltas(vector: list[Rank], deltas: Sequence[Rank], digit_of: Sequence[int]) -> None:
     """Add deltas[digit_of[i]] into vector[i] in place; INF absorbs."""
     for i, j in enumerate(digit_of):
@@ -169,7 +163,7 @@ def _certain_deltas(
     for v in values:
         if v not in domain:
             raise UnknownValue(f"variable {variable!r} has no value {v!r}")
-    prior = _marginal_ranks(net, variable, len(domain))
+    prior = net._marginal_ranks(variable)
     if all(r is INF for v, r in zip(domain, prior) if v in values):
         raise ImpossibleEvidence(
             f"evidence on {variable} is already ruled out by the network"
@@ -181,13 +175,12 @@ def _target_deltas(
     net: SpohnianNetwork, variable: str, target: OCF
 ) -> tuple[Rank, ...]:
     """First message of a target marginal: target minus current."""
-    var = net.diagram.variable(variable)
-    if target.space != StateSpace((var,)):
+    if target.space != net.diagram._unit_space(variable):
         raise SpaceMismatch(
             f"target for {variable} must be a single-variable ranking over it, "
             f"got one over {target.space.names}"
         )
-    current = _marginal_ranks(net, variable, len(var.domain))
+    current = net._marginal_ranks(variable)
     if any(t is not INF and c is INF for t, c in zip(target.ranks, current)):
         raise ImpossibleEvidence(
             f"target gives finite rank to an impossible value of {variable}"
@@ -357,13 +350,12 @@ def augment_with_dummy(
     """
     d = net.diagram
     var = d.variable(variable)
-    want = StateSpace((var,))
-    if target.space != want:
+    if target.space != d._unit_space(variable):
         raise SpaceMismatch(
             f"target for {variable} must be a single-variable ranking over it, "
             f"got one over {target.space.names}"
         )
-    current = net.marginal(variable).ranks
+    current = net._marginal_ranks(variable)
     offset = 0
     for j, t in enumerate(target.ranks):
         if t is INF:

@@ -20,7 +20,7 @@ from spohn import (
     propagate_single,
     propagate_uncertain_multi,
 )
-from spohn.errors import InconsistentTables, SpaceMismatch
+from spohn.errors import InconsistentTables, SpaceMismatch, UnknownVariable
 
 from generators import (
     random_certain_evidence,
@@ -47,6 +47,29 @@ def test_tables_must_cover_exactly_the_diagram(penguin_net):
 def test_marginal_reads_off_the_node_table(penguin_net):
     assert penguin_net.marginal("species").ranks == (1, 0, 0)
     assert penguin_net.marginal("flight").ranks == (0, 0)
+    with pytest.raises(UnknownVariable, match="^unknown variable 'nope'$"):
+        penguin_net.marginal("nope")
+
+
+def test_marginal_is_the_table_and_joint_projection():
+    # On generated networks and on engine posteriors, whose certain
+    # evidence leaves INF cells: a root's marginal is its own table, and
+    # every marginal equals the table's and the joint's projection.
+    rng = random.Random(29)
+    for _ in range(40):
+        net = random_instance(rng, rng.randint(1, 6), p_inf=0.3)
+        nets = [net]
+        for ev in random_certain_evidence(rng, net, 1):
+            nets.append(propagate_certain_multi(net, [ev]))
+            assert INF in nets[-1].tables[ev.variable].ranks
+        for m in nets:
+            joint = m.joint()
+            for name in m.diagram.names:
+                table = m.tables[name]
+                marg = m.marginal(name)
+                if not m.diagram.parents(name):
+                    assert marg is table
+                assert marg == table.marginalize((name,)) == joint.marginalize((name,))
 
 
 class TestReadOnlyTables:

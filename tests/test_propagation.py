@@ -573,6 +573,27 @@ class TestWarmCalls:
         assert pickle.loads(pickle.dumps(out)) == out
         assert copy.deepcopy(out) == out
 
+    def test_a_second_read_builds_no_spaces(self, monkeypatch):
+        # Reads share the diagram's one-variable spaces, and engine results
+        # share the diagram: once every node has been read, reading all
+        # marginals of the network or of a result builds no StateSpace and
+        # one OCF per non-root node.
+        n = 2000
+        net = _independent_chain(n)
+        out = propagate_certain_multi(net, [EvidenceSpec("V1000", values=("x",))])
+        first = [net.marginal(name) for name in net.diagram.names]
+        for m in (net, out):
+            spaces, ocfs = {"__post_init__": 0}, {"__post_init__": 0}
+            _counting(monkeypatch, StateSpace, "__post_init__", spaces)
+            _counting(monkeypatch, OCF, "__post_init__", ocfs)
+            again = [m.marginal(name) for name in m.diagram.names]
+            monkeypatch.undo()
+            assert spaces["__post_init__"] == 0
+            assert ocfs["__post_init__"] == n - 1
+        assert again[0] is out.tables["V0"]
+        assert all(a.space is f.space for a, f in zip(again, first))
+        assert again[1000].ranks == (0, INF)
+
     def test_first_repeated_and_rebuilt_calls_agree(self):
         rng = random.Random(61)
         for _ in range(30):
