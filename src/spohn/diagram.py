@@ -68,6 +68,12 @@ class InfluenceDiagram:
         if len(set(self.edges)) != len(self.edges):
             raise ValueError("duplicate edge in diagram")
 
+    def __reduce__(self):
+        # Rebuild through the constructor, so the cached properties (the
+        # joint space with its projection cache, the kept one-variable
+        # spaces, the adjacency maps) are neither pickled nor copied.
+        return type(self), (self.variables, self.edges)
+
     @cached_property
     def space(self) -> StateSpace:
         return StateSpace(self.variables)

@@ -160,14 +160,39 @@ class SpohnianNetwork:
             links[b].append((a, a, digit_b, card, at_a))
         return ValidationReport(not problems, tuple(problems)), links
 
+    @cached_property
+    def _rooting(self) -> tuple[dict[str, int], dict[str, int]]:
+        """Per node, its depth and the position of its edge toward the root
+        in its _gate adjacency (-1 at a root); the first declared node of
+        each component is its root. Computed once per network, on the first
+        engine call with several observations, and shared with engine
+        outputs like _gate."""
+        links = self._gate[1]
+        depth: dict[str, int] = {}
+        up: dict[str, int] = {}
+        for root in self.diagram.names:
+            if root in depth:
+                continue
+            depth[root], up[root] = 0, -1
+            order = [root]
+            for node in order:  # breadth first: order grows as it is walked
+                below = depth[node] + 1
+                for receiver, _, _, _, back in links[node]:
+                    if receiver not in depth:
+                        depth[receiver], up[receiver] = below, back
+                        order.append(receiver)
+        return depth, up
+
     def _revised(self, tables: dict[str, OCF]) -> SpohnianNetwork:
         """The message engine's output: this diagram, tables over the same
         spaces (so the constructor's space checks are skipped), and this
-        network's gate and adjacency. It validates by construction: at
-        quiescence every edge's two marginals agree, and s-normalization
-        shifts both by the same least rank."""
+        network's gate, adjacency and, once computed, rooting. It validates
+        by construction: at quiescence every edge's two marginals agree, and
+        s-normalization shifts both by the same least rank."""
         out = object.__new__(type(self))
         object.__setattr__(out, "diagram", self.diagram)
         object.__setattr__(out, "tables", MappingProxyType(tables))
         out.__dict__["_gate"] = self._gate
+        if "_rooting" in self.__dict__:
+            out.__dict__["_rooting"] = self._rooting
         return out

@@ -71,6 +71,11 @@ class StateSpace:
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names in state space")
 
+    def __reduce__(self):
+        # Rebuild through the constructor, so the cached properties and the
+        # projection cache are neither pickled nor copied.
+        return type(self), (self.variables,)
+
     @cached_property
     def size(self) -> int:
         n = 1
@@ -224,15 +229,12 @@ class Proposition:
         """States whose value for every constrained variable is among those allowed."""
         if not constraints:
             return cls.full(space)
-        allowed: list[tuple[list[int], set[int]]] = []
+        inside = [True] * space.size
         for name, values in constraints.items():
             digits = {space.value_digit(name, v) for v in values}
-            allowed.append((space.projection((name,)), digits))
-        mask = 0
-        for i in range(space.size):
-            if all(proj[i] in digits for proj, digits in allowed):
-                mask |= 1 << i
-        return cls(space, mask)
+            proj = space.projection((name,))
+            inside = [keep and d in digits for keep, d in zip(inside, proj)]
+        return cls(space, int("".join("1" if keep else "0" for keep in reversed(inside)), 2))
 
     def _check_space(self, other: Proposition) -> None:
         if self.space != other.space:
@@ -284,12 +286,33 @@ def _least_ranks(ranks: Sequence[Rank], digit_of: Sequence[int], size: int) -> l
     return out
 
 
+def _cell_bits(mask: int, size: int) -> str:
+    """The bitset as one character per cell, "1" inside, cell 0 first.
+
+    One linear pass; testing the bits of a big int one shift at a time
+    would cost O(size) per bit.
+    """
+    return bin(mask)[:1:-1].ljust(size, "0")
+
+
 def _least_in_out(ranks: Sequence[Rank], mask: int) -> tuple[Rank, Rank]:
     """Least rank among the cells in the bitset mask, and among the rest.
 
-    One walk over the cells; a side with no finite cell keeps INF.
+    One walk over the cells; a side with no finite cell keeps INF. A mask
+    that fits a machine word is shifted as the walk goes, the cheapest walk
+    for the one-variable marginals of belief reads; a wider one is read
+    once through _cell_bits, since each shift of a big int costs O(size).
     """
     k_in = k_out = INF
+    if mask >> 64:
+        for r, bit in zip(ranks, _cell_bits(mask, len(ranks))):
+            if r is not INF:
+                if bit == "1":
+                    if k_in is INF or r < k_in:
+                        k_in = r
+                elif k_out is INF or r < k_out:
+                    k_out = r
+        return k_in, k_out
     for r in ranks:
         if r is not INF:
             if mask & 1:
@@ -342,7 +365,9 @@ class OCF:
 
         Defined only for proper non-empty propositions.
         """
-        if prop.space != self.space:
+        # A marginal and a proposition built on it share their space; the
+        # identity test spares the dataclass comparison on every read.
+        if prop.space is not self.space and prop.space != self.space:
             raise SpaceMismatch("proposition is over a different state space")
         if prop.is_empty:
             raise EmptyProposition("belief strength of the empty proposition is undefined")
@@ -378,14 +403,13 @@ class OCF:
             raise ImpossibleEvidence("the proposition is already ruled out")
         if isinstance(strength, _Infinity):
             return self.revise_certain(prop)
-        out = []
-        for i, r in enumerate(self.ranks):
-            if prop.has(i):
-                out.append(r - k_in)
-            elif isinstance(k_out, _Infinity):
-                out.append(r)  # already certain in prop; complement stays impossible
-            else:
-                out.append(r - k_out + strength)
+        bits = _cell_bits(prop.mask, self.space.size)
+        if isinstance(k_out, _Infinity):
+            # already certain in prop; the complement stays impossible
+            out = (r - k_in if bit == "1" else r for r, bit in zip(self.ranks, bits))
+        else:
+            shift = strength - k_out
+            out = (r - k_in if bit == "1" else r + shift for r, bit in zip(self.ranks, bits))
         return OCF(self.space, tuple(out))
 
     def revise_certain(self, prop: Proposition) -> OCF:
@@ -396,12 +420,11 @@ class OCF:
             raise EmptyProposition("cannot learn the empty proposition")
         if prop.is_full:
             return self
-        k_in = self.rank_of(prop)
+        k_in, _ = _least_in_out(self.ranks, prop.mask)
         if isinstance(k_in, _Infinity):
             raise ImpossibleEvidence("the proposition is already ruled out")
-        out = tuple(
-            (r - k_in) if prop.has(i) else INF for i, r in enumerate(self.ranks)
-        )
+        bits = _cell_bits(prop.mask, self.space.size)
+        out = tuple(r - k_in if bit == "1" else INF for r, bit in zip(self.ranks, bits))
         return OCF(self.space, out)
 
     def cond_rank(self, prop: Proposition, given: Proposition) -> Rank:

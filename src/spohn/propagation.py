@@ -33,13 +33,31 @@ validation gate (SpohnianNetwork._gate), and engine outputs share it:
 for every node its incident edges in declaration order, each with the
 receiver, the shared variable, its digit map in the node's table, its
 cardinality and the position of the same edge in the receiver's list. A
-queued message carries the position of its arrival edge, so a delivery
-costs time in the receiving family only, never a scan of the diagram.
-A family's working vector and outbound snapshots are made when it first
-receives a message, from its own table, and only those families are
-s-normalized and rebuilt; every other output table is the input's own
-OCF. A warm call therefore costs O(touched families + messages), plus
-one copy of the table mapping.
+delivery costs time in the receiving family only, never a scan of the
+diagram. A family's working vector and outbound snapshots are made when
+it first receives a message, from its own table, and only those families
+are s-normalized and rebuilt; every other output table is the input's
+own OCF.
+
+Pending work is a set of dirty marks, not of messages: a delivery marks
+the receiver's other edges, and popping a mark sends the change in each
+shared marginal since the last send, so changes queued on one edge
+coalesce into one message. Under the default schedule marks pop in the
+collect-then-distribute order of Jensen, Lauritzen & Olesen (1990) over a
+rooting of each component: edges toward the root deepest sender first,
+then edges away from it shallowest sender first. Each node then sends
+toward the root once, after its whole subtree has reported, and away
+from it once, after hearing from every side, so a call delivers at most
+one message per directed edge, whatever the number of observations.
+Shenoy (1991) shows that OCFs satisfy the axioms this order needs. A
+call with several observations uses the network's rooting
+(SpohnianNetwork._rooting: the first declared node of each component is
+its root), computed on the first such call and shared with engine outputs
+like the gate. A call with one observation roots its tree at the
+observed node and grows that rooting with the wave, so it costs no pass
+over the network; its order is then breadth first from the observation.
+A warm call therefore costs O(touched families + messages), plus one copy
+of the table mapping.
 
 The engine mutates only its own per-node working vectors; input networks
 are never modified.
@@ -50,6 +68,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Sequence
 
 from .diagram import InfluenceDiagram
@@ -113,9 +132,12 @@ class TraceEntry:
 class Schedule:
     """Delivery order for the message engine.
 
-    fifo is fully deterministic; seeded draws the next message uniformly
-    with a fixed seed, so runs are reproducible and every enqueued message
-    is still delivered exactly once.
+    fifo, the default, is fully deterministic: the injections in the order
+    given, then collect then distribute over a rooting of each component,
+    which delivers at most one message per directed edge. seeded draws the
+    next injection or dirty mark uniformly with a fixed seed, so runs are
+    reproducible; an edge may then carry several messages, and the tables
+    come out the same.
     """
 
     policy: str = "fifo"
@@ -201,28 +223,35 @@ def _run(
     takes one outbound snapshot per incident edge: the shared marginal in
     that table. Every delivery adds the message's per-value deltas into
     the working vector, advances the arrival edge's snapshot by the same
-    deltas (so nothing a neighbor said is echoed back at it), and forwards
-    the change in each other shared marginal since it was last sent.
+    deltas (so nothing a neighbor said is echoed back at it), and marks
+    the node's other edges dirty: its edge toward the root (an up mark)
+    and its edges away from it (one down mark). Popping a mark sends, on
+    each of its edges, the change in the shared marginal since the last
+    send, if there is one; pending changes on an edge coalesce into that
+    one message. Each distinct shared variable's marginal is computed once
+    per pop.
+
+    Under FIFO the injections go first, in order; then up marks pop
+    deepest sender first and down marks shallowest sender first, so each
+    node sends up after all its subtrees have reported and down after it
+    has heard from every side: at most one message per directed edge. A
+    seeded schedule draws the next injection or mark uniformly. Several
+    injections use the network's rooting; a single one is the root of its
+    own, which its wave extends as it reaches each node.
+
     Touched tables are s-normalized once, at quiescence; the first node in
     declaration order whose vector has gone entirely infinite names the
     contradiction.
     """
     tables = net.tables
+    depth_of, up_of = net._rooting if len(injections) > 1 else ({}, {})
     vec: dict[str, list[Rank]] = {}
     snap: dict[str, list[list[Rank]]] = {}
-    # Pending messages as (sender, receiver, arrival, variable, deltas);
-    # arrival is the edge's position in the receiver's links, -1 for an
-    # injection.
-    queue = deque((v, v, -1, v, deltas) for v, deltas in injections)
-    rng = random.Random(schedule.seed) if schedule.policy == "random" else None
     seq = 0
-    while queue:
-        if rng is None:
-            sender, node, arrival, variable, deltas = queue.popleft()
-        else:
-            i = rng.randrange(len(queue))
-            sender, node, arrival, variable, deltas = queue[i]
-            del queue[i]
+
+    def deliver(sender: str, node: str, arrival: int, variable: str, deltas) -> None:
+        # arrival is the edge's position in the node's links, -1 for an injection.
+        nonlocal seq
         seq += 1
         if trace is not None:
             trace.append(TraceEntry(seq, (sender, node), variable, deltas))
@@ -231,25 +260,103 @@ def _run(
         if work is None:
             ranks = tables[node].ranks
             work = vec[node] = list(ranks)
-            snaps = snap[node] = [
-                _least_ranks(ranks, digit_s, card) for _, _, digit_s, card, _ in node_links
-            ]
+            snaps = snap[node] = _shared_marginals(node, ranks, node_links)
         else:
             snaps = snap[node]
         if arrival >= 0:
             _add_deltas(work, deltas, node_links[arrival][2])
-            _add_deltas(snaps[arrival], deltas, range(len(deltas)))
+            # Edges to children may share one snapshot list: advance a copy.
+            moved = list(snaps[arrival])
+            _add_deltas(moved, deltas, range(len(deltas)))
+            snaps[arrival] = moved
         else:
             _add_deltas(work, deltas, tables[node].space.projection((variable,)))
-        for k, (receiver, shared, digit_s, card, back) in enumerate(node_links):
-            if k == arrival:
+        depth = depth_of.get(node)
+        if depth is None:
+            # One injection: the tree is rooted at it and grows with the wave.
+            depth = depth_of[node] = depth_of[sender] + 1 if arrival >= 0 else 0
+            up_of[node] = arrival
+        up = up_of[node]
+        downs = len(node_links) - (up >= 0)
+        if arrival != up:
+            if up >= 0:
+                mark(node, -depth)
+            if arrival >= 0:
+                downs -= 1
+        if downs:
+            mark(node, depth)
+
+    def send(node: str, key: int) -> None:
+        # key < 0: the node's up mark; key >= 0: its down mark.
+        node_links, work, snaps, up = links[node], vec[node], snap[node], up_of[node]
+        own = None  # the node's own marginal, shared by its edges to children
+        for k in (up,) if key < 0 else range(len(node_links)):
+            if k == up and key >= 0:
                 continue
-            current = _least_ranks(work, digit_s, card)
-            snapshot = snaps[k]
-            change = tuple(rank_delta(current[j], snapshot[j]) for j in range(card))
-            if any(dd != 0 for dd in change):
-                snaps[k] = current
-                queue.append((node, receiver, back, shared, change))
+            receiver, shared, digit_s, card, back = node_links[k]
+            if shared != node:
+                marginal = _least_ranks(work, digit_s, card)
+            elif own is None:
+                marginal = own = _least_ranks(work, digit_s, card)
+            else:
+                marginal = own
+            change = tuple(map(rank_delta, marginal, snaps[k]))
+            if any(change):
+                snaps[k] = marginal
+                deliver(node, receiver, back, shared, change)
+
+    if schedule.policy == "random":
+        rng = random.Random(schedule.seed)
+        # Pending (node, key, deltas): deltas for an injection, None for a mark.
+        pool: list[tuple] = [(v, 0, deltas) for v, deltas in injections]
+        marked: set[tuple[str, int]] = set()
+
+        def mark(node: str, key: int) -> None:
+            if (node, key) not in marked:
+                marked.add((node, key))
+                pool.append((node, key, None))
+
+        while pool:
+            i = rng.randrange(len(pool))
+            pool[i], pool[-1] = pool[-1], pool[i]
+            node, key, deltas = pool.pop()
+            if deltas is None:
+                marked.discard((node, key))
+                send(node, key)
+            else:
+                deliver(node, node, -1, node, deltas)
+    elif len(injections) > 1:
+        # Marks by key, -depth for up marks and depth for down marks, so
+        # ascending keys are collect then distribute; every mark a pop sets
+        # has a larger key than the one popped.
+        buckets: dict[int, dict[str, None]] = {}
+        keys: list[int] = []
+
+        def mark(node: str, key: int) -> None:
+            bucket = buckets.get(key)
+            if bucket is None:
+                bucket = buckets[key] = {}
+                heappush(keys, key)
+            bucket[node] = None
+
+        for v, deltas in injections:
+            deliver(v, v, -1, v, deltas)
+        while keys:
+            key = heappop(keys)
+            for node in buckets.pop(key):
+                send(node, key)
+    else:
+        # One injection: every mark is a down mark, set once per node in
+        # breadth-first order, so a queue pops them shallowest first.
+        queue: deque[tuple[str, int]] = deque()
+
+        def mark(node: str, key: int) -> None:
+            queue.append((node, key))
+
+        for v, deltas in injections:
+            deliver(v, v, -1, v, deltas)
+        while queue:
+            send(*queue.popleft())
 
     # The read-only proxy's copy() copies its dict whole; dict(tables) would
     # go key by key.
@@ -266,6 +373,22 @@ def _run(
             f"evidence drives every cell of {node}'s table to infinity"
         ) from dead[node]
     return net._revised(new_tables)
+
+
+def _shared_marginals(node: str, ranks: Sequence[Rank], node_links: list[tuple]) -> list[list[Rank]]:
+    """The shared marginal on each of a node's edges. Every edge to a child
+    of the node shares its own variable, so that marginal is computed once
+    and its list is shared; each other edge has a variable of its own."""
+    own = None
+    out = []
+    for _, shared, digit_s, card, _ in node_links:
+        if shared != node:
+            out.append(_least_ranks(ranks, digit_s, card))
+        else:
+            if own is None:
+                own = _least_ranks(ranks, digit_s, card)
+            out.append(own)
+    return out
 
 
 def propagate_single(

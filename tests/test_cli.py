@@ -204,14 +204,13 @@ class TestPropagate:
                 [
                     "seq=1 edge=B->B var=B deltas=[inf,0]",
                     "seq=2 edge=E->E var=E deltas=[inf,0]",
-                    "seq=3 edge=B->A var=A deltas=[2,0]",
-                    "seq=4 edge=B->D var=B deltas=[inf,0]",
-                    "seq=5 edge=E->C var=C deltas=[2,1]",
-                    "seq=6 edge=D->C var=C deltas=[1,1]",
-                    "seq=7 edge=C->D var=C deltas=[2,1]",
-                    "seq=8 edge=C->E var=C deltas=[1,1]",
-                    "seq=9 edge=D->B var=B deltas=[0,2]",
-                    "seq=10 edge=B->A var=A deltas=[2,2]",
+                    "seq=3 edge=E->C var=C deltas=[2,1]",
+                    "seq=4 edge=C->D var=C deltas=[2,1]",
+                    "seq=5 edge=D->B var=B deltas=[2,2]",
+                    "seq=6 edge=B->A var=A deltas=[4,2]",
+                    "seq=7 edge=B->D var=B deltas=[inf,0]",
+                    "seq=8 edge=D->C var=C deltas=[1,1]",
+                    "seq=9 edge=C->E var=C deltas=[1,1]",
                 ],
             ),
             (
@@ -220,8 +219,8 @@ class TestPropagate:
                     "seq=1 edge=B->B var=B deltas=[inf,0]",
                     "seq=2 edge=B->D var=B deltas=[inf,0]",
                     "seq=3 edge=E->E var=E deltas=[inf,0]",
-                    "seq=4 edge=D->C var=C deltas=[1,1]",
-                    "seq=5 edge=B->A var=A deltas=[2,0]",
+                    "seq=4 edge=B->A var=A deltas=[2,0]",
+                    "seq=5 edge=D->C var=C deltas=[1,1]",
                     "seq=6 edge=C->E var=C deltas=[1,1]",
                     "seq=7 edge=E->C var=C deltas=[2,1]",
                     "seq=8 edge=C->D var=C deltas=[2,1]",

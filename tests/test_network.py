@@ -100,6 +100,24 @@ class TestReadOnlyTables:
             with pytest.raises(TypeError):
                 twin.tables["A"] = twin.tables["B"]
 
+    def test_use_does_not_grow_the_pickle(self):
+        # Diagrams and state spaces pickle through their constructors, so
+        # the caches that reads and engine calls fill stay out of the bytes.
+        net = random_instance(random.Random(71), 40, p_detach=0.0)
+        fresh = len(pickle.dumps(net))
+        for name in net.diagram.names:
+            net.marginal(name)
+        name = net.diagram.names[-1]
+        evidence = [EvidenceSpec(name, values=(net.diagram.variable(name).domain[0],))]
+        out = propagate_certain_multi(net, evidence)
+        assert len(pickle.dumps(net)) == fresh
+        rebuilt = SpohnianNetwork(out.diagram, dict(out.tables))
+        assert len(pickle.dumps(out)) == len(pickle.dumps(rebuilt))
+        for obj in (net, out, net.diagram, net.diagram.space, net.tables[name].space):
+            for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+                assert type(twin) is type(obj)
+                assert twin == obj
+
     def test_tables_still_compare_equal_to_a_dict(self, penguin_net):
         assert penguin_net.tables == dict(penguin_net.tables)
         assert dict(penguin_net.tables) == penguin_net.tables

@@ -12,7 +12,7 @@ from spohn.errors import (
     SpaceMismatch,
     UnknownVariable,
 )
-from spohn.ocf import _least_ranks
+from spohn.ocf import _cell_bits, _least_in_out, _least_ranks
 
 from conftest import AFTER_BIRD, AFTER_PENGUIN, FLIGHT, PRIOR, SPECIES
 from generators import random_ocf
@@ -265,6 +265,66 @@ class TestRevision:
     def test_empty_proposition_cannot_be_learned(self, prior, penguin_space):
         with pytest.raises(EmptyProposition):
             prior.revise(Proposition.empty(penguin_space), 1)
+
+
+def _revised_by_definition(ranks, inside, strength):
+    """Revision cell by cell: the A-cells less rank(A), the others less
+    rank(not A) plus the strength, or INF at strength inf; a negative
+    strength is the complement's lesson at the opposite strength."""
+    if strength is NEG_INF or (strength is not INF and strength < 0):
+        inside, strength = [not x for x in inside], -strength
+    k_in = min((r for r, x in zip(ranks, inside) if x), default=INF)
+    k_out = min((r for r, x in zip(ranks, inside) if not x), default=INF)
+    if k_in is INF:
+        return ImpossibleEvidence
+    return tuple(
+        r - k_in if x else INF if strength is INF else r if k_out is INF else r - k_out + strength
+        for r, x in zip(ranks, inside)
+    )
+
+
+class TestLinearPasses:
+    def test_revision_and_constrain_match_their_definitions(self):
+        # Random OCFs of up to 4096 cells with about 30% INF, and a
+        # proposition from constraints on one to three variables.
+        rng = random.Random(29)
+        checked = 0
+        while checked < 40:
+            space = StateSpace(tuple(
+                Variable(f"V{k}", tuple(f"v{j}" for j in range(rng.randint(2, 4))))
+                for k in range(rng.randint(1, 8))
+            ))
+            if space.size > 4096:
+                continue
+            kappa = random_ocf(rng, space, p_inf=0.3)
+            constraints = {}
+            for var in rng.sample(space.variables, rng.randint(1, min(3, len(space.variables)))):
+                constraints[var.name] = rng.sample(var.domain, rng.randint(1, len(var.domain) - 1))
+            prop = Proposition.constrain(space, constraints)
+            inside = [
+                all(state[space.names.index(n)] in vals for n, vals in constraints.items())
+                for state in space.states()
+            ]
+            assert prop == Proposition.of_states(space, (i for i, x in enumerate(inside) if x))
+            assert _cell_bits(prop.mask, space.size) == "".join("1" if x else "0" for x in inside)
+            assert _least_in_out(kappa.ranks, prop.mask) == (
+                min((r for r, x in zip(kappa.ranks, inside) if x), default=INF),
+                min((r for r, x in zip(kappa.ranks, inside) if not x), default=INF),
+            )
+            for strength in (0, rng.randint(1, 6), -rng.randint(1, 6), INF, NEG_INF):
+                want = _revised_by_definition(kappa.ranks, inside, strength)
+                if want is ImpossibleEvidence:
+                    with pytest.raises(ImpossibleEvidence, match="^the proposition is already ruled out$"):
+                        kappa.revise(prop, strength)
+                else:
+                    assert kappa.revise(prop, strength).ranks == want
+            want = _revised_by_definition(kappa.ranks, inside, INF)
+            if want is ImpossibleEvidence:
+                with pytest.raises(ImpossibleEvidence, match="^the proposition is already ruled out$"):
+                    kappa.revise_certain(prop)
+            else:
+                assert kappa.revise_certain(prop).ranks == want
+            checked += 1
 
 
 class TestConditionalRank:

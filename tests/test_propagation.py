@@ -4,6 +4,8 @@ import random
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spohn import (
     INF,
@@ -26,6 +28,7 @@ from spohn import (
 )
 from spohn.errors import (
     ContradictoryEvidence,
+    SpohnError,
     DuplicateTargetVariable,
     EmptyProposition,
     ImpossibleEvidence,
@@ -34,6 +37,8 @@ from spohn.errors import (
     UnknownValue,
     UnknownVariable,
 )
+
+from spohn.oracle import ORACLE_STATE_LIMIT
 
 from generators import (
     random_certain_evidence,
@@ -594,6 +599,22 @@ class TestWarmCalls:
         assert all(a.space is f.space for a, f in zip(again, first))
         assert again[1000].ranks == (0, INF)
 
+    def test_the_rooting_is_made_once_for_calls_with_several_observations(self):
+        # A single observation roots its own wave; several share the
+        # network's rooting, made on the first such call and handed on to
+        # results like the gate, so no warm call walks the whole network.
+        net = _independent_chain(50)
+        one = [EvidenceSpec("V10", values=("y",))]
+        single = propagate_certain_multi(net, one)
+        assert "_rooting" not in net.__dict__ and "_rooting" not in single.__dict__
+        two = one + [EvidenceSpec("V30", values=("y",))]
+        out = propagate_certain_multi(net, two)
+        rooting = net.__dict__["_rooting"]
+        assert out.__dict__["_rooting"] is rooting
+        assert propagate_certain_multi(out, two).__dict__["_rooting"] is rooting
+        depth, up = rooting
+        assert depth["V0"] == 0 and up["V0"] == -1 and depth["V49"] == 49
+
     def test_first_repeated_and_rebuilt_calls_agree(self):
         rng = random.Random(61)
         for _ in range(30):
@@ -671,6 +692,91 @@ class TestWarmCalls:
         for schedule in (Schedule.fifo(), Schedule.seeded(3)):
             with pytest.raises(ContradictoryEvidence, match="every cell of C's table"):
                 propagate_certain_multi(net, evidence, schedule)
+
+
+# Derandomized, so every run replays the same examples.
+BOUNDED = settings(
+    derandomize=True,
+    database=None,
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _shaped_network(rng, shape, n):
+    """A chain, star or random polytree over n variables with coin-flipped
+    edge directions (at most four parents per node), declared in shuffled
+    order so that any node can be the root of the engine's rooting. Some
+    have impossible cells, so some evidence contradicts."""
+    variables = [
+        Variable(f"V{i}", tuple(f"v{i}_{j}" for j in range(rng.randint(2, 3))))
+        for i in range(n)
+    ]
+    parents = [0] * n
+    edges = []
+    for i in range(1, n):
+        j = i - 1 if shape == "chain" else 0 if shape == "star" else rng.randrange(i)
+        if rng.random() < 0.5 and parents[j] < 3:
+            edges.append((f"V{i}", f"V{j}"))
+            parents[j] += 1
+        else:
+            edges.append((f"V{j}", f"V{i}"))
+            parents[i] += 1
+    rng.shuffle(variables)
+    diagram = InfluenceDiagram(tuple(variables), tuple(edges))
+    return random_network(rng, diagram, p_inf=rng.choice((0.0, 0.2)))
+
+
+def _observed_value(rng, net, name):
+    """A surprising value (finite rank above 0) or a rank-0 one, at random."""
+    domain = net.diagram.variable(name).domain
+    ranks = net.marginal(name).ranks
+    surprising = [v for v, r in zip(domain, ranks) if r is not INF and r > 0]
+    if surprising and rng.random() < 0.5:
+        return rng.choice(surprising)
+    return rng.choice([v for v, r in zip(domain, ranks) if r == 0])
+
+
+class TestBoundedDeliveries:
+    @BOUNDED
+    @given(st.sampled_from(["chain", "star", "polytree"]), st.integers(0, 2**32 - 1))
+    def test_at_most_one_message_per_directed_edge(self, shape, seed):
+        rng = random.Random(seed)
+        net = _shaped_network(rng, shape, rng.randint(2, 14))
+        names = net.diagram.names
+        certain = [
+            EvidenceSpec(name, values=(_observed_value(rng, net, name),))
+            for name in rng.sample(names, rng.randint(1, min(8, len(names))))
+        ]
+        targets = [
+            (name, OCF(net.diagram._unit_space(name),
+                       random_target(rng, net.diagram.variable(name).domain)))
+            for name in rng.sample(names, rng.randint(1, min(4, len(names))))
+        ]
+        calls = [
+            (lambda s, tr: propagate_certain_multi(net, certain, s, tr),
+             lambda: oracle_revise(net.joint(), certain), 0),
+            (lambda s, tr: propagate_uncertain_multi(net, targets, s, tr),
+             lambda: oracle_impose(net, targets), len(targets)),
+        ]
+        for call, oracle, dummies in calls:
+            trace = []
+            try:
+                out = call(Schedule.fifo(), trace)
+            except SpohnError as exc:
+                out = (type(exc), str(exc))
+            edges = [t.edge for t in trace]
+            assert len(edges) == len(set(edges)), edges
+            try:
+                again = call(Schedule.seeded(seed), None)
+            except SpohnError as exc:
+                again = (type(exc), str(exc))
+            assert again == out
+            if isinstance(out, SpohnianNetwork) and (
+                net.diagram.space.size << dummies <= ORACLE_STATE_LIMIT
+            ):
+                assert out == SpohnianNetwork.from_joint(oracle(), net.diagram)
 
 
 def _outcome(call, net):
