@@ -6,9 +6,11 @@
                     [--seed N] [--trace] [--out FILE]
     spohn compare NETWORK EVIDENCE --mode {single,certain,uncertain} [--seed N]
 
-PROP is VAR=VALUE or VAR=VALUE1,VALUE2. The updated network document goes
-to stdout (or --out); trace lines go to stderr. Exit codes: 0 ok,
-1 validation or parse failure, 2 contradictory evidence, 3 internal
+PROP is VAR=VALUE or VAR=VALUE1,VALUE2. --seed draws a random delivery
+order in certain and uncertain mode; it has no effect with --mode single,
+whose one observation always spreads breadth first. The updated network
+document goes to stdout (or --out); trace lines go to stderr. Exit codes:
+0 ok, 1 validation or parse failure, 2 contradictory evidence, 3 internal
 invariant breach.
 """
 
@@ -208,7 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("network")
         p.add_argument("evidence")
         p.add_argument("--mode", choices=("single", "certain", "uncertain"), required=True)
-        p.add_argument("--seed", type=int)
+        p.add_argument(
+            "--seed", type=int,
+            help="random delivery order (certain and uncertain mode; no effect with --mode single)",
+        )
         if name == "propagate":
             p.add_argument("--trace", action="store_true")
             p.add_argument("--out", metavar="FILE")

@@ -262,16 +262,6 @@ class Proposition:
     def count(self) -> int:
         return bin(self.mask).count("1")
 
-    def has(self, index: int) -> bool:
-        return bool((self.mask >> index) & 1)
-
-    def indices(self) -> Iterator[int]:
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-
 
 def _least_ranks(ranks: Sequence[Rank], digit_of: Sequence[int], size: int) -> list[Rank]:
     """Least rank per reduced state: out[j] = min of ranks[i] with digit_of[i] == j.
@@ -352,13 +342,15 @@ class OCF:
             raise SpaceMismatch("proposition is over a different state space")
         if prop.is_empty:
             raise EmptyProposition("the empty proposition has no rank")
-        return min(self.ranks[i] for i in prop.indices())
+        return _least_in_out(self.ranks, prop.mask)[0]
 
     def is_believed(self, prop: Proposition) -> bool:
         """True when every rank-0 state satisfies the proposition."""
         if prop.space != self.space:
             raise SpaceMismatch("proposition is over a different state space")
-        return all(prop.has(i) for i, r in enumerate(self.ranks) if r == 0)
+        bits = _cell_bits(prop.mask, self.space.size)
+        # The identity test spares INF's Python-level __eq__ on every cell.
+        return all(bit == "1" for r, bit in zip(self.ranks, bits) if r is not INF and r == 0)
 
     def belief_strength(self, prop: Proposition) -> BeliefStrength:
         """How firmly the proposition is held: negative when disbelieved.
@@ -385,15 +377,15 @@ class OCF:
 
         A negative strength is the same lesson about the complement: learning
         A at -n is learning not-A at n, and the tables come out identical.
-        Infinite strength defers to revise_certain; states already impossible
-        stay impossible no matter what.
+        Infinite strength conditions on prop, excluding everything else;
+        states already impossible stay impossible no matter what.
         """
         if prop.space != self.space:
             raise SpaceMismatch("proposition is over a different state space")
         if prop.is_empty:
             raise EmptyProposition("cannot learn the empty proposition")
         if isinstance(strength, _NegInfinity):
-            return self.revise_certain(~prop)
+            return self.revise(~prop, INF)
         if isinstance(strength, int) and strength < 0:
             return self.revise(~prop, -strength)
         if prop.is_full:
@@ -401,10 +393,10 @@ class OCF:
         k_in, k_out = _least_in_out(self.ranks, prop.mask)
         if isinstance(k_in, _Infinity):
             raise ImpossibleEvidence("the proposition is already ruled out")
-        if isinstance(strength, _Infinity):
-            return self.revise_certain(prop)
         bits = _cell_bits(prop.mask, self.space.size)
-        if isinstance(k_out, _Infinity):
+        if isinstance(strength, _Infinity):
+            out = (r - k_in if bit == "1" else INF for r, bit in zip(self.ranks, bits))
+        elif isinstance(k_out, _Infinity):
             # already certain in prop; the complement stays impossible
             out = (r - k_in if bit == "1" else r for r, bit in zip(self.ranks, bits))
         else:
@@ -413,19 +405,8 @@ class OCF:
         return OCF(self.space, tuple(out))
 
     def revise_certain(self, prop: Proposition) -> OCF:
-        """Learn prop with certainty: condition on it, excluding everything else."""
-        if prop.space != self.space:
-            raise SpaceMismatch("proposition is over a different state space")
-        if prop.is_empty:
-            raise EmptyProposition("cannot learn the empty proposition")
-        if prop.is_full:
-            return self
-        k_in, _ = _least_in_out(self.ranks, prop.mask)
-        if isinstance(k_in, _Infinity):
-            raise ImpossibleEvidence("the proposition is already ruled out")
-        bits = _cell_bits(prop.mask, self.space.size)
-        out = tuple(r - k_in if bit == "1" else INF for r, bit in zip(self.ranks, bits))
-        return OCF(self.space, out)
+        """Learn prop with certainty: revise(prop, INF)."""
+        return self.revise(prop, INF)
 
     def cond_rank(self, prop: Proposition, given: Proposition) -> Rank:
         """Rank of prop conditional on given; INF when they are incompatible."""

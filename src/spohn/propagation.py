@@ -49,13 +49,16 @@ then edges away from it shallowest sender first. Each node then sends
 toward the root once, after its whole subtree has reported, and away
 from it once, after hearing from every side, so a call delivers at most
 one message per directed edge, whatever the number of observations.
-Shenoy (1991) shows that OCFs satisfy the axioms this order needs. A
-call with several observations uses the network's rooting
+Shenoy (1991) shows that OCFs satisfy the axioms this order needs. One
+store holds the marks: a bucket per key, -depth for an up mark and depth
+for a down mark, popped in ascending key order. A call with several
+observations keys them by the network's rooting
 (SpohnianNetwork._rooting: the first declared node of each component is
 its root), computed on the first such call and shared with engine outputs
 like the gate. A call with one observation roots its tree at the
 observed node and grows that rooting with the wave, so it costs no pass
-over the network; its order is then breadth first from the observation.
+over the network; every mark it sets is a down mark, so the same buckets
+pop breadth first from the observation.
 A warm call therefore costs O(touched families + messages), plus one copy
 of the table mapping.
 
@@ -66,7 +69,6 @@ are never modified.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Sequence
@@ -134,10 +136,11 @@ class Schedule:
 
     fifo, the default, is fully deterministic: the injections in the order
     given, then collect then distribute over a rooting of each component,
-    which delivers at most one message per directed edge. seeded draws the
-    next injection or dirty mark uniformly with a fixed seed, so runs are
-    reproducible; an edge may then carry several messages, and the tables
-    come out the same.
+    which delivers at most one message per directed edge; a single
+    observation is its own root, so its wave goes breadth first. seeded
+    draws the next injection or dirty mark uniformly with a fixed seed, so
+    runs are reproducible; an edge may then carry several messages, and
+    the tables come out the same.
     """
 
     policy: str = "fifo"
@@ -231,13 +234,15 @@ def _run(
     one message. Each distinct shared variable's marginal is computed once
     per pop.
 
-    Under FIFO the injections go first, in order; then up marks pop
-    deepest sender first and down marks shallowest sender first, so each
-    node sends up after all its subtrees have reported and down after it
-    has heard from every side: at most one message per directed edge. A
-    seeded schedule draws the next injection or mark uniformly. Several
-    injections use the network's rooting; a single one is the root of its
-    own, which its wave extends as it reaches each node.
+    Under FIFO the injections go first, in order; then marks pop from one
+    bucket store, up marks deepest sender first and down marks shallowest
+    sender first, so each node sends up after all its subtrees have
+    reported and down after it has heard from every side: at most one
+    message per directed edge. A seeded schedule draws the next injection
+    or mark uniformly. Several injections use the network's rooting; a
+    single one is the root of its own, which its wave extends as it
+    reaches each node, so it sets only down marks and they pop breadth
+    first.
 
     Touched tables are s-normalized once, at quiescence; the first node in
     declaration order whose vector has gone entirely infinite names the
@@ -325,10 +330,11 @@ def _run(
                 send(node, key)
             else:
                 deliver(node, node, -1, node, deltas)
-    elif len(injections) > 1:
+    else:
         # Marks by key, -depth for up marks and depth for down marks, so
         # ascending keys are collect then distribute; every mark a pop sets
-        # has a larger key than the one popped.
+        # has a larger key than the one popped. One injection sets down
+        # marks only, so the buckets pop breadth first from it.
         buckets: dict[int, dict[str, None]] = {}
         keys: list[int] = []
 
@@ -345,18 +351,6 @@ def _run(
             key = heappop(keys)
             for node in buckets.pop(key):
                 send(node, key)
-    else:
-        # One injection: every mark is a down mark, set once per node in
-        # breadth-first order, so a queue pops them shallowest first.
-        queue: deque[tuple[str, int]] = deque()
-
-        def mark(node: str, key: int) -> None:
-            queue.append((node, key))
-
-        for v, deltas in injections:
-            deliver(v, v, -1, v, deltas)
-        while queue:
-            send(*queue.popleft())
 
     # The read-only proxy's copy() copies its dict whole; dict(tables) would
     # go key by key.

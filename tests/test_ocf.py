@@ -286,8 +286,10 @@ def _revised_by_definition(ranks, inside, strength):
 class TestLinearPasses:
     def test_revision_and_constrain_match_their_definitions(self):
         # Random OCFs of up to 4096 cells with about 30% INF, and a
-        # proposition from constraints on one to three variables.
+        # proposition from constraints on one to three variables; the
+        # condition for cond_rank comes from its own generator.
         rng = random.Random(29)
+        rng_given = random.Random(31)
         checked = 0
         while checked < 40:
             space = StateSpace(tuple(
@@ -324,6 +326,30 @@ class TestLinearPasses:
                     kappa.revise_certain(prop)
             else:
                 assert kappa.revise_certain(prop).ranks == want
+            assert kappa.rank_of(prop) == min((r for r, x in zip(kappa.ranks, inside) if x), default=INF)
+            assert kappa.rank_of(~prop) == min(
+                (r for r, x in zip(kappa.ranks, inside) if not x), default=INF
+            )
+            assert kappa.is_believed(prop) == all(x for r, x in zip(kappa.ranks, inside) if r == 0)
+            given_constraints = {}
+            for var in rng_given.sample(space.variables, rng_given.randint(1, min(3, len(space.variables)))):
+                given_constraints[var.name] = rng_given.sample(
+                    var.domain, rng_given.randint(1, len(var.domain) - 1)
+                )
+            given = Proposition.constrain(space, given_constraints)
+            in_given = [
+                all(state[space.names.index(n)] in vals for n, vals in given_constraints.items())
+                for state in space.states()
+            ]
+            k_given = min((r for r, g in zip(kappa.ranks, in_given) if g), default=INF)
+            if k_given is INF:
+                with pytest.raises(EmptyCondition):
+                    kappa.cond_rank(prop, given)
+            elif not any(x and g for x, g in zip(inside, in_given)):
+                assert kappa.cond_rank(prop, given) is INF
+            else:
+                k_both = min(r for r, x, g in zip(kappa.ranks, inside, in_given) if x and g)
+                assert kappa.cond_rank(prop, given) == k_both - k_given
             checked += 1
 
 

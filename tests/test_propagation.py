@@ -778,6 +778,59 @@ class TestBoundedDeliveries:
             ):
                 assert out == SpohnianNetwork.from_joint(oracle(), net.diagram)
 
+    @BOUNDED
+    @given(st.sampled_from(["chain", "star", "polytree"]), st.integers(0, 2**32 - 1))
+    def test_one_observation_goes_breadth_first(self, shape, seed):
+        rng = random.Random(seed)
+        net = _shaped_network(rng, shape, rng.randint(2, 14))
+        name = rng.choice(net.diagram.names)
+        value = _observed_value(rng, net, name)
+        target = OCF(net.diagram._unit_space(name),
+                     random_target(rng, net.diagram.variable(name).domain))
+        hops = _hops(net.diagram, name)
+        observations = [
+            EvidenceSpec(name, values=(value,), strength=s) for s in (rng.randint(0, 4), INF, NEG_INF)
+        ]
+        calls = [
+            *(lambda tr, ev=ev: propagate_single(net, ev, tr) for ev in observations),
+            lambda tr: propagate_certain_multi(net, observations[1:2], trace=tr),
+            lambda tr: propagate_uncertain_multi(net, [(name, target)], trace=tr),
+        ]
+        for call in calls:
+            trace = []
+            try:
+                call(trace)
+            except SpohnError:
+                pass  # refused evidence sends nothing; a contradiction shows after the wave
+            edges = [t.edge for t in trace]
+            assert len(edges) == len(set(edges)), edges
+            if not edges:
+                continue
+            assert edges[0] == (name, name)
+            senders = [hops[sender] for sender, _ in edges]
+            assert senders == sorted(senders), edges
+            for sender, receiver in edges[1:]:
+                assert hops[receiver] == hops[sender] + 1, edges
+
+
+def _hops(diagram, source):
+    """Hop distance from source to each node it reaches, edge directions ignored."""
+    adjacent = {name: [] for name in diagram.names}
+    for a, b in diagram.edges:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    hops = {source: 0}
+    frontier = [source]
+    while frontier:
+        reached = []
+        for n in frontier:
+            for m in adjacent[n]:
+                if m not in hops:
+                    hops[m] = hops[n] + 1
+                    reached.append(m)
+        frontier = reached
+    return hops
+
 
 def _outcome(call, net):
     trace = []
