@@ -6,7 +6,10 @@
                     [--seed N] [--trace] [--out FILE]
     spohn compare NETWORK EVIDENCE --mode {single,certain,uncertain} [--seed N]
 
-PROP is VAR=VALUE or VAR=VALUE1,VALUE2. --seed draws a random delivery
+PROP is VAR=VALUE or VAR=VALUE1,VALUE2. Each --mode takes one kind of
+evidence: single one value observation, certain value observations of
+strength "inf", uncertain targets; a document that mixes kinds is refused
+(the library's propagate takes any mix). --seed draws a random delivery
 order in certain and uncertain mode; it has no effect with --mode single,
 whose one observation always spreads breadth first. The updated network
 document goes to stdout (or --out); trace lines go to stderr. Exit codes:
@@ -32,14 +35,7 @@ from .network import SpohnianNetwork
 from .ocf import OCF, Proposition, StateSpace
 from .oracle import compare as oracle_compare
 from .oracle import ensure_tractable, oracle_impose, oracle_revise
-from .propagation import (
-    EvidenceSpec,
-    Schedule,
-    TraceEntry,
-    propagate_certain_multi,
-    propagate_single,
-    propagate_uncertain_multi,
-)
+from .propagation import EvidenceSpec, Schedule, TraceEntry, propagate
 from .ranks import INF
 
 
@@ -59,9 +55,10 @@ def _parse_prop(text: str) -> tuple[str, tuple[str, ...]]:
 
 
 def _schedule(args: argparse.Namespace) -> Schedule:
-    if getattr(args, "seed", None) is not None:
-        return Schedule.seeded(args.seed)
-    return Schedule.fifo()
+    # One observation always spreads breadth first: --seed leaves single mode alone.
+    if args.seed is None or args.mode == "single":
+        return Schedule.fifo()
+    return Schedule.seeded(args.seed)
 
 
 def _mode_evidence(
@@ -84,25 +81,12 @@ def _mode_evidence(
 
 
 def _targets(net: SpohnianNetwork, evidence: list[EvidenceSpec]) -> list[tuple[str, OCF]]:
+    """Target evidence as the (name, OCF) pairs oracle_impose takes."""
     out = []
     for ev in evidence:
         var = net.diagram.variable(ev.variable)
         out.append((ev.variable, OCF(StateSpace((var,)), ev.target)))
     return out
-
-
-def _run_engine(
-    net: SpohnianNetwork,
-    evidence: list[EvidenceSpec],
-    mode: str,
-    schedule: Schedule,
-    trace: list[TraceEntry] | None = None,
-) -> SpohnianNetwork:
-    if mode == "single":
-        return propagate_single(net, evidence[0], trace=trace)
-    if mode == "certain":
-        return propagate_certain_multi(net, evidence, schedule, trace=trace)
-    return propagate_uncertain_multi(net, _targets(net, evidence), schedule, trace=trace)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -149,7 +133,7 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     net = parse_network(_read(args.network, "network file"))
     evidence = _mode_evidence(args.mode, parse_evidence(_read(args.evidence, "evidence file"), net))
     trace: list[TraceEntry] | None = [] if args.trace else None
-    result = _run_engine(net, evidence, args.mode, _schedule(args), trace)
+    result = propagate(net, evidence, _schedule(args), trace)
     if trace is not None:
         for entry in trace:
             print(entry.format(), file=sys.stderr)
@@ -171,7 +155,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # Refuse before running anything: in uncertain mode the oracle's joint
     # carries one binary dummy per target.
     ensure_tractable(net.diagram.space, len(evidence) if uncertain else 0)
-    engine = _run_engine(net, evidence, args.mode, _schedule(args))
+    engine = propagate(net, evidence, _schedule(args))
     if uncertain:
         oracle_joint = oracle_impose(net, _targets(net, evidence))
     else:

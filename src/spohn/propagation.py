@@ -8,25 +8,24 @@ cross traffic vanish in the single s-normalization performed per node at
 quiescence. Normalizing earlier would bake the constants in, so nothing is
 normalized mid-flight.
 
-The three entry points differ only in the first message each observation
-injects at its own variable:
+One rule carries every observation: propagate takes any mix of them, and
+they differ only in the first message each injects at its own variable:
 
-- propagate_single: finite evidence (A, alpha) injects the revised
-  marginal minus the prior one, prior.revise(A, alpha) - prior. Strength
-  inf is certain evidence on A, strength -inf certain evidence on the rest
-  of the domain.
+- a value proposition A at strength inf injects 0 on the accepted values
+  and inf on the others; strength -inf does the same for the rest of the
+  domain; a finite strength alpha injects prior.revise(A, alpha) - prior.
 
-- propagate_certain_multi: certain evidence injects 0 on the accepted
-  values and inf on the others.
+- a target marginal injects target - current. That is the lambda-message
+  of a binary dummy child observed with certainty (augment_with_dummy,
+  kept as the oracle's reference construction) less a constant, and
+  normalization removes the constant. With one target the final marginal
+  equals the target exactly; with several targets on dependent variables
+  the imposed marginals can land elsewhere, which is inherent to the
+  construction and pinned by a regression test rather than "fixed".
 
-- propagate_uncertain_multi: a target marginal injects target - current.
-  That is the lambda-message of a binary dummy child observed with
-  certainty (augment_with_dummy, kept as the oracle's reference
-  construction) less a constant, and normalization removes the constant.
-  With one target the final marginal equals the target exactly; with
-  several targets on dependent variables the imposed marginals can land
-  elsewhere, which is inherent to the construction and pinned by a
-  regression test rather than "fixed".
+propagate_single, propagate_certain_multi and propagate_uncertain_multi
+are checks plus delegation to propagate; each reads the gate (computed
+once per network) before its own checks, so an invalid network wins.
 
 The engine's adjacency is computed once per network, together with its
 validation gate (SpohnianNetwork._gate), and engine outputs share it:
@@ -85,7 +84,7 @@ from .errors import (
 )
 from .network import SpohnianNetwork
 from .ocf import OCF, Proposition, StateSpace, Variable, _least_ranks
-from .ranks import INF, NEG_INF, BeliefStrength, Rank, rank_delta, s_normalize
+from .ranks import INF, NEG_INF, BeliefStrength, Rank, is_rank, rank_delta, s_normalize
 
 
 @dataclass(frozen=True)
@@ -109,6 +108,10 @@ class EvidenceSpec:
             raise ValueError("evidence value list must be non-empty")
         if self.target is not None and self.strength is not INF:
             raise ValueError("target evidence takes no strength")
+        if type(self.strength) is not int and self.strength not in (INF, NEG_INF):
+            raise ValueError(f"strength must be an int, INF or NEG_INF, not {self.strength!r}")
+        if self.target is not None and not (all(map(is_rank, self.target)) and 0 in self.target):
+            raise ValueError("a target needs ranks (non-negative ints or INF), one of them 0")
 
 
 @dataclass(frozen=True)
@@ -178,39 +181,6 @@ def _add_deltas(vector: list[Rank], deltas: Sequence[Rank], digit_of: Sequence[i
             vector[i] = INF
         elif dd != 0 and vector[i] is not INF:
             vector[i] += dd
-
-
-def _certain_deltas(
-    net: SpohnianNetwork, variable: str, values: Sequence[str]
-) -> tuple[Rank, ...]:
-    """First message of certain evidence: 0 on the accepted values, inf elsewhere."""
-    domain = net.diagram.variable(variable).domain
-    for v in values:
-        if v not in domain:
-            raise UnknownValue(f"variable {variable!r} has no value {v!r}")
-    prior = net._marginal_ranks(variable)
-    if all(r is INF for v, r in zip(domain, prior) if v in values):
-        raise ImpossibleEvidence(
-            f"evidence on {variable} is already ruled out by the network"
-        )
-    return tuple(0 if v in values else INF for v in domain)
-
-
-def _target_deltas(
-    net: SpohnianNetwork, variable: str, target: OCF
-) -> tuple[Rank, ...]:
-    """First message of a target marginal: target minus current."""
-    if target.space != net.diagram._unit_space(variable):
-        raise SpaceMismatch(
-            f"target for {variable} must be a single-variable ranking over it, "
-            f"got one over {target.space.names}"
-        )
-    current = net._marginal_ranks(variable)
-    if any(t is not INF and c is INF for t, c in zip(target.ranks, current)):
-        raise ImpossibleEvidence(
-            f"target gives finite rank to an impossible value of {variable}"
-        )
-    return tuple(map(rank_delta, target.ranks, current))
 
 
 def _run(
@@ -385,34 +355,77 @@ def _shared_marginals(node: str, ranks: Sequence[Rank], node_links: list[tuple])
     return out
 
 
-def propagate_single(
-    net: SpohnianNetwork,
-    evidence: EvidenceSpec,
-    trace: list[TraceEntry] | None = None,
-) -> SpohnianNetwork:
-    """Assimilate one observation of any strength and return the updated network.
-
-    A finite strength injects the change revision makes to the observed
-    variable's marginal. Strength inf conditions on the accepted values,
-    strength -inf on the rest of the domain.
-    """
-    links = _require_valid(net)
-    if evidence.values is None:
-        raise ValueError("single-evidence propagation needs a value proposition")
-    observed, values, strength = evidence.variable, evidence.values, evidence.strength
-    domain = net.diagram.variable(observed).domain
+def _first_message(net: SpohnianNetwork, ev: EvidenceSpec) -> tuple[Rank, ...]:
+    """The message an observation injects at its own variable (module docstring)."""
+    variable = ev.variable
+    domain = net.diagram.variable(variable).domain
+    if ev.target is not None:
+        if len(ev.target) != len(domain):
+            raise SpaceMismatch(
+                f"target for {variable} needs {len(domain)} ranks, got {len(ev.target)}"
+            )
+        current = net._marginal_ranks(variable)
+        if any(t is not INF and c is INF for t, c in zip(ev.target, current)):
+            raise ImpossibleEvidence(
+                f"target gives finite rank to an impossible value of {variable}"
+            )
+        return tuple(map(rank_delta, ev.target, current))
+    values, strength = ev.values, ev.strength
+    for v in values:
+        if v not in domain:
+            raise UnknownValue(f"variable {variable!r} has no value {v!r}")
     if strength is NEG_INF:
         values = tuple(v for v in domain if v not in values)
         if not values:
             raise ImpossibleEvidence("certainly disbelieving the full domain is contradictory")
         strength = INF
     if strength is INF:
-        deltas = _certain_deltas(net, observed, values)
-    else:
-        prior = net.marginal(observed)
-        post = prior.revise(Proposition.constrain(prior.space, {observed: values}), strength)
-        deltas = tuple(map(rank_delta, post.ranks, prior.ranks))
-    return _run(net, links, [(observed, deltas)], Schedule.fifo(), trace)
+        prior = net._marginal_ranks(variable)
+        if all(r is INF for v, r in zip(domain, prior) if v in values):
+            raise ImpossibleEvidence(
+                f"evidence on {variable} is already ruled out by the network"
+            )
+        return tuple(0 if v in values else INF for v in domain)
+    prior = net.marginal(variable)
+    post = prior.revise(Proposition.constrain(prior.space, {variable: values}), strength)
+    return tuple(map(rank_delta, post.ranks, prior.ranks))
+
+
+def propagate(
+    net: SpohnianNetwork,
+    evidence: Sequence[EvidenceSpec],
+    schedule: Schedule = Schedule.fifo(),
+    trace: list[TraceEntry] | None = None,
+) -> SpohnianNetwork:
+    """Assimilate any mix of observations and return the updated network.
+
+    The result is oracle_impose's, each item's target read on the prior:
+    a target as given, a value item (A, alpha) as prior.revise(A, alpha).
+    Value items may repeat a variable; two targets on one may not. Every
+    first message is computed, and every error raised, before any delivery.
+    """
+    links = _require_valid(net)
+    seen: set[str] = set()
+    for name in (ev.variable for ev in evidence if ev.target is not None):
+        if name in seen:
+            raise DuplicateTargetVariable(f"two targets for variable {name!r}")
+        seen.add(name)
+    if not evidence:
+        return net
+    injections = [(ev.variable, _first_message(net, ev)) for ev in evidence]
+    return _run(net, links, injections, schedule, trace)
+
+
+def propagate_single(
+    net: SpohnianNetwork,
+    evidence: EvidenceSpec,
+    trace: list[TraceEntry] | None = None,
+) -> SpohnianNetwork:
+    """propagate for one value observation of any strength, under FIFO."""
+    _require_valid(net)
+    if evidence.values is None:
+        raise ValueError("single-evidence propagation needs a value proposition")
+    return propagate(net, [evidence], trace=trace)
 
 
 def propagate_certain_multi(
@@ -421,17 +434,14 @@ def propagate_certain_multi(
     schedule: Schedule = Schedule.fifo(),
     trace: list[TraceEntry] | None = None,
 ) -> SpohnianNetwork:
-    """Assimilate several pieces of certain evidence by message passing."""
-    links = _require_valid(net)
+    """propagate for value observations of strength inf only."""
+    _require_valid(net)
     for ev in evidence:
         if ev.values is None:
             raise ValueError("certain propagation needs value evidence, not targets")
         if ev.strength is not INF:
             raise ValueError("certain propagation requires strength inf for every item")
-    injections = [
-        (ev.variable, _certain_deltas(net, ev.variable, ev.values)) for ev in evidence
-    ]
-    return _run(net, links, injections, schedule, trace)
+    return propagate(net, evidence, schedule, trace)
 
 
 def propagate_uncertain_multi(
@@ -440,18 +450,18 @@ def propagate_uncertain_multi(
     schedule: Schedule = Schedule.fifo(),
     trace: list[TraceEntry] | None = None,
 ) -> SpohnianNetwork:
-    """Impose target marginals by message passing; see the module docstring
-    for what several targets on dependent variables do."""
-    links = _require_valid(net)
-    seen: set[str] = set()
-    for name, _ in targets:
-        if name in seen:
-            raise DuplicateTargetVariable(f"two targets for variable {name!r}")
-        seen.add(name)
-    if not targets:
-        return net
-    injections = [(name, _target_deltas(net, name, target)) for name, target in targets]
-    return _run(net, links, injections, schedule, trace)
+    """propagate for target marginals, each a one-variable OCF; see the
+    module docstring for what several targets on dependent variables do."""
+    _require_valid(net)
+    evidence = []
+    for name, target in targets:
+        if target.space != net.diagram._unit_space(name):
+            raise SpaceMismatch(
+                f"target for {name} must be a single-variable ranking over it, "
+                f"got one over {target.space.names}"
+            )
+        evidence.append(EvidenceSpec(name, target=target.ranks))
+    return propagate(net, evidence, schedule, trace)
 
 
 def augment_with_dummy(

@@ -10,6 +10,7 @@ import random
 
 from spohn import (
     INF,
+    NEG_INF,
     OCF,
     EvidenceSpec,
     InfluenceDiagram,
@@ -151,6 +152,50 @@ def random_certain_evidence(
 
 def random_target(rng: random.Random, domain, max_rank: int = 4, p_inf: float = 0.0):
     return tuple(min_zero_row(rng, len(domain), max_rank, p_inf))
+
+
+def random_mixed_evidence(
+    rng: random.Random, net: SpohnianNetwork, n_items: int
+) -> list[EvidenceSpec]:
+    """Targets, and value items at strength inf, -inf or a signed int, in
+    random order. Targets go on distinct variables; value items may repeat
+    one. The certain items leave every variable a value, so on a network
+    without impossible cells the mix is consistent."""
+    names = net.diagram.names
+    possible = {n: set(net.diagram.variable(n).domain) for n in names}
+    out = [
+        EvidenceSpec(n, target=random_target(rng, net.diagram.variable(n).domain))
+        for n in rng.sample(names, rng.randint(0, min(2, n_items, len(names))))
+    ]
+    while len(out) < n_items:
+        name = rng.choice(names)
+        dom = net.diagram.variable(name).domain
+        values = tuple(rng.sample(dom, rng.randint(1, len(dom) - 1)))
+        strength = rng.choice([INF, NEG_INF, rng.randint(-4, 4)])
+        if strength is INF or strength is NEG_INF:
+            kept = set(values) if strength is INF else set(dom) - set(values)
+            if not possible[name] & kept:
+                continue
+            possible[name] &= kept
+        out.append(EvidenceSpec(name, values=values, strength=strength))
+    rng.shuffle(out)
+    return out
+
+
+def targets_read_on_prior(
+    net: SpohnianNetwork, evidence: list[EvidenceSpec]
+) -> list[tuple[str, OCF]]:
+    """Each item as the target oracle_impose takes: a target as given, a
+    value item (A, alpha) as prior.revise(A, alpha)."""
+    out = []
+    for ev in evidence:
+        prior = net.marginal(ev.variable)
+        if ev.target is not None:
+            out.append((ev.variable, OCF(prior.space, ev.target)))
+        else:
+            prop = Proposition.constrain(prior.space, {ev.variable: ev.values})
+            out.append((ev.variable, prior.revise(prop, ev.strength)))
+    return out
 
 
 def random_ocf(

@@ -13,10 +13,12 @@ from generators import (
     min_zero_row,
     random_certain_evidence,
     random_instance,
+    random_mixed_evidence,
     random_network,
     random_ocf,
     random_target,
     random_value_evidence,
+    targets_read_on_prior,
 )
 from spohn import (
     INF,
@@ -30,6 +32,7 @@ from spohn import (
     augment_with_dummy,
     oracle_impose,
     oracle_revise,
+    propagate,
     propagate_certain_multi,
     propagate_single,
     propagate_uncertain_multi,
@@ -200,6 +203,19 @@ def test_criterion_5_every_schedule_lands_on_the_same_tables():
         single = propagate_single(net, ev)
         for seed in range(50):
             assert propagate_uncertain_multi(net, target, Schedule.seeded(seed)) == single
+
+    # any mix of certain, finite, -inf and target items, value items free to
+    # repeat a variable: one rule, and oracle_impose on targets read on the prior
+    for _ in range(50):
+        net = random_instance(rng, rng.randint(2, 5), p_detach=0.0)
+        evidence = random_mixed_evidence(rng, net, rng.randint(2, 4))
+        first = propagate(net, evidence, Schedule.fifo())
+        reference = serialize_network(first)
+        for seed in range(50):
+            again = propagate(net, evidence, Schedule.seeded(seed))
+            assert serialize_network(again) == reference
+        posterior_joint = oracle_impose(net, targets_read_on_prior(net, evidence))
+        assert first == SpohnianNetwork.from_joint(posterior_joint, net.diagram)
 
 
 @timed(6, 10.0)

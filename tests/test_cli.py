@@ -336,10 +336,10 @@ class TestCompare:
             assert (code, out) == (0, "match\n")
 
     def test_corrupted_engine_is_caught(self, capsys, monkeypatch):
-        real = spohn.cli._run_engine
+        real = spohn.cli.propagate
 
-        def corrupt(net, evidence, mode, schedule, trace=None):
-            result = real(net, evidence, mode, schedule, trace)
+        def corrupt(net, evidence, schedule, trace=None):
+            result = real(net, evidence, schedule, trace)
             tables = dict(result.tables)
             name = result.diagram.names[0]
             t = tables[name]
@@ -353,7 +353,7 @@ class TestCompare:
             tables[name] = OCF(t.space, tuple(ranks))
             return SpohnianNetwork(result.diagram, tables)
 
-        monkeypatch.setattr(spohn.cli, "_run_engine", corrupt)
+        monkeypatch.setattr(spohn.cli, "propagate", corrupt)
         code, out, _ = run(capsys, "compare", FIVE, EV_CERTAIN, "--mode", "certain")
         assert code == 1
         lines = out.splitlines()
@@ -389,7 +389,7 @@ class TestCompare:
         def refuse(*args, **kwargs):
             raise AssertionError("the engine must not run")
 
-        monkeypatch.setattr(spohn.cli, "_run_engine", refuse)
+        monkeypatch.setattr(spohn.cli, "propagate", refuse)
         code, _, err = run(capsys, "compare", str(path), str(ev), "--mode", "uncertain")
         assert code == 1
         assert "8192" in err and "4096" in err

@@ -22,6 +22,7 @@ from spohn import (
     compare,
     oracle_impose,
     oracle_revise,
+    propagate,
     propagate_certain_multi,
     propagate_single,
     propagate_uncertain_multi,
@@ -43,9 +44,11 @@ from spohn.oracle import ORACLE_STATE_LIMIT
 from generators import (
     random_certain_evidence,
     random_instance,
+    random_mixed_evidence,
     random_network,
     random_target,
     random_value_evidence,
+    targets_read_on_prior,
 )
 
 
@@ -65,6 +68,19 @@ class TestEvidenceSpec:
             EvidenceSpec("X", values=())
         with pytest.raises(ValueError, match="takes no strength"):
             EvidenceSpec("X", target=(0, 1), strength=3)
+
+    @pytest.mark.parametrize("strength", ["inf", None, True, False, 1.5, float("inf")])
+    def test_strength_is_an_int_or_an_infinity(self, strength):
+        with pytest.raises(ValueError, match="strength must be"):
+            EvidenceSpec("X", values=("a",), strength=strength)
+
+    @pytest.mark.parametrize("target", [(1, 2), (0, -1), (0, "inf"), (0, True), (False, 1), (0, None)])
+    def test_target_entries_are_ranks_with_a_zero(self, target):
+        with pytest.raises(ValueError, match="target needs ranks"):
+            EvidenceSpec("X", target=target)
+
+    def test_a_target_may_rule_values_out(self):
+        assert EvidenceSpec("X", target=[INF, 0]).target == (INF, 0)
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
@@ -138,7 +154,7 @@ class TestSingleEvidence:
             )
         assert trace == []
 
-    @pytest.mark.parametrize("strength", [2, INF])
+    @pytest.mark.parametrize("strength", [2, INF, NEG_INF, -1])
     def test_unknown_value_raises_before_any_message(self, penguin_net, strength):
         trace = []
         with pytest.raises(UnknownValue):
@@ -530,6 +546,56 @@ class TestUncertainMulti:
         # the engine still agrees with brute force on the combined update
         report = compare(post, oracle_impose(net, targets))
         assert report.passed, report.first_divergence
+
+
+class TestPropagate:
+    def test_no_evidence_is_the_identity(self, five_node_net):
+        assert propagate(five_node_net, []) is five_node_net
+        assert propagate_certain_multi(five_node_net, []) is five_node_net
+
+    def test_two_targets_on_one_variable_are_refused(self, five_node_net):
+        trace = []
+        with pytest.raises(DuplicateTargetVariable, match="'B'"):
+            propagate(
+                five_node_net,
+                [
+                    EvidenceSpec("B", values=("b1",)),
+                    EvidenceSpec("B", target=(0, 1)),
+                    EvidenceSpec("B", target=(1, 0)),
+                ],
+                trace=trace,
+            )
+        assert trace == []
+
+    def test_value_items_may_repeat_a_variable(self, five_node_net):
+        evidence = [
+            EvidenceSpec("B", values=("b1",), strength=2),
+            EvidenceSpec("B", values=("b1",), strength=INF),
+            EvidenceSpec("B", target=(1, 0)),
+        ]
+        post = propagate(five_node_net, evidence)
+        assert post.marginal("B").ranks == (INF, 0)
+
+    @pytest.mark.parametrize("target", [(0,), (0, 1, 2)])
+    def test_target_of_the_wrong_length_raises_before_any_message(self, five_node_net, target):
+        trace = []
+        with pytest.raises(SpohnError, match="needs 2 ranks"):
+            propagate(
+                five_node_net,
+                [EvidenceSpec("A", values=("a1",)), EvidenceSpec("B", target=target)],
+                trace=trace,
+            )
+        assert trace == []
+
+    def test_mixed_evidence_is_oracle_impose_on_targets_read_on_the_prior(self):
+        rng = random.Random(61)
+        for _ in range(40):
+            net = random_instance(rng, rng.randint(2, 5), p_detach=0.2)
+            evidence = random_mixed_evidence(rng, net, rng.randint(1, 4))
+            post = propagate(net, evidence, Schedule.seeded(rng.randrange(99)))
+            report = compare(post, oracle_impose(net, targets_read_on_prior(net, evidence)))
+            assert report.passed, report.first_divergence
+            assert propagate(net, evidence) == post
 
 
 def _independent_chain(n):
