@@ -9,8 +9,8 @@ single-variable separators, so when every edge agrees on its marginal the
 tables are exactly the family marginals of that joint, whether or not a
 node's parents are independent (evidence at or below a collider makes
 them dependent). validate() checks the diagram's shape and the shared
-marginals, which are the message engine's starting snapshots: a network
-is valid exactly when every edge's two starting snapshots agree.
+marginals: a network is valid exactly when both ends of every edge agree
+on its marginal, so the message engine keeps one snapshot per edge.
 """
 
 from __future__ import annotations
@@ -124,9 +124,9 @@ class SpohnianNetwork:
         return cls(diagram, tables)
 
     def validate(self) -> ValidationReport:
-        """Diagram shape plus marginal agreement across every edge: its two
-        starting snapshots in the message engine must be equal. Recomputed
-        on every call."""
+        """Diagram shape plus marginal agreement across every edge: both
+        ends' tables must give the shared variable the same marginal.
+        Recomputed on every call."""
         return self._check()[0]
 
     @cached_property
@@ -143,11 +143,13 @@ class SpohnianNetwork:
         """validate()'s report plus, per node, its incident edges in
         declaration order as (receiver, shared variable, its digit map in the
         node's table, cardinality, position of the same edge in the
-        receiver's list)."""
+        receiver's list, the edge's own tuple from diagram.edges: both ends
+        hold it, and the engine keys its one snapshot per edge by it)."""
         d = self.diagram
         problems = list(d.validate().problems)
         links: dict[str, list[tuple]] = {node: [] for node in d.names}
-        for a, b in d.edges:
+        for edge in d.edges:
+            a, b = edge
             card = len(d.variable(a).domain)
             ta, tb = self.tables[a], self.tables[b]
             digit_a, digit_b = ta.space.projection((a,)), tb.space.projection((a,))
@@ -156,8 +158,8 @@ class SpohnianNetwork:
             if marg_a != marg_b:
                 problems.append(f"edge {a}->{b}: tables disagree on the marginal of {a}")
             at_a, at_b = len(links[a]), len(links[b])
-            links[a].append((b, a, digit_a, card, at_b))
-            links[b].append((a, a, digit_b, card, at_a))
+            links[a].append((b, a, digit_a, card, at_b, edge))
+            links[b].append((a, a, digit_b, card, at_a, edge))
         return ValidationReport(not problems, tuple(problems)), links
 
     @cached_property
@@ -177,7 +179,7 @@ class SpohnianNetwork:
             order = [root]
             for node in order:  # breadth first: order grows as it is walked
                 below = depth[node] + 1
-                for receiver, _, _, _, back in links[node]:
+                for receiver, _, _, _, back, _ in links[node]:
                     if receiver not in depth:
                         depth[receiver], up[receiver] = below, back
                         order.append(receiver)

@@ -331,7 +331,8 @@ class OCF:
         for r in self.ranks:
             if not is_rank(r):
                 raise ValueError(f"invalid rank {r!r}")
-            if r == 0:
+            # The identity test spares INF's Python-level __eq__, as in is_believed.
+            if r is not INF and r == 0:
                 has_zero = True
         if not has_zero:
             raise ValueError("no state has rank 0")

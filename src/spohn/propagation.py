@@ -31,12 +31,16 @@ The engine's adjacency is computed once per network, together with its
 validation gate (SpohnianNetwork._gate), and engine outputs share it:
 for every node its incident edges in declaration order, each with the
 receiver, the shared variable, its digit map in the node's table, its
-cardinality and the position of the same edge in the receiver's list. A
-delivery costs time in the receiving family only, never a scan of the
-diagram. A family's working vector and outbound snapshots are made when
-it first receives a message, from its own table, and only those families
-are s-normalized and rebuilt; every other output table is the input's
-own OCF.
+cardinality, the position of the same edge in the receiver's list and
+the diagram's edge tuple. A delivery costs time in the receiving family
+only, never a scan of the diagram. A family's working vector is made
+when it first receives a message, from its own table, and only those
+families are s-normalized and rebuilt; every other output table is the
+input's own OCF. Both ends of an edge share one snapshot, keyed by the
+edge tuple: the shared marginal as last sent, first taken from whichever
+end is touched first. It is both ends' view: valid tables agree on the
+starting marginal, and delivery is synchronous, so a message moves the
+receiver's marginal by exactly the sender's change, INF entries included.
 
 Pending work is a set of dirty marks, not of messages: a delivery marks
 the receiver's other edges, and popping a mark sends the change in each
@@ -98,6 +102,8 @@ class EvidenceSpec:
     strength: BeliefStrength = INF
 
     def __post_init__(self):
+        if isinstance(self.values, str):
+            raise ValueError(f"values must be a sequence of values, not a string: {self.values!r}")
         if self.values is not None:
             object.__setattr__(self, "values", tuple(self.values))
         if self.target is not None:
@@ -193,16 +199,16 @@ def _run(
     """Deliver each (variable, deltas) injection and every message it sets off.
 
     A family's first delivery copies its table into a working vector and
-    takes one outbound snapshot per incident edge: the shared marginal in
-    that table. Every delivery adds the message's per-value deltas into
-    the working vector, advances the arrival edge's snapshot by the same
-    deltas (so nothing a neighbor said is echoed back at it), and marks
-    the node's other edges dirty: its edge toward the root (an up mark)
-    and its edges away from it (one down mark). Popping a mark sends, on
-    each of its edges, the change in the shared marginal since the last
-    send, if there is one; pending changes on an edge coalesce into that
-    one message. Each distinct shared variable's marginal is computed once
-    per pop.
+    snapshots, from that table, each incident edge not yet snapshotted
+    from its other end (module docstring). Every delivery adds the
+    message's per-value deltas into the working vector and marks the
+    node's other edges dirty: its edge toward the root (an up mark) and
+    its edges away from it (one down mark). Popping a mark sends, on each
+    of its edges, the change in the shared marginal since the edge's
+    snapshot, if there is one, and makes that marginal the snapshot, so
+    nothing a neighbor said is echoed back at it; pending changes on an
+    edge coalesce into that one message. Each distinct shared variable's
+    marginal is computed once per first delivery and once per pop.
 
     Under FIFO the injections go first, in order; then marks pop from one
     bucket store, up marks deepest sender first and down marks shallowest
@@ -221,7 +227,7 @@ def _run(
     tables = net.tables
     depth_of, up_of = net._rooting if len(injections) > 1 else ({}, {})
     vec: dict[str, list[Rank]] = {}
-    snap: dict[str, list[list[Rank]]] = {}
+    snap: dict[tuple[str, str], list[Rank]] = {}
     seq = 0
 
     def deliver(sender: str, node: str, arrival: int, variable: str, deltas) -> None:
@@ -235,15 +241,18 @@ def _run(
         if work is None:
             ranks = tables[node].ranks
             work = vec[node] = list(ranks)
-            snaps = snap[node] = _shared_marginals(node, ranks, node_links)
-        else:
-            snaps = snap[node]
+            own = None  # the node's own marginal, shared by its edges to children
+            for _, shared, digit_s, card, _, edge in node_links:
+                if edge in snap:
+                    continue
+                if shared != node:
+                    snap[edge] = _least_ranks(ranks, digit_s, card)
+                elif own is None:
+                    snap[edge] = own = _least_ranks(ranks, digit_s, card)
+                else:
+                    snap[edge] = own
         if arrival >= 0:
             _add_deltas(work, deltas, node_links[arrival][2])
-            # Edges to children may share one snapshot list: advance a copy.
-            moved = list(snaps[arrival])
-            _add_deltas(moved, deltas, range(len(deltas)))
-            snaps[arrival] = moved
         else:
             _add_deltas(work, deltas, tables[node].space.projection((variable,)))
         depth = depth_of.get(node)
@@ -263,21 +272,21 @@ def _run(
 
     def send(node: str, key: int) -> None:
         # key < 0: the node's up mark; key >= 0: its down mark.
-        node_links, work, snaps, up = links[node], vec[node], snap[node], up_of[node]
+        node_links, work, up = links[node], vec[node], up_of[node]
         own = None  # the node's own marginal, shared by its edges to children
         for k in (up,) if key < 0 else range(len(node_links)):
             if k == up and key >= 0:
                 continue
-            receiver, shared, digit_s, card, back = node_links[k]
+            receiver, shared, digit_s, card, back, edge = node_links[k]
             if shared != node:
                 marginal = _least_ranks(work, digit_s, card)
             elif own is None:
                 marginal = own = _least_ranks(work, digit_s, card)
             else:
                 marginal = own
-            change = tuple(map(rank_delta, marginal, snaps[k]))
+            change = tuple(map(rank_delta, marginal, snap[edge]))
             if any(change):
-                snaps[k] = marginal
+                snap[edge] = marginal
                 deliver(node, receiver, back, shared, change)
 
     if schedule.policy == "random":
@@ -337,22 +346,6 @@ def _run(
             f"evidence drives every cell of {node}'s table to infinity"
         ) from dead[node]
     return net._revised(new_tables)
-
-
-def _shared_marginals(node: str, ranks: Sequence[Rank], node_links: list[tuple]) -> list[list[Rank]]:
-    """The shared marginal on each of a node's edges. Every edge to a child
-    of the node shares its own variable, so that marginal is computed once
-    and its list is shared; each other edge has a variable of its own."""
-    own = None
-    out = []
-    for _, shared, digit_s, card, _ in node_links:
-        if shared != node:
-            out.append(_least_ranks(ranks, digit_s, card))
-        else:
-            if own is None:
-                own = _least_ranks(ranks, digit_s, card)
-            out.append(own)
-    return out
 
 
 def _first_message(net: SpohnianNetwork, ev: EvidenceSpec) -> tuple[Rank, ...]:

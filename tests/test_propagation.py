@@ -39,6 +39,7 @@ from spohn.errors import (
     UnknownVariable,
 )
 
+import spohn.propagation
 from spohn.oracle import ORACLE_STATE_LIMIT
 
 from generators import (
@@ -78,6 +79,12 @@ class TestEvidenceSpec:
     def test_target_entries_are_ranks_with_a_zero(self, target):
         with pytest.raises(ValueError, match="target needs ranks"):
             EvidenceSpec("X", target=target)
+
+    def test_values_must_not_be_a_string(self):
+        # A bare string would split into its characters, one value each.
+        with pytest.raises(ValueError, match="not a string"):
+            EvidenceSpec("species", values="PENGUIN")
+        assert EvidenceSpec("species", values=["PENGUIN"]).values == ("PENGUIN",)
 
     def test_a_target_may_rule_values_out(self):
         assert EvidenceSpec("X", target=[INF, 0]).target == (INF, 0)
@@ -313,6 +320,37 @@ class TestCertainMulti:
         assert propagate_certain_multi(net, evidence, Schedule.fifo()) == expected
         assert calls["validate"] == 0
         assert calls["projection"] <= 2 * len(chain.edges) + 2
+
+    def test_each_edge_keeps_one_snapshot(self, monkeypatch):
+        # Both ends of an edge share one snapshot of its marginal, so a call
+        # takes each edge's starting snapshot once, from whichever end it
+        # reaches first, plus one marginal per send. Each node copies its
+        # parent's value at rank 1 per flip, so surprising observations at
+        # both ends send a message each way along every edge.
+        n = 200
+        variables = tuple(Variable(f"V{i}", ("x", "y")) for i in range(n))
+        chain = InfluenceDiagram(variables, tuple((f"V{i}", f"V{i + 1}") for i in range(n - 1)))
+        tables = {"V0": OCF(StateSpace(variables[:1]), (0, 1))}
+        for i in range(1, n):
+            tables[f"V{i}"] = OCF(StateSpace(variables[i - 1 : i + 1]), (0, 1, 2, 1))
+        net = SpohnianNetwork(chain, tables)
+        evidence = [
+            EvidenceSpec("V0", values=("y",), strength=INF),
+            EvidenceSpec(f"V{n - 1}", values=("x",), strength=INF),
+        ]
+        calls = 0
+        real = spohn.propagation._least_ranks
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(spohn.propagation, "_least_ranks", counted)
+        trace = []
+        propagate(net, evidence, Schedule.fifo(), trace)
+        assert len(trace) == len(evidence) + 2 * len(chain.edges)
+        assert calls <= len(chain.edges) + len(trace)
 
     def test_repeated_variable_evidence_is_a_conjunction(self, five_node_net):
         evidence = [
