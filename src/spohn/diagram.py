@@ -69,9 +69,9 @@ class InfluenceDiagram:
             raise ValueError("duplicate edge in diagram")
 
     def __reduce__(self):
-        # Rebuild through the constructor, so the cached properties (the
-        # joint space with its projection cache, the kept one-variable
-        # spaces, the adjacency maps) are neither pickled nor copied.
+        # Rebuild through the constructor, so the cached properties (joint
+        # space and its projection cache, kept one-variable spaces, families,
+        # adjacency maps) are neither pickled nor copied.
         return type(self), (self.variables, self.edges)
 
     @cached_property
@@ -114,6 +114,18 @@ class InfluenceDiagram:
     @cached_property
     def _unit_spaces(self) -> dict[str, StateSpace]:
         return {}
+
+    @cached_property
+    def _families(self) -> dict[str, tuple[tuple[str, ...], tuple[Variable, ...]]]:
+        """Per node, its family's names and variables in declaration order:
+        derived once for family_variables, the parser and the constructor."""
+        variables = self.variables
+        position = {v.name: i for i, v in enumerate(variables)}
+        members = [{i} for i in range(len(variables))]
+        for a, b in self.edges:
+            members[position[b]].add(position[a])
+        families = [tuple([variables[i] for i in sorted(kept)]) for kept in members]
+        return {v.name: (tuple([u.name for u in f]), f) for v, f in zip(variables, families)}
 
     def variable(self, name: str) -> Variable:
         return self.space.variable(name)
@@ -160,8 +172,8 @@ class InfluenceDiagram:
 
     def family_variables(self, child: str) -> tuple[str, ...]:
         """The family's members in diagram declaration order."""
-        members = {*self.parents(child), child}
-        return tuple(sorted(members, key=self.space._position.__getitem__))
+        self.variable(child)
+        return self._families[child][0]
 
     def validate(self) -> ValidationReport:
         """Check acyclicity and single-connectedness, naming offenders."""

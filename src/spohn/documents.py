@@ -30,14 +30,10 @@ from .ranks import INF, Rank
 def _rank_from_json(value: Any, where: str, *, signed: bool = False) -> Rank:
     if value == "inf":
         return INF
-    if type(value) is int:
-        if signed or value >= 0:
-            return value
-    raise DocumentError(
-        f"{where}: expected a non-negative integer or \"inf\", got {value!r}"
-        if not signed
-        else f"{where}: expected an integer or \"inf\", got {value!r}"
-    )
+    if type(value) is int and (signed or value >= 0):
+        return value
+    kind = "an integer" if signed else "a non-negative integer"
+    raise DocumentError(f'{where}: expected {kind} or "inf", got {value!r}')
 
 
 def _load_json(text: str, what: str) -> Any:
@@ -86,11 +82,7 @@ def parse_network(text: str) -> SpohnianNetwork:
         raise DocumentError("edges: expected a list")
     edges: list[tuple[str, str]] = []
     for i, item in enumerate(raw_edges):
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(e, str) for e in item)
-        ):
+        if not isinstance(item, list) or len(item) != 2 or not all(isinstance(e, str) for e in item):
             raise DocumentError(f"edges[{i}]: expected a [parent, child] pair of names")
         edges.append((item[0], item[1]))
     try:
@@ -108,6 +100,7 @@ def parse_network(text: str) -> SpohnianNetwork:
     if extra:
         raise DocumentError(f"tables: unknown nodes {sorted(extra)}")
 
+    families = diagram._families
     tables: dict[str, OCF] = {}
     for node in diagram.names:
         where = f"tables.{node}"
@@ -116,8 +109,9 @@ def parse_network(text: str) -> SpohnianNetwork:
             raise DocumentError(f"{where}: expected an object")
         _require_keys(entry, {"order", "ranks"}, {"order", "ranks"}, where)
         order = entry["order"]
-        family = diagram.family_variables(node)
-        if (
+        family, members = families[node]
+        canonical = order == list(family)
+        if not canonical and (
             not isinstance(order, list)
             or not all(isinstance(n, str) for n in order)
             or sorted(order) != sorted(family)
@@ -125,7 +119,7 @@ def parse_network(text: str) -> SpohnianNetwork:
             raise DocumentError(
                 f"{where}.order: expected a permutation of {list(family)}, got {order!r}"
             )
-        space = StateSpace(tuple(diagram.variable(n) for n in family))
+        space = StateSpace(members)
         raw_ranks = entry["ranks"]
         # Any order is a permutation of the family, so its space has the same size.
         if not isinstance(raw_ranks, list) or len(raw_ranks) != space.size:
@@ -133,84 +127,56 @@ def parse_network(text: str) -> SpohnianNetwork:
                 f"{where}.ranks: expected {space.size} entries, got "
                 f"{len(raw_ranks) if isinstance(raw_ranks, list) else type(raw_ranks).__name__}"
             )
-        ranks = [
-            _rank_from_json(v, f"{where}.ranks[{i}]") for i, v in enumerate(raw_ranks)
-        ]
-        if order != list(family):
+        # Plain non-negative ints (bools are not int here) are ranks as they
+        # stand; anything else goes cell by cell, which names the first bad one.
+        if set(map(type, raw_ranks)) == {int} and min(raw_ranks) >= 0:
+            ranks = raw_ranks
+        else:
+            ranks = [_rank_from_json(v, f"{where}.ranks[{i}]") for i, v in enumerate(raw_ranks)]
+        if not canonical:
             doc_space = StateSpace(tuple(diagram.variable(n) for n in order))
-            doc_ranks = ranks
-            ranks = []
-            for i in range(space.size):
-                state = space.state_at(i)
-                reordered = tuple(state[family.index(n)] for n in order)
-                ranks.append(doc_ranks[doc_space.index_of(reordered)])
+            at = [family.index(n) for n in order]
+            ranks = [ranks[doc_space.index_of([s[p] for p in at])] for s in space.states()]
         if min(ranks) != 0:
             raise DocumentError(f"{where}: table has no rank-0 entry")
-        tables[node] = OCF(space, tuple(ranks))
+        # Every cell is a checked rank, there are space.size of them and one
+        # is 0: exactly what OCF.__post_init__ would check again.
+        tables[node] = OCF._trusted(space, tuple(ranks))
 
     return SpohnianNetwork(diagram, tables)
 
 
-def _json_list(items: list[str], indent: str) -> str:
-    """Rendered items as a JSON list in json.dumps(indent=2) layout; indent
-    is that of the line the list opens on."""
+_SEP = ",\n        "
+_VARIABLE = '    {\n      "name": %s,\n      "domain": [\n        %s\n      ]\n    }'
+_EDGE = "    [\n      %s,\n      %s\n    ]"
+_TABLE = '    %s: {\n      "order": [\n        %s\n      ],\n      "ranks": [\n        %s\n      ]\n    }'
+
+
+def _block(items: list[str], brackets: str) -> str:
+    """Records already rendered at depth 2, bracketed at depth 1."""
     if not items:
-        return "[]"
-    pad = indent + "  "
-    return "[\n" + pad + (",\n" + pad).join(items) + "\n" + indent + "]"
-
-
-def _json_object(fields: list[tuple[str, str]], indent: str) -> str:
-    """Rendered (key, value) pairs as a JSON object in the same layout."""
-    if not fields:
-        return "{}"
-    pad = indent + "  "
-    body = ",\n".join(f"{pad}{key}: {value}" for key, value in fields)
-    return "{\n" + body + "\n" + indent + "}"
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(items) + "\n  " + brackets[1]
 
 
 def serialize_network(net: SpohnianNetwork) -> str:
     """The canonical document, byte for byte what json.dumps(doc, indent=2)
-    gives, written directly: for a dict json.dumps with indent falls back to
-    its pure-Python encoder. Strings still go through json.dumps, so their
-    escaping is the json module's."""
+    gives, written directly from one template per variable, edge and table:
+    for a dict json.dumps with indent falls back to its pure-Python encoder.
+    Strings still go through json.dumps, so their escaping is the json
+    module's."""
     d = net.diagram
     quoted = {v.name: json.dumps(v.name) for v in d.variables}
-    inner = " " * 6
-    variables = [
-        _json_object(
-            [
-                ('"name"', quoted[v.name]),
-                ('"domain"', _json_list([json.dumps(x) for x in v.domain], inner)),
-            ],
-            "    ",
-        )
-        for v in d.variables
-    ]
-    edges = [_json_list([quoted[a], quoted[b]], "    ") for a, b in d.edges]
+    variables = [_VARIABLE % (quoted[v.name], _SEP.join(map(json.dumps, v.domain))) for v in d.variables]
+    edges = [_EDGE % (quoted[a], quoted[b]) for a, b in d.edges]
     tables = []
     for node in d.names:
         table = net.tables[node]
-        order = [quoted[n] for n in table.space.names]
-        ranks = ['"inf"' if r is INF else str(r) for r in table.ranks]
-        tables.append(
-            (
-                quoted[node],
-                _json_object(
-                    [('"order"', _json_list(order, inner)), ('"ranks"', _json_list(ranks, inner))],
-                    "    ",
-                ),
-            )
-        )
-    doc = _json_object(
-        [
-            ('"variables"', _json_list(variables, "  ")),
-            ('"edges"', _json_list(edges, "  ")),
-            ('"tables"', _json_object(tables, "  ")),
-        ],
-        "",
-    )
-    return doc + "\n"
+        order = _SEP.join([quoted[n] for n in table.space.names])
+        ranks = _SEP.join(['"inf"' if r is INF else str(r) for r in table.ranks])
+        tables.append(_TABLE % (quoted[node], order, ranks))
+    blocks = (_block(variables, "[]"), _block(edges, "[]"), _block(tables, "{}"))
+    return '{\n  "variables": %s,\n  "edges": %s,\n  "tables": %s\n}\n' % blocks
 
 
 def parse_evidence(text: str, net: SpohnianNetwork) -> list[EvidenceSpec]:

@@ -39,11 +39,11 @@ class SpohnianNetwork:
         extra = set(self.tables) - set(names)
         if extra:
             raise ValueError(f"tables for unknown variables {sorted(extra)}")
+        families = self.diagram._families
         canonical: dict[str, OCF] = {}
         for node in names:
             table = self.tables[node]
-            fam = self.diagram.family_variables(node)
-            want = tuple(self.diagram.variable(n) for n in fam)
+            fam, want = families[node]
             if table.space.variables != want:
                 raise SpaceMismatch(
                     f"table for {node} is over {table.space.names}, expected {fam}"
@@ -144,18 +144,30 @@ class SpohnianNetwork:
         declaration order as (receiver, shared variable, its digit map in the
         node's table, cardinality, position of the same edge in the
         receiver's list, the edge's own tuple from diagram.edges: both ends
-        hold it, and the engine keys its one snapshot per edge by it)."""
+        hold it, and the engine keys its one snapshot per edge by it). A
+        digit map depends only on (size, stride, cardinality), so all tables
+        of one shape share the first one's projection; a node's own marginal
+        is computed once for all its edges to children."""
         d = self.diagram
         problems = list(d.validate().problems)
         links: dict[str, list[tuple]] = {node: [] for node in d.names}
+        maps: dict[tuple[int, int, int], list[int]] = {}
+        own: dict[str, list[Rank]] = {}
+
+        def digit_map(space, name: str, card: int) -> list[int]:
+            key = (space.size, space.strides[space._position[name]], card)
+            if key not in maps:
+                maps[key] = space.projection((name,))
+            return maps[key]
+
         for edge in d.edges:
             a, b = edge
             card = len(d.variable(a).domain)
             ta, tb = self.tables[a], self.tables[b]
-            digit_a, digit_b = ta.space.projection((a,)), tb.space.projection((a,))
-            marg_a = _least_ranks(ta.ranks, digit_a, card)
-            marg_b = _least_ranks(tb.ranks, digit_b, card)
-            if marg_a != marg_b:
+            digit_a, digit_b = digit_map(ta.space, a, card), digit_map(tb.space, a, card)
+            if a not in own:
+                own[a] = _least_ranks(ta.ranks, digit_a, card)
+            if own[a] != _least_ranks(tb.ranks, digit_b, card):
                 problems.append(f"edge {a}->{b}: tables disagree on the marginal of {a}")
             at_a, at_b = len(links[a]), len(links[b])
             links[a].append((b, a, digit_a, card, at_b, edge))

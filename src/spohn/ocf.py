@@ -150,8 +150,10 @@ class StateSpace:
         """The given names, deduplicated and put in declared order.
 
         An unknown name raises UnknownVariable naming the first one in the
-        caller's order.
+        caller's order. A bare string is refused, not split into letters.
         """
+        if isinstance(names, str):
+            raise ValueError(f"expected a collection of variable names, not a string: {names!r}")
         names = tuple(names)
         wanted = set(names)
         for n in names:
@@ -336,6 +338,14 @@ class OCF:
                 has_zero = True
         if not has_zero:
             raise ValueError("no state has rank 0")
+
+    @classmethod
+    def _trusted(cls, space: StateSpace, ranks: tuple[Rank, ...]) -> OCF:
+        """An OCF without __post_init__'s checks, for a caller that has made
+        them: ranks is a tuple of space.size ranks, one of them 0."""
+        out = object.__new__(cls)
+        out.__dict__.update(space=space, ranks=ranks)
+        return out
 
     def rank_of(self, prop: Proposition) -> Rank:
         """Rank of a proposition: the rank of its best state."""

@@ -67,6 +67,34 @@ class TestRoundTrip:
             "D",
         )
 
+    def test_parse_checks_each_cell_once(self, five_node_net, monkeypatch):
+        # The parser checks every cell itself, so it builds its tables
+        # without OCF.__post_init__ checking them again: valid documents with
+        # INF cells and with a permuted order included.
+        rng = random.Random(31)
+        nets = [five_node_net] + [random_instance(rng, 12, p_inf=0.2) for _ in range(6)]
+        texts = [serialize_network(net) for net in nets]
+        doc = doc_dict(five_node_net)
+        old = doc["tables"]["D"]["ranks"]
+        permuted = [old[b * 4 + c * 2 + d] for d in range(2) for c in range(2) for b in range(2)]
+        doc["tables"]["D"] = {"order": ["D", "C", "B"], "ranks": permuted}
+        texts.append(json.dumps(doc))
+        nets.append(five_node_net)
+        real = OCF.__post_init__
+        calls = 0
+
+        def counted(self):
+            nonlocal calls
+            calls += 1
+            real(self)
+
+        monkeypatch.setattr(OCF, "__post_init__", counted)
+        parsed = [parse_network(text) for text in texts]
+        assert calls == 0
+        monkeypatch.undo()
+        assert parsed == nets
+        assert any(INF in t.ranks for net in parsed for t in net.tables.values())
+
     def test_shipped_sample_documents_load(self):
         penguin = parse_network((DOCS / "penguin.json").read_text())
         five = parse_network((DOCS / "five_node.json").read_text())
@@ -244,6 +272,29 @@ class TestNetworkParseErrors:
         doc = self.base(five_node_net)
         doc["tables"]["A"]["ranks"] = [0, bad]
         with pytest.raises(DocumentError, match=r"tables\.A\.ranks\[1\]"):
+            parse_network(json.dumps(doc))
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, True, False, "INF", None, [0]])
+    @pytest.mark.parametrize("at", [0, 3, 7])
+    @pytest.mark.parametrize("with_inf", [False, True])
+    def test_each_bad_cell_is_named_by_its_position(self, five_node_net, bad, at, with_inf):
+        # Tables of plain non-negative ints skip the per-cell parse; any other
+        # cell, with or without an "inf" beside it, is named exactly.
+        doc = self.base(five_node_net)
+        ranks = doc["tables"]["D"]["ranks"]
+        if with_inf:
+            ranks[(at - 1) % len(ranks)] = "inf"
+        ranks[at] = bad
+        with pytest.raises(DocumentError) as caught:
+            parse_network(json.dumps(doc))
+        assert str(caught.value) == (
+            f'tables.D.ranks[{at}]: expected a non-negative integer or "inf", got {bad!r}'
+        )
+
+    def test_a_table_of_booleans_is_refused(self, five_node_net):
+        doc = self.base(five_node_net)
+        doc["tables"]["D"]["ranks"] = [True, False] * 4
+        with pytest.raises(DocumentError, match=r"^tables\.D\.ranks\[0\]: .* got True$"):
             parse_network(json.dumps(doc))
 
     def test_table_without_a_zero_names_the_node(self, five_node_net):

@@ -1,9 +1,11 @@
 import copy
+import math
 import pickle
 import random
 
 import pytest
 
+import spohn.network
 from spohn import (
     INF,
     OCF,
@@ -256,6 +258,44 @@ def test_generated_networks_validate():
     for _ in range(25):
         net = random_instance(rng, rng.randint(2, 7), p_inf=0.15)
         assert net.validate().ok
+
+
+def test_the_gate_shares_digit_maps_by_shape(monkeypatch):
+    # A variable's digit map in a table depends only on the table's size,
+    # the variable's stride and its cardinality, so a cold gate builds one
+    # map per such shape, and a parent's own marginal once for all children.
+    rng = random.Random(24)
+    net = random_instance(rng, 80, max_domain=3, p_detach=0.0)
+    edges = net.diagram.edges
+    shapes = {}
+    for a, b in edges:
+        for node in (a, b):
+            space = net.tables[node].space
+            cards = [len(v.domain) for v in space.variables]
+            p = space.names.index(a)
+            key = (math.prod(cards), math.prod(cards[p + 1 :]), cards[p])
+            shapes[key] = [(i // key[1]) % key[2] for i in range(key[0])]
+    assert len({c for _, _, c in shapes}) == 2 and len(shapes) < len(edges)
+    calls = {"projection": 0, "_least_ranks": 0}
+    real_projection, real_least = StateSpace.projection, spohn.network._least_ranks
+
+    def projection(self, names):
+        calls["projection"] += 1
+        return real_projection(self, names)
+
+    def least(*args):
+        calls["_least_ranks"] += 1
+        return real_least(*args)
+
+    monkeypatch.setattr(StateSpace, "projection", projection)
+    monkeypatch.setattr(spohn.network, "_least_ranks", least)
+    report, links = net._check()
+    assert report.ok
+    assert calls["projection"] <= len(shapes)
+    assert calls["_least_ranks"] == len(edges) + len({a for a, _ in edges})
+    maps = {id(link[2]): link[2] for node_links in links.values() for link in node_links}
+    assert len(maps) == len(shapes)
+    assert sorted(maps.values()) == sorted(shapes.values())
 
 
 def test_joint_handles_infinite_cells():

@@ -400,6 +400,22 @@ class TestMarginalize:
                 with pytest.raises(UnknownVariable, match=f"^unknown variable '{asked[0]}'$"):
                     table.space.projection(list(names))
 
+    def test_a_bare_string_is_not_a_collection_of_names(self, prior):
+        # "AB" would split into A and B, a different marginal than the
+        # variable AB, and "species" into letters that are no variables.
+        a, b, ab = (Variable(n, ("x", "y")) for n in ("A", "B", "AB"))
+        kappa = OCF(StateSpace((a, b, ab)), (0, 1, 2, 3, 1, 2, 3, 4))
+        for call in (
+            lambda: kappa.marginalize("AB"),
+            lambda: kappa.space.projection("AB"),
+            lambda: kappa.space.subspace("AB"),
+            lambda: kappa.is_independent("A", "B", given="AB"),
+            lambda: prior.marginalize("species"),
+        ):
+            with pytest.raises(ValueError, match="not a string: '(AB|species)'"):
+                call()
+        assert kappa.marginalize(("AB",)).space.names == ("AB",)
+
     def test_least_ranks_is_the_min_over_matching_states(self):
         # Brute force from the definition: for each reduced state, the least
         # rank among the full states that restrict to it. Ranks are signed,

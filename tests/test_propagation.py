@@ -275,15 +275,8 @@ class TestCertainMulti:
     def test_diagram_queries_stay_local(self, monkeypatch):
         # Per-node work must not scan the whole diagram: the engine reads no
         # incident_edges, and families are looked up a bounded number of
-        # times per node.
-        n = 200
-        variables = tuple(Variable(f"V{i}", ("x", "y")) for i in range(n))
-        chain = InfluenceDiagram(variables, tuple((f"V{i}", f"V{i + 1}") for i in range(n - 1)))
-        net = random_network(random.Random(44), chain)
-        evidence = [
-            EvidenceSpec("V0", values=("x",), strength=INF),
-            EvidenceSpec(f"V{n - 1}", values=("y",), strength=INF),
-        ]
+        # times per node, on a call whose messages reach every node.
+        net, evidence = _copying_chain(200)
         calls = {"incident_edges": 0, "family_variables": 0}
         for name in calls:
             real = getattr(InfluenceDiagram, name)
@@ -293,21 +286,24 @@ class TestCertainMulti:
                 return _real(self, *args)
 
             monkeypatch.setattr(InfluenceDiagram, name, counted)
-        propagate_certain_multi(net, evidence, Schedule.fifo())
+        trace = []
+        propagate_certain_multi(net, evidence, Schedule.fifo(), trace)
+        assert {entry.edge[1] for entry in trace} == set(net.diagram.names)
         assert calls["incident_edges"] == 0
-        assert calls["family_variables"] <= 2 * n
+        assert calls["family_variables"] <= 2 * len(net.diagram.names)
 
     def test_each_edge_marginal_is_read_once(self, monkeypatch):
         # The engine makes no validate() call of its own: its gate reads each
         # edge's two tables once per network, so a call projects at most each
         # edge's two tables once, plus the observed table twice (its prior
-        # marginal and the injection).
-        n = 200
-        variables = tuple(Variable(f"V{i}", ("x", "y")) for i in range(n))
-        chain = InfluenceDiagram(variables, tuple((f"V{i}", f"V{i + 1}") for i in range(n - 1)))
-        net = random_network(random.Random(45), chain)
-        evidence = [EvidenceSpec(f"V{n // 2}", values=("y",), strength=INF)]
-        expected = propagate_certain_multi(net, evidence, Schedule.fifo())
+        # marginal and the injection). The one observation in the middle
+        # reaches every node.
+        net, _ = _copying_chain(200)
+        evidence = [EvidenceSpec("V100", values=("y",), strength=INF)]
+        trace = []
+        expected = propagate_certain_multi(net, evidence, Schedule.fifo(), trace)
+        assert {entry.edge[1] for entry in trace} == set(net.diagram.names)
+        net = SpohnianNetwork(net.diagram, dict(net.tables))
         calls = {"validate": 0, "projection": 0}
         for name, owner in (("validate", SpohnianNetwork), ("projection", StateSpace)):
             real = getattr(owner, name)
@@ -319,25 +315,15 @@ class TestCertainMulti:
             monkeypatch.setattr(owner, name, counted)
         assert propagate_certain_multi(net, evidence, Schedule.fifo()) == expected
         assert calls["validate"] == 0
-        assert calls["projection"] <= 2 * len(chain.edges) + 2
+        assert calls["projection"] <= 2 * len(net.diagram.edges) + 2
 
     def test_each_edge_keeps_one_snapshot(self, monkeypatch):
         # Both ends of an edge share one snapshot of its marginal, so a call
         # takes each edge's starting snapshot once, from whichever end it
-        # reaches first, plus one marginal per send. Each node copies its
-        # parent's value at rank 1 per flip, so surprising observations at
-        # both ends send a message each way along every edge.
-        n = 200
-        variables = tuple(Variable(f"V{i}", ("x", "y")) for i in range(n))
-        chain = InfluenceDiagram(variables, tuple((f"V{i}", f"V{i + 1}") for i in range(n - 1)))
-        tables = {"V0": OCF(StateSpace(variables[:1]), (0, 1))}
-        for i in range(1, n):
-            tables[f"V{i}"] = OCF(StateSpace(variables[i - 1 : i + 1]), (0, 1, 2, 1))
-        net = SpohnianNetwork(chain, tables)
-        evidence = [
-            EvidenceSpec("V0", values=("y",), strength=INF),
-            EvidenceSpec(f"V{n - 1}", values=("x",), strength=INF),
-        ]
+        # reaches first, plus one marginal per send. Surprising observations
+        # at both ends of a copying chain send a message each way along
+        # every edge.
+        net, evidence = _copying_chain(200)
         calls = 0
         real = spohn.propagation._least_ranks
 
@@ -349,8 +335,8 @@ class TestCertainMulti:
         monkeypatch.setattr(spohn.propagation, "_least_ranks", counted)
         trace = []
         propagate(net, evidence, Schedule.fifo(), trace)
-        assert len(trace) == len(evidence) + 2 * len(chain.edges)
-        assert calls <= len(chain.edges) + len(trace)
+        assert len(trace) == len(evidence) + 2 * len(net.diagram.edges)
+        assert calls <= len(net.diagram.edges) + len(trace)
 
     def test_repeated_variable_evidence_is_a_conjunction(self, five_node_net):
         evidence = [
@@ -646,6 +632,22 @@ def _independent_chain(n):
         # parent marginal (0, 2) plus the child's row (0, 2)
         tables[f"V{i}"] = OCF(StateSpace(variables[i - 1 : i + 1]), (0, 2, 2, 4))
     return SpohnianNetwork(chain, tables)
+
+
+def _copying_chain(n):
+    """A binary chain V0 -> ... -> V{n-1} in which each node copies its
+    parent's value at rank 1 per flip, with certain observations against
+    the prior at both ends: every table changes, whatever is observed."""
+    variables = tuple(Variable(f"V{i}", ("x", "y")) for i in range(n))
+    chain = InfluenceDiagram(variables, tuple((f"V{i}", f"V{i + 1}") for i in range(n - 1)))
+    tables = {"V0": OCF(StateSpace(variables[:1]), (0, 1))}
+    for i in range(1, n):
+        tables[f"V{i}"] = OCF(StateSpace(variables[i - 1 : i + 1]), (0, 1, 2, 1))
+    evidence = [
+        EvidenceSpec("V0", values=("y",), strength=INF),
+        EvidenceSpec(f"V{n - 1}", values=("x",), strength=INF),
+    ]
+    return SpohnianNetwork(chain, tables), evidence
 
 
 def _counting(monkeypatch, owner, name, calls):
