@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .diagram import InfluenceDiagram, ValidationReport
 from .errors import InconsistentTables, SpaceMismatch
@@ -65,26 +65,25 @@ class SpohnianNetwork:
 
         A root's table is its marginal and is returned as is. Any other
         node's marginal is one least-rank pass over its table, on the
-        diagram's one-variable space for the node, which every read of the
-        node (on this network or on an engine result sharing its diagram)
-        reuses. Equal to table.marginalize((name,)), and on a valid network
-        to joint().marginalize((name,)); an unknown name raises
+        diagram's one-variable space for the node, kept on the immutable
+        table; engine results share every table their messages did not
+        reach, so they inherit it. The memo is used only on this diagram's
+        space, so a table shared with another diagram never returns that
+        one's marginal. Equal to table.marginalize((name,)), and on a valid
+        network to joint().marginalize((name,)); an unknown name raises
         UnknownVariable.
         """
         space = self.diagram._unit_space(name)
         table = self.tables[name]
         if len(table.space.variables) == 1:
             return table
-        return OCF(space, tuple(self._marginal_ranks(name)))
-
-    def _marginal_ranks(self, name: str) -> Sequence[Rank]:
-        """marginal(name).ranks without building an OCF, for the message
-        engine's first messages. The name must be known."""
-        table = self.tables[name]
-        if len(table.space.variables) == 1:
-            return table.ranks
-        card = self.diagram._unit_space(name).size
-        return _least_ranks(table.ranks, table.space.projection((name,)), card)
+        marg = table._marginal
+        if marg is None or marg.space is not space:
+            ranks = _least_ranks(table.ranks, table.space.projection((name,)), space.size)
+            # Valid: the least ranks of a valid table, so one of them is 0.
+            marg = OCF._trusted(space, tuple(ranks))
+            object.__setattr__(table, "_marginal", marg)
+        return marg
 
     def joint(self) -> OCF:
         """Assemble the full ranking: family tables minus shared marginals.
@@ -100,8 +99,7 @@ class SpohnianNetwork:
             cells = table.ranks
             shared = len(self.diagram.children(node))
             if shared:
-                own = table.space.projection((node,))
-                marg = _least_ranks(cells, own, len(self.diagram.variable(node).domain))
+                own, marg = table.space.projection((node,)), self.marginal(node).ranks
                 cells = [t if t is INF else t - shared * marg[x] for t, x in zip(cells, own)]
             proj = full.projection(table.space.names)
             total = [t + cells[j] for t, j in zip(total, proj)]

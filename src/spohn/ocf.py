@@ -339,12 +339,21 @@ class OCF:
         if not has_zero:
             raise ValueError("no state has rank 0")
 
+    # SpohnianNetwork.marginal's memo, set on a table's instance on first read.
+    _marginal = None
+
+    def __reduce__(self):
+        # Rebuild through the constructor, so the memo is neither pickled nor copied.
+        return type(self), (self.space, self.ranks)
+
     @classmethod
     def _trusted(cls, space: StateSpace, ranks: tuple[Rank, ...]) -> OCF:
         """An OCF without __post_init__'s checks, for a caller that has made
-        them: ranks is a tuple of space.size ranks, one of them 0."""
+        them: ranks is a tuple of space.size ranks, one of them 0. Setting
+        the fields one by one keeps the instance's compact layout."""
         out = object.__new__(cls)
-        out.__dict__.update(space=space, ranks=ranks)
+        object.__setattr__(out, "space", space)
+        object.__setattr__(out, "ranks", ranks)
         return out
 
     def rank_of(self, prop: Proposition) -> Rank:
@@ -413,7 +422,11 @@ class OCF:
         else:
             shift = strength - k_out
             out = (r - k_in if bit == "1" else r + shift for r, bit in zip(self.ranks, bits))
-        return OCF(self.space, tuple(out))
+        if type(strength) is not int and strength is not INF:
+            return OCF(self.space, tuple(out))  # no rank: the checks name the bad cell
+        # Valid: k_in, the least rank in prop, is subtracted there, and outside
+        # it the least rank k_out becomes strength >= 0 (or stays INF).
+        return OCF._trusted(self.space, tuple(out))
 
     def revise_certain(self, prop: Proposition) -> OCF:
         """Learn prop with certainty: revise(prop, INF)."""
@@ -442,7 +455,8 @@ class OCF:
             return self
         sub = self.space.subspace(keep)
         ranks = _least_ranks(self.ranks, self.space.projection(keep), sub.size)
-        return OCF(sub, tuple(ranks))
+        # Valid: each reduced state keeps the least of its cells, so the 0 survives.
+        return OCF._trusted(sub, tuple(ranks))
 
     def is_independent(self, x: str, y: str, given: Iterable[str] = ()) -> bool:
         """Variable-level conditional independence of x and y given a set.

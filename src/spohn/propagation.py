@@ -337,7 +337,8 @@ def _run(
     dead: dict[str, AllInfinite] = {}
     for node, work in vec.items():
         try:
-            new_tables[node] = OCF(tables[node].space, s_normalize(work))
+            # Valid: s_normalize leaves a 0 and no negative rank, cell for cell.
+            new_tables[node] = OCF._trusted(tables[node].space, s_normalize(work))
         except AllInfinite as exc:
             dead[node] = exc
     if dead:
@@ -357,7 +358,7 @@ def _first_message(net: SpohnianNetwork, ev: EvidenceSpec) -> tuple[Rank, ...]:
             raise SpaceMismatch(
                 f"target for {variable} needs {len(domain)} ranks, got {len(ev.target)}"
             )
-        current = net._marginal_ranks(variable)
+        current = net.marginal(variable).ranks
         if any(t is not INF and c is INF for t, c in zip(ev.target, current)):
             raise ImpossibleEvidence(
                 f"target gives finite rank to an impossible value of {variable}"
@@ -373,7 +374,7 @@ def _first_message(net: SpohnianNetwork, ev: EvidenceSpec) -> tuple[Rank, ...]:
             raise ImpossibleEvidence("certainly disbelieving the full domain is contradictory")
         strength = INF
     if strength is INF:
-        prior = net._marginal_ranks(variable)
+        prior = net.marginal(variable).ranks
         if all(r is INF for v, r in zip(domain, prior) if v in values):
             raise ImpossibleEvidence(
                 f"evidence on {variable} is already ruled out by the network"
@@ -475,7 +476,7 @@ def augment_with_dummy(
             f"target for {variable} must be a single-variable ranking over it, "
             f"got one over {target.space.names}"
         )
-    current = net._marginal_ranks(variable)
+    current = net.marginal(variable).ranks
     offset = 0
     for j, t in enumerate(target.ranks):
         if t is INF:

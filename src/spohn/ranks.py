@@ -144,10 +144,15 @@ def s_normalize(entries: Iterable[Rank]) -> tuple[Rank, ...]:
 
     Infinite entries stay infinite. Raises AllInfinite when nothing is
     finite, which is how contradictory certain evidence announces itself.
+    A vector whose least finite entry is already 0 is returned as is.
     """
     values = tuple(entries)
-    finite = [v for v in values if not isinstance(v, _Infinity)]
-    if not finite:
+    low = INF
+    for v in values:
+        if v is not INF and (low is INF or v < low):
+            low = v
+    if low is INF:
         raise AllInfinite("no finite entry to normalize against")
-    low = min(finite)
-    return tuple(v if isinstance(v, _Infinity) else v - low for v in values)
+    if low == 0:
+        return values
+    return tuple(v if v is INF else v - low for v in values)

@@ -74,6 +74,28 @@ def test_marginal_is_the_table_and_joint_projection():
                 assert marg == table.marginalize((name,)) == joint.marginalize((name,))
 
 
+def test_a_table_shared_by_two_diagrams_reads_its_own_marginal_in_each():
+    # One OCF over (A, B) is B's table under A -> B and A's table under
+    # B -> A; the marginal memo on it must never answer for the other node.
+    a, b = Variable("A", ("a0", "a1")), Variable("B", ("b0", "b1", "b2"))
+    pair = OCF(StateSpace((a, b)), (0, 3, 1, 2, INF, 4))
+    a_to_b = SpohnianNetwork(
+        InfluenceDiagram((a, b), (("A", "B"),)), {"A": pair.marginalize(("A",)), "B": pair}
+    )
+    b_to_a = SpohnianNetwork(
+        InfluenceDiagram((a, b), (("B", "A"),)), {"A": pair, "B": pair.marginalize(("B",))}
+    )
+    again = SpohnianNetwork(InfluenceDiagram((a, b), (("A", "B"),)), dict(a_to_b.tables))
+    reads = [(a_to_b, "B"), (b_to_a, "A"), (a_to_b, "B"), (again, "B"), (b_to_a, "A")]
+    for net, name in reads:
+        marg = net.marginal(name)
+        assert marg == pair.marginalize((name,)) == net.joint().marginalize((name,))
+        assert marg.space is net.diagram._unit_space(name)
+        assert net.marginal(name) is marg
+    assert a_to_b.marginal("B").ranks == (0, 3, 1)
+    assert b_to_a.marginal("A").ranks == (0, 2)
+
+
 class TestReadOnlyTables:
     def test_assignment_raises(self, five_node_net):
         with pytest.raises(TypeError):
@@ -119,6 +141,14 @@ class TestReadOnlyTables:
             for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
                 assert type(twin) is type(obj)
                 assert twin == obj
+        # OCFs pickle through their constructor too, so a table keeps its
+        # marginal's memo out of the bytes and out of its twins.
+        read = net.tables[name]
+        assert read._marginal is net.marginal(name)
+        assert len(pickle.dumps(read)) == len(pickle.dumps(OCF(read.space, read.ranks)))
+        for twin in (pickle.loads(pickle.dumps(read)), copy.deepcopy(read), copy.copy(read)):
+            assert twin == read
+            assert twin._marginal is None
 
     def test_tables_still_compare_equal_to_a_dict(self, penguin_net):
         assert penguin_net.tables == dict(penguin_net.tables)

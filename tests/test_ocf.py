@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -472,3 +473,49 @@ def test_ocf_constructor_rejects_bad_tables(penguin_space):
         OCF(penguin_space, (0, 1, 2, 3, 4, -1))  # negative
     with pytest.raises(ValueError):
         OCF(penguin_space, (0, 1, 2, 3, 4, 1.5))  # float
+    with pytest.raises(ValueError, match="invalid rank"):
+        OCF(penguin_space, (0, 1, 2, 3, 4, True))  # bool
+
+
+def test_revise_and_marginalize_outputs_pass_the_public_checks():
+    # Both build their outputs unchecked; the constructor must accept each.
+    rng = random.Random(83)
+    for _ in range(300):
+        space = StateSpace(
+            tuple(Variable(f"X{i}", ("a", "b", "c")[: rng.randint(2, 3)]) for i in range(rng.randint(1, 3)))
+        )
+        kappa = random_ocf(rng, space, p_inf=0.2)
+        mask = rng.randrange(1, (1 << space.size) - 1)
+        prop = Proposition(space, mask)
+        strength = rng.choice([INF, NEG_INF, 0, rng.randint(-5, 5)])
+        try:
+            posterior = kappa.revise(prop, strength)
+        except ImpossibleEvidence:
+            posterior = kappa
+        keep = rng.sample(space.names, rng.randint(1, len(space.names)))
+        for out in (posterior, kappa.marginalize(keep), posterior.marginalize(keep)):
+            assert OCF(out.space, out.ranks) == out
+
+
+def test_revise_still_refuses_a_strength_that_is_not_a_rank(prior, penguin_space):
+    with pytest.raises(ValueError, match="invalid rank"):
+        prior.revise(flys(penguin_space), 1.5)
+
+
+def test_a_trusted_build_takes_no_more_memory_than_a_public_one(penguin_space):
+    ranks = (0, 1, 2, 3, 4, INF)
+
+    def allocated(build):
+        # The least of three counts, so a one-off allocation is not counted.
+        sizes = []
+        for _ in range(3):
+            tracemalloc.start()
+            try:
+                kept = [build(penguin_space, ranks) for _ in range(1000)]
+                sizes.append(tracemalloc.get_traced_memory()[0])
+            finally:
+                tracemalloc.stop()
+            assert all(k == kept[0] for k in kept)
+        return min(sizes)
+
+    assert allocated(OCF._trusted) <= allocated(OCF)

@@ -688,7 +688,8 @@ class TestWarmCalls:
         # Reads share the diagram's one-variable spaces, and engine results
         # share the diagram: once every node has been read, reading all
         # marginals of the network or of a result builds no StateSpace and
-        # one OCF per non-root node.
+        # checks no OCF: a read table keeps its marginal, and a touched
+        # table's marginal is built unchecked.
         n = 2000
         net = _independent_chain(n)
         out = propagate_certain_multi(net, [EvidenceSpec("V1000", values=("x",))])
@@ -700,10 +701,52 @@ class TestWarmCalls:
             again = [m.marginal(name) for name in m.diagram.names]
             monkeypatch.undo()
             assert spaces["__post_init__"] == 0
-            assert ocfs["__post_init__"] == n - 1
+            assert ocfs["__post_init__"] == 0
         assert again[0] is out.tables["V0"]
         assert all(a.space is f.space for a, f in zip(again, first))
         assert again[1000].ranks == (0, INF)
+
+    def test_results_inherit_the_marginals_read_on_their_input(self):
+        # The memo lives on the table, and a result shares every table its
+        # messages did not reach, so reading such a node on the result
+        # returns the input's read itself; a touched node's read is its
+        # new table's projection.
+        net = _independent_chain(300)
+        first = {name: net.marginal(name) for name in net.diagram.names}
+        trace = []
+        out = propagate_certain_multi(net, [EvidenceSpec("V150", values=("x",))], trace=trace)
+        touched = {t.edge[1] for t in trace}
+        assert touched == {"V150", "V151"}
+        for name in net.diagram.names:
+            if name in touched:
+                assert out.marginal(name) == out.tables[name].marginalize((name,))
+                assert out.marginal(name) is not first[name]
+            else:
+                assert out.marginal(name) is first[name]
+        assert out.marginal("V150").ranks == (0, INF)
+
+    def test_reads_on_results_are_their_table_and_joint_projection(self):
+        # Read every marginal before and after each call, so results start
+        # with the memos their input's reads left on shared tables.
+        rng = random.Random(69)
+        for _ in range(40):
+            net = random_instance(rng, rng.randint(2, 6), p_inf=0.1)
+            before = {name: net.marginal(name) for name in net.diagram.names}
+            evidence = random_mixed_evidence(rng, net, rng.randint(1, 3))
+            schedule = rng.choice([Schedule.fifo(), Schedule.seeded(rng.randrange(99))])
+            trace = []
+            try:
+                out = propagate(net, evidence, schedule, trace)
+            except (ImpossibleEvidence, ContradictoryEvidence):
+                continue
+            touched = {t.edge[1] for t in trace}
+            joint = out.joint()
+            for name in out.diagram.names:
+                marg = out.marginal(name)
+                assert marg == out.tables[name].marginalize((name,))
+                assert marg == joint.marginalize((name,))
+                if name not in touched:
+                    assert marg is before[name]
 
     def test_the_rooting_is_made_once_for_calls_with_several_observations(self):
         # A single observation roots its own wave; several share the

@@ -99,6 +99,33 @@ def test_s_normalize_zeroes_the_finite_floor(entries):
     assert [v is INF for v in out] == [v is INF for v in entries]
 
 
+def _s_normalize_by_definition(entries):
+    """The two-pass definition s_normalize replaced: shift by the least finite entry."""
+    values = tuple(entries)
+    finite = [v for v in values if v is not INF]
+    if not finite:
+        raise AllInfinite("no finite entry to normalize against")
+    low = min(finite)
+    return tuple(v if v is INF else v - low for v in values)
+
+
+@given(st.lists(st.one_of(st.integers(-50, 50), st.just(INF)), max_size=12))
+def test_s_normalize_matches_its_definition(entries):
+    # INF cells, negative entries, all-INF and empty vectors; a vector
+    # already at 0 comes back unshifted.
+    try:
+        expected = _s_normalize_by_definition(entries)
+    except AllInfinite as exc:
+        with pytest.raises(AllInfinite) as err:
+            s_normalize(entries)
+        assert str(err.value) == str(exc)
+        return
+    out = s_normalize(iter(entries))
+    assert type(out) is tuple
+    assert out == expected
+    assert [v is INF for v in out] == [v is INF for v in expected]
+
+
 def test_is_rank_accepts_only_nonnegative_ints_and_inf():
     assert is_rank(0) and is_rank(7) and is_rank(INF)
     assert not is_rank(-1)
