@@ -44,6 +44,8 @@ def _read(path: str, what: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DocumentError(f"cannot read {what} {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"cannot read {what} {path!r}: not UTF-8") from exc
 
 
 def _parse_prop(text: str) -> tuple[str, tuple[str, ...]]:

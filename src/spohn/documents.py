@@ -41,6 +41,8 @@ def _load_json(text: str, what: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{what} is not valid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+    except RecursionError as exc:
+        raise DocumentError(f"{what} is nested too deeply") from exc
 
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:

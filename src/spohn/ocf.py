@@ -233,6 +233,8 @@ class Proposition:
             return cls.full(space)
         inside = [True] * space.size
         for name, values in constraints.items():
+            if isinstance(values, str):
+                raise ValueError(f"values of {name} must be a collection, not a string: {values!r}")
             digits = {space.value_digit(name, v) for v in values}
             proj = space.projection((name,))
             inside = [keep and d in digits for keep, d in zip(inside, proj)]

@@ -37,9 +37,9 @@ only, never a scan of the diagram. A family's working vector is made
 when it first receives a message, from its own table, and only those
 families are s-normalized and rebuilt; every other output table is the
 input's own OCF. Both ends of an edge share one snapshot, keyed by the
-edge tuple: the shared marginal as last sent, first taken from whichever
-end is touched first. It is both ends' view: valid tables agree on the
-starting marginal, and delivery is synchronous, so a message moves the
+edge tuple: the shared marginal as last sent, and before the first send
+the input's, read through marginal() and inherited with untouched tables.
+Valid tables agree on it and delivery is synchronous, so a message moves the
 receiver's marginal by exactly the sender's change, INF entries included.
 
 Pending work is a set of dirty marks, not of messages: a delivery marks
@@ -198,9 +198,9 @@ def _run(
 ) -> SpohnianNetwork:
     """Deliver each (variable, deltas) injection and every message it sets off.
 
-    A family's first delivery copies its table into a working vector and
-    snapshots, from that table, each incident edge not yet snapshotted
-    from its other end (module docstring). Every delivery adds the
+    A family's first delivery copies its table into a working vector; an
+    edge's snapshot starts as the input's marginal of the shared variable,
+    read through marginal() (module docstring). Every delivery adds the
     message's per-value deltas into the working vector and marks the
     node's other edges dirty: its edge toward the root (an up mark) and
     its edges away from it (one down mark). Popping a mark sends, on each
@@ -208,7 +208,7 @@ def _run(
     snapshot, if there is one, and makes that marginal the snapshot, so
     nothing a neighbor said is echoed back at it; pending changes on an
     edge coalesce into that one message. Each distinct shared variable's
-    marginal is computed once per first delivery and once per pop.
+    marginal is computed once per pop.
 
     Under FIFO the injections go first, in order; then marks pop from one
     bucket store, up marks deepest sender first and down marks shallowest
@@ -239,18 +239,7 @@ def _run(
         node_links = links[node]
         work = vec.get(node)
         if work is None:
-            ranks = tables[node].ranks
-            work = vec[node] = list(ranks)
-            own = None  # the node's own marginal, shared by its edges to children
-            for _, shared, digit_s, card, _, edge in node_links:
-                if edge in snap:
-                    continue
-                if shared != node:
-                    snap[edge] = _least_ranks(ranks, digit_s, card)
-                elif own is None:
-                    snap[edge] = own = _least_ranks(ranks, digit_s, card)
-                else:
-                    snap[edge] = own
+            work = vec[node] = list(tables[node].ranks)
         if arrival >= 0:
             _add_deltas(work, deltas, node_links[arrival][2])
         else:
@@ -284,7 +273,11 @@ def _run(
                 marginal = own = _least_ranks(work, digit_s, card)
             else:
                 marginal = own
-            change = tuple(map(rank_delta, marginal, snap[edge]))
+            last = snap.get(edge)
+            if last is None:
+                # Valid tables agree with the shared node's own marginal.
+                last = net.marginal(shared).ranks
+            change = tuple(map(rank_delta, marginal, last))
             if any(change):
                 snap[edge] = marginal
                 deliver(node, receiver, back, shared, change)

@@ -87,6 +87,20 @@ class TestValidate:
         assert code == 1
         assert "cannot read" in err
 
+    def test_a_file_that_is_not_utf8_is_a_clean_error(self, capsys, tmp_path):
+        path = tmp_path / "ff.json"
+        path.write_bytes(b"\xff")
+        code, _, err = run(capsys, "validate", str(path))
+        assert (code, err) == (1, f"error: cannot read network file {str(path)!r}: not UTF-8\n")
+        code, _, err = run(capsys, "propagate", FIVE, str(path), "--mode", "certain")
+        assert (code, err) == (1, f"error: cannot read evidence file {str(path)!r}: not UTF-8\n")
+
+    def test_deeply_nested_json_is_a_clean_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        code, _, err = run(capsys, "validate", str(path))
+        assert (code, err) == (1, "error: network document is nested too deeply\n")
+
 
 class TestQuery:
     def test_marginal_of_the_shipped_example(self, capsys):

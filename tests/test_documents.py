@@ -197,6 +197,13 @@ class TestNetworkParseErrors:
         with pytest.raises(DocumentError, match=r"not valid JSON.*line 1"):
             parse_network("{")
 
+    def test_deeply_nested_json_is_a_document_error(self, penguin_net):
+        deep = "[" * 100000
+        with pytest.raises(DocumentError, match="network document is nested too deeply"):
+            parse_network(deep)
+        with pytest.raises(DocumentError, match="evidence document is nested too deeply"):
+            parse_evidence(deep, penguin_net)
+
     def test_top_level_must_be_object(self):
         with pytest.raises(DocumentError, match="JSON object"):
             parse_network("[]")

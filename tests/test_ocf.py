@@ -105,6 +105,14 @@ class TestProposition:
         with pytest.raises(Exception):
             Proposition.constrain(penguin_space, {"species": ("DOG",)})
 
+    def test_constrain_refuses_a_bare_string(self):
+        # "yn" would split into the values y and n, the full proposition.
+        a = Variable("A", ("y", "n"))
+        space = StateSpace((a,))
+        with pytest.raises(ValueError, match="not a string: 'yn'"):
+            Proposition.constrain(space, {"A": "yn"})
+        assert Proposition.constrain(space, {"A": ("y",)}).mask == 1
+
     def test_mixed_space_operations_raise(self, penguin_space):
         other = StateSpace((SPECIES,))
         with pytest.raises(SpaceMismatch):

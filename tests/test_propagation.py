@@ -39,6 +39,8 @@ from spohn.errors import (
     UnknownVariable,
 )
 
+import spohn.network
+import spohn.ocf
 import spohn.propagation
 from spohn.oracle import ORACLE_STATE_LIMIT
 
@@ -318,14 +320,16 @@ class TestCertainMulti:
         assert calls["projection"] <= 2 * len(net.diagram.edges) + 2
 
     def test_each_edge_keeps_one_snapshot(self, monkeypatch):
-        # Both ends of an edge share one snapshot of its marginal, so a call
-        # takes each edge's starting snapshot once, from whichever end it
-        # reaches first, plus one marginal per send. Surprising observations
-        # at both ends of a copying chain send a message each way along
-        # every edge.
+        # Both ends of an edge share one snapshot of its marginal, which
+        # starts as the shared variable's marginal read through marginal():
+        # a call reads each edge's starting marginal at most once, plus one
+        # marginal per send. Surprising observations at both ends of a
+        # copying chain send a message each way along every edge. The gate
+        # is computed first, so its validation passes are not counted.
         net, evidence = _copying_chain(200)
+        net._gate
         calls = 0
-        real = spohn.propagation._least_ranks
+        real = spohn.ocf._least_ranks
 
         def counted(*args):
             nonlocal calls
@@ -333,6 +337,7 @@ class TestCertainMulti:
             return real(*args)
 
         monkeypatch.setattr(spohn.propagation, "_least_ranks", counted)
+        monkeypatch.setattr(spohn.network, "_least_ranks", counted)
         trace = []
         propagate(net, evidence, Schedule.fifo(), trace)
         assert len(trace) == len(evidence) + 2 * len(net.diagram.edges)
@@ -705,6 +710,28 @@ class TestWarmCalls:
         assert again[0] is out.tables["V0"]
         assert all(a.space is f.space for a, f in zip(again, first))
         assert again[1000].ranks == (0, INF)
+
+    def test_a_call_on_read_marginals_passes_over_no_input_table(self, monkeypatch):
+        # Every edge's starting snapshot is the marginal already kept on the
+        # input table, so every least-rank pass the call makes is over a
+        # working vector (a list), never over an input table (a tuple).
+        net, evidence = _copying_chain(200)
+        for name in net.diagram.names:
+            net.marginal(name)
+        net._gate
+        passed_over = []
+        real = spohn.ocf._least_ranks
+
+        def counted(ranks, *args):
+            passed_over.append(type(ranks))
+            return real(ranks, *args)
+
+        monkeypatch.setattr(spohn.propagation, "_least_ranks", counted)
+        monkeypatch.setattr(spohn.network, "_least_ranks", counted)
+        trace = []
+        propagate(net, evidence, Schedule.fifo(), trace)
+        assert len(trace) == len(evidence) + 2 * len(net.diagram.edges)
+        assert passed_over and set(passed_over) == {list}
 
     def test_results_inherit_the_marginals_read_on_their_input(self):
         # The memo lives on the table, and a result shares every table its
