@@ -34,7 +34,7 @@ from .errors import (
 from .network import SpohnianNetwork
 from .ocf import OCF, Proposition, StateSpace
 from .oracle import compare as oracle_compare
-from .oracle import ensure_tractable, oracle_impose, oracle_revise
+from .oracle import _ensure_tractable_over, oracle_impose, oracle_revise
 from .propagation import EvidenceSpec, Schedule, TraceEntry, propagate
 from .ranks import INF
 
@@ -110,7 +110,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         print(" ".join(f"{v}:{r}" for v, r in zip(domain, marg.ranks)))
         return 0
     if args.joint:
-        ensure_tractable(net.diagram.space)
+        _ensure_tractable_over(net.diagram.variables)
         joint = net.joint()
         for i, r in enumerate(joint.ranks):
             print(f"{','.join(joint.space.state_at(i))}:{r}")
@@ -156,7 +156,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     uncertain = args.mode == "uncertain"
     # Refuse before running anything: in uncertain mode the oracle's joint
     # carries one binary dummy per target.
-    ensure_tractable(net.diagram.space, len(evidence) if uncertain else 0)
+    _ensure_tractable_over(net.diagram.variables, len(evidence) if uncertain else 0)
     engine = propagate(net, evidence, _schedule(args))
     if uncertain:
         oracle_joint = oracle_impose(net, _targets(net, evidence))

@@ -83,11 +83,18 @@ class InfluenceDiagram:
         return tuple(v.name for v in self.variables)
 
     @cached_property
+    def _position(self) -> dict[str, int]:
+        """Declaration index per name. The joint space has the same map, but
+        building that space lays out its strides, O(n^2) bits over n
+        variables, so lookups do not go through it."""
+        return {v.name: i for i, v in enumerate(self.variables)}
+
+    @cached_property
     def _parents(self) -> dict[str, tuple[str, ...]]:
         out: dict[str, list[str]] = {n: [] for n in self.names}
         for a, b in self.edges:
             out[b].append(a)
-        order = self.space._position
+        order = self._position
         return {n: tuple(sorted(ps, key=order.__getitem__)) for n, ps in out.items()}
 
     @cached_property
@@ -95,7 +102,7 @@ class InfluenceDiagram:
         out: dict[str, list[str]] = {n: [] for n in self.names}
         for a, b in self.edges:
             out[a].append(b)
-        order = self.space._position
+        order = self._position
         return {n: tuple(sorted(cs, key=order.__getitem__)) for n, cs in out.items()}
 
     @cached_property
@@ -108,7 +115,7 @@ class InfluenceDiagram:
         for a, b in self.edges:
             out[a].append(b)
             out[b].append(a)
-        order = self.space._position
+        order = self._position
         return {n: tuple(sorted(set(ns), key=order.__getitem__)) for n, ns in out.items()}
 
     @cached_property
@@ -119,8 +126,7 @@ class InfluenceDiagram:
     def _families(self) -> dict[str, tuple[tuple[str, ...], tuple[Variable, ...]]]:
         """Per node, its family's names and variables in declaration order:
         derived once for family_variables, the parser and the constructor."""
-        variables = self.variables
-        position = {v.name: i for i, v in enumerate(variables)}
+        variables, position = self.variables, self._position
         members = [{i} for i in range(len(variables))]
         for a, b in self.edges:
             members[position[b]].add(position[a])
@@ -128,7 +134,10 @@ class InfluenceDiagram:
         return {v.name: (tuple([u.name for u in f]), f) for v, f in zip(variables, families)}
 
     def variable(self, name: str) -> Variable:
-        return self.space.variable(name)
+        pos = self._position.get(name)
+        if pos is None:
+            raise UnknownVariable(f"unknown variable {name!r}")
+        return self.variables[pos]
 
     def _unit_space(self, name: str) -> StateSpace:
         """The node's one-variable space, made on first use and kept, so
@@ -218,7 +227,7 @@ class InfluenceDiagram:
                     outdeg[p] -= 1
                     if outdeg[p] == 0:
                         dead_ends.append(p)
-        start = min(stuck, key=self.space._position.__getitem__)
+        start = min(stuck, key=self._position.__getitem__)
         trail = [start]
         positions = {start: 0}
         cur = start

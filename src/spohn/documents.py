@@ -17,6 +17,8 @@ variable, in domain order.
 from __future__ import annotations
 
 import json
+import sys
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .diagram import InfluenceDiagram
@@ -43,9 +45,17 @@ def _load_json(text: str, what: str) -> Any:
         raise DocumentError(f"{what} is not valid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
     except RecursionError as exc:
         raise DocumentError(f"{what} is nested too deeply") from exc
+    except ValueError as exc:
+        # The one other ValueError json.loads raises: an integer past
+        # sys.get_int_max_str_digits(), 4300 digits by default.
+        raise DocumentError(
+            f"{what} holds an integer of more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
 
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
+    if obj.keys() == required:
+        return
     extra = set(obj) - allowed
     if extra:
         raise DocumentError(f"{where}: unknown keys {sorted(extra)}")
@@ -165,11 +175,15 @@ def serialize_network(net: SpohnianNetwork) -> str:
     """The canonical document, byte for byte what json.dumps(doc, indent=2)
     gives, written directly from one template per variable, edge and table:
     for a dict json.dumps with indent falls back to its pure-Python encoder.
-    Strings still go through json.dumps, so their escaping is the json
+    Strings are quoted by encode_basestring_ascii, the function json.dumps
+    itself returns through for a str, so their escaping is the json
     module's."""
     d = net.diagram
-    quoted = {v.name: json.dumps(v.name) for v in d.variables}
-    variables = [_VARIABLE % (quoted[v.name], _SEP.join(map(json.dumps, v.domain))) for v in d.variables]
+    quoted = {v.name: encode_basestring_ascii(v.name) for v in d.variables}
+    variables = [
+        _VARIABLE % (quoted[v.name], _SEP.join(map(encode_basestring_ascii, v.domain)))
+        for v in d.variables
+    ]
     edges = [_EDGE % (quoted[a], quoted[b]) for a, b in d.edges]
     tables = []
     for node in d.names:

@@ -9,14 +9,17 @@ best non-A-state rank alpha. That shift is exactly reversible, which is the
 point of using ranks instead of probabilities here.
 
 States are value tuples in declared variable order; tables are dense,
-row-major with the last variable varying fastest. Propositions are bitsets
-over state indices. Everything is immutable; operations return new objects.
+row-major with the last variable varying fastest. A state space lays out
+its names, positions, size and strides once, at construction, in slots:
+every family table has one, so it is built on every parse. Its per-value
+digit maps and its projections are built on first use. Propositions are
+bitsets over state indices. Everything is immutable; operations return new
+objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -56,51 +59,59 @@ class Variable:
             raise ValueError(f"variable {self.name!r} has duplicate values")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateSpace:
-    """Cartesian product of variable domains, with mixed-radix indexing."""
+    """Cartesian product of variable domains, with mixed-radix indexing.
+
+    Only the variables are compared. The layout (names, positions, size,
+    strides) is computed once at construction, into slots; the per-value
+    digit maps, which parsing and validation never read, are built on first
+    use, and projections are cached per subset.
+    """
 
     variables: tuple[Variable, ...]
-    _proj_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    names: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    _position: dict[str, int] = field(init=False, compare=False, repr=False)
+    size: int = field(init=False, compare=False, repr=False)
+    strides: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _proj_cache: dict = field(init=False, compare=False, repr=False)
+    _digit_maps: tuple | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        if not self.variables:
+        variables = tuple(self.variables)
+        if not variables:
             raise ValueError("state space needs at least one variable")
-        names = [v.name for v in self.variables]
-        if len(set(names)) != len(names):
+        names = tuple([v.name for v in variables])
+        position = dict(zip(names, range(len(names))))
+        if len(position) != len(names):
             raise ValueError("duplicate variable names in state space")
+        size = 1
+        strides = []  # last variable first
+        for v in variables[::-1]:
+            strides.append(size)
+            size *= len(v.domain)
+        put = object.__setattr__
+        put(self, "variables", variables)
+        put(self, "names", names)
+        put(self, "_position", position)
+        put(self, "size", size)
+        put(self, "strides", tuple(strides[::-1]))
+        put(self, "_proj_cache", {})
+        put(self, "_digit_maps", None)
 
     def __reduce__(self):
-        # Rebuild through the constructor, so the cached properties and the
-        # projection cache are neither pickled nor copied.
+        # Rebuild through the constructor, so the layout, the digit maps and
+        # the projection cache are neither pickled nor copied.
         return type(self), (self.variables,)
 
-    @cached_property
-    def size(self) -> int:
-        n = 1
-        for v in self.variables:
-            n *= len(v.domain)
-        return n
-
-    @cached_property
-    def strides(self) -> tuple[int, ...]:
-        out = [1] * len(self.variables)
-        for i in range(len(self.variables) - 2, -1, -1):
-            out[i] = out[i + 1] * len(self.variables[i + 1].domain)
-        return tuple(out)
-
-    @cached_property
-    def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables)
-
-    @cached_property
-    def _position(self) -> dict[str, int]:
-        return {v.name: i for i, v in enumerate(self.variables)}
-
-    @cached_property
+    @property
     def _value_index(self) -> tuple[dict[str, int], ...]:
-        return tuple({val: i for i, val in enumerate(v.domain)} for v in self.variables)
+        """Per variable, its value -> digit map; built on first use."""
+        maps = self._digit_maps
+        if maps is None:
+            maps = tuple({val: i for i, val in enumerate(v.domain)} for v in self.variables)
+            object.__setattr__(self, "_digit_maps", maps)
+        return maps
 
     def variable(self, name: str) -> Variable:
         pos = self._position.get(name)
@@ -125,13 +136,14 @@ class StateSpace:
             assignment = [assignment[n] for n in self.names]
         if len(assignment) != len(self.variables):
             raise ValueError("assignment length does not match variable count")
+        maps, strides = self._value_index, self.strides
         idx = 0
         for pos, value in enumerate(assignment):
-            digit = self._value_index[pos].get(value)
+            digit = maps[pos].get(value)
             if digit is None:
                 name = self.variables[pos].name
                 raise UnknownValue(f"variable {name!r} has no value {value!r}")
-            idx += digit * self.strides[pos]
+            idx += digit * strides[pos]
         return idx
 
     def state_at(self, index: int) -> tuple[str, ...]:
@@ -272,10 +284,12 @@ def _least_ranks(ranks: Sequence[Rank], digit_of: Sequence[int], size: int) -> l
 
     digit_of maps each cell to a reduced state, as StateSpace.projection
     does; a reduced state nothing maps to keeps INF. Ranks may be signed.
+    The identity tests spare INF's Python-level comparisons on every cell.
     """
     out: list[Rank] = [INF] * size
     for r, j in zip(ranks, digit_of):
-        if r < out[j]:
+        o = out[j]
+        if o is INF or (r is not INF and r < o):
             out[j] = r
     return out
 

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 from typing import Sequence
 
 from .diagram import InfluenceDiagram
 from .errors import TooLargeForOracle
 from .network import SpohnianNetwork
-from .ocf import OCF, Proposition, StateSpace
+from .ocf import OCF, Proposition, StateSpace, Variable
 from .propagation import EvidenceSpec, augment_with_dummy
 
 # Exhaustive enumeration is the point; past 12 bits of state space it stops
@@ -29,11 +30,20 @@ ORACLE_STATE_LIMIT = 4096
 def ensure_tractable(space: StateSpace, dummies: int = 0) -> None:
     """Refuse a space the oracle cannot enumerate, counting dummies extra
     binary variables that will join it before the joint is built."""
-    size = space.size << dummies
+    _ensure_tractable_over(space.variables, dummies)
+
+
+def _ensure_tractable_over(variables: Sequence[Variable], dummies: int = 0) -> None:
+    """ensure_tractable for the space over these variables, without building
+    it: a space lays out its strides at construction, O(n^2) bits over n
+    variables, which a diagram's joint space should not spend to be refused."""
+    size = prod(len(v.domain) for v in variables) << dummies
     if size > ORACLE_STATE_LIMIT:
-        raise TooLargeForOracle(
-            f"state space has {size} states, oracle limit is {ORACLE_STATE_LIMIT}"
-        )
+        try:
+            count = str(size)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            count = f"at least 2**{size.bit_length() - 1}"
+        raise TooLargeForOracle(f"state space has {count} states, oracle limit is {ORACLE_STATE_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -89,7 +99,7 @@ def oracle_impose(net: SpohnianNetwork, targets: Sequence[tuple[str, OCF]]) -> O
     augmented = net
     for name, target in targets:
         augmented, _ = augment_with_dummy(augmented, name, target)
-    ensure_tractable(augmented.diagram.space)
+    _ensure_tractable_over(augmented.diagram.variables)
     dummies = augmented.diagram.names[len(net.diagram.names):]
     conditioned = oracle_revise(
         augmented.joint(), [EvidenceSpec(d, values=("observed",)) for d in dummies]

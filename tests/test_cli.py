@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -100,6 +101,16 @@ class TestValidate:
         path.write_text("[" * 100000)
         code, _, err = run(capsys, "validate", str(path))
         assert (code, err) == (1, "error: network document is nested too deeply\n")
+
+    def test_an_integer_past_the_digit_limit_is_a_clean_error(self, capsys, tmp_path):
+        limit = sys.get_int_max_str_digits()
+        path = tmp_path / "huge.json"
+        path.write_text("[" + "1" * 5000 + "]")
+        code, _, err = run(capsys, "validate", str(path))
+        assert (code, err) == (1, f"error: network document holds an integer of more than {limit} digits\n")
+        path.write_text('{"evidence": [{"variable": "A", "values": ["a1"], "strength": %s}]}' % ("1" * 5000))
+        code, _, err = run(capsys, "propagate", FIVE, str(path), "--mode", "single")
+        assert (code, err) == (1, f"error: evidence document holds an integer of more than {limit} digits\n")
 
 
 class TestQuery:
@@ -375,20 +386,22 @@ class TestCompare:
         assert lines[1].startswith("node=A ")
 
     def test_oversized_network_is_refused(self, capsys, tmp_path):
-        variables = tuple(Variable(f"V{i}", ("f", "t")) for i in range(13))
-        tables = {
-            v.name: OCF(StateSpace((v,)), (0, 0)) for v in variables
-        }
-        net = SpohnianNetwork(InfluenceDiagram(variables, ()), tables)
-        path = tmp_path / "big.json"
-        path.write_text(serialize_network(net))
+        # 2^15000 states print past the 4300-digit limit of int-to-str
+        # conversion: the count is given as a power of two.
         ev = tmp_path / "ev.json"
         ev.write_text(
             json.dumps({"evidence": [{"variable": "V0", "values": ["f"], "strength": "inf"}]})
         )
-        code, _, err = run(capsys, "compare", str(path), str(ev), "--mode", "certain")
-        assert code == 1
-        assert "8192" in err and "4096" in err
+        for n, count in ((13, "8192"), (15000, "at least 2**15000")):
+            variables = tuple(Variable(f"V{i}", ("f", "t")) for i in range(n))
+            tables = {
+                v.name: OCF(StateSpace((v,)), (0, 0)) for v in variables
+            }
+            net = SpohnianNetwork(InfluenceDiagram(variables, ()), tables)
+            path = tmp_path / "big.json"
+            path.write_text(serialize_network(net))
+            code, _, err = run(capsys, "compare", str(path), str(ev), "--mode", "certain")
+            assert (code, err) == (1, f"error: state space has {count} states, oracle limit is 4096\n")
 
     def test_uncertain_mode_counts_the_dummies(self, capsys, tmp_path, monkeypatch):
         # 2^12 states fit the oracle; the target's dummy doubles them

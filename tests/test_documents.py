@@ -3,6 +3,7 @@
 import copy
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,10 +21,11 @@ from spohn import (
     Variable,
     parse_evidence,
     parse_network,
+    propagate,
     serialize_network,
 )
 
-from generators import random_instance
+from generators import random_instance, random_value_evidence
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -38,6 +40,26 @@ class TestRoundTrip:
         parsed = parse_network(text)
         assert parsed == five_node_net
         assert serialize_network(parsed) == text
+
+    def test_the_cold_path_builds_no_digit_map_and_no_joint_space(self):
+        # Parse, validate, propagate and serialize: each family space keeps
+        # its layout in slots, no instance dict. Only the observed family's
+        # space builds its per-value digit maps, to read the evidence's
+        # values; nothing builds the diagram's joint space.
+        rng = random.Random(71)
+        for n in (1, 4, 12, 40):
+            net = parse_network(serialize_network(random_instance(rng, n)))
+            assert net.validate().ok
+            spaces = [table.space for table in net.tables.values()]
+            assert all(space._digit_maps is None for space in spaces)
+            evidence = random_value_evidence(rng, net)
+            out = propagate(net, [evidence])
+            serialize_network(out)
+            spaces += [table.space for table in out.tables.values()]
+            for space in spaces:
+                assert not hasattr(space, "__dict__")
+                assert space._digit_maps is None or space.names == (evidence.variable,)
+            assert "space" not in net.diagram.__dict__
 
     def test_infinite_ranks_survive(self, penguin_space):
         a = Variable("A", ("a0", "a1"))
@@ -203,6 +225,16 @@ class TestNetworkParseErrors:
             parse_network(deep)
         with pytest.raises(DocumentError, match="evidence document is nested too deeply"):
             parse_evidence(deep, penguin_net)
+
+    def test_an_integer_past_the_digit_limit_is_a_document_error(self, penguin_net):
+        limit = sys.get_int_max_str_digits()
+        huge = "1" * (limit + 700)
+        message = f"document holds an integer of more than {limit} digits"
+        with pytest.raises(DocumentError, match=f"network {message}"):
+            parse_network(f"[{huge}]")
+        evidence = f'{{"evidence": [{{"variable": "species", "values": ["PENGUIN"], "strength": {huge}}}]}}'
+        with pytest.raises(DocumentError, match=f"evidence {message}"):
+            parse_evidence(evidence, penguin_net)
 
     def test_top_level_must_be_object(self):
         with pytest.raises(DocumentError, match="JSON object"):

@@ -1,4 +1,8 @@
+import copy
+import dataclasses
 import itertools
+import math
+import pickle
 import random
 import tracemalloc
 
@@ -89,6 +93,90 @@ class TestStateSpace:
                     assert space.projection(asked + asked) is canonical
                     with pytest.raises(UnknownVariable, match="unknown variable 'nope'"):
                         space.projection(tuple(asked) + ("nope",))
+
+
+def _random_space(rng):
+    """1 to 6 variables of 2 to 4 values, names in a shuffled order."""
+    variables = [
+        Variable(f"V{k}", tuple(f"v{k}_{j}" for j in range(rng.randint(2, 4))))
+        for k in range(rng.randint(1, 6))
+    ]
+    rng.shuffle(variables)
+    return StateSpace(tuple(variables))
+
+
+class TestStateSpaceLayout:
+    """The layout a space computes at construction, against its definitions."""
+
+    def test_size_strides_names_and_positions_match_their_definitions(self):
+        rng = random.Random(53)
+        for _ in range(60):
+            space = _random_space(rng)
+            cards = [len(v.domain) for v in space.variables]
+            assert space.size == math.prod(cards)
+            assert space.strides == tuple(math.prod(cards[i + 1:]) for i in range(len(cards)))
+            assert space.names == tuple(v.name for v in space.variables)
+            for i, v in enumerate(space.variables):
+                assert space._position[v.name] == i
+                assert space.variable(v.name) is v
+            assert len(space._position) == len(space.variables)
+
+    def test_index_of_and_state_at_round_trip(self):
+        rng = random.Random(59)
+        for _ in range(30):
+            space = _random_space(rng)
+            states = list(itertools.product(*(v.domain for v in space.variables)))
+            assert list(space.states()) == states
+            for i, state in enumerate(states):
+                assert space.state_at(i) == state
+                assert space.index_of(state) == i
+                assert space.index_of(dict(zip(space.names, state))) == i
+            with pytest.raises(IndexError):
+                space.state_at(space.size)
+
+    def test_equality_hash_repr_pickle_and_copy(self):
+        rng = random.Random(61)
+        for _ in range(20):
+            space = _random_space(rng)
+            space.projection(space.names[:1])
+            space.index_of(space.state_at(0))
+            twin = StateSpace(list(space.variables))
+            assert twin == space and twin is not space
+            assert hash(twin) == hash(space) == hash((space.variables,))
+            assert repr(space) == f"StateSpace(variables={space.variables!r})"
+            assert space.__reduce__() == (StateSpace, (space.variables,))
+            assert space != StateSpace(space.variables[::-1]) or len(space.variables) == 1
+            assert space.__eq__(space.variables) is NotImplemented
+            for other in (
+                pickle.loads(pickle.dumps(space)),
+                copy.copy(space),
+                copy.deepcopy(space),
+            ):
+                assert other == space and hash(other) == hash(space)
+                assert (other.names, other.size, other.strides) == (space.names, space.size, space.strides)
+                # Rebuilt through the constructor: no cache comes along.
+                assert other._proj_cache == {} and other._digit_maps is None
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                space.size = 0
+            assert not hasattr(space, "__dict__")
+
+    def test_construction_errors_keep_their_texts(self):
+        a = Variable("A", ("y", "n"))
+        with pytest.raises(ValueError, match="^state space needs at least one variable$"):
+            StateSpace(())
+        with pytest.raises(ValueError, match="^duplicate variable names in state space$"):
+            StateSpace((a, Variable("B", ("y", "n")), Variable("A", ("x", "z"))))
+
+    def test_digit_maps_are_built_on_first_use(self):
+        a, b = Variable("A", ("y", "n")), Variable("B", ("x", "y", "z"))
+        space = StateSpace((a, b))
+        space.projection(("B",))
+        space.state_at(5)
+        assert space._digit_maps is None
+        assert space.value_digit("B", "z") == 2
+        maps = space._digit_maps
+        assert maps == ({"y": 0, "n": 1}, {"x": 0, "y": 1, "z": 2})
+        assert space.index_of(("n", "y")) == 4 and space._digit_maps is maps
 
 
 class TestProposition:
@@ -451,6 +539,23 @@ class TestMarginalize:
                     assert _least_ranks(ranks, space.projection(keep), sub.size) == want
         # A reduced state nothing maps to stays INF.
         assert _least_ranks([3, INF, -1], [0, 0, 2], 4) == [3, INF, -1, INF]
+
+    def test_least_ranks_on_any_digit_map(self):
+        # Digit maps drawn at random, not from a projection: reduced states
+        # that no cell maps to, groups whose cells are all INF, and INF cells
+        # before and after finite ones in a group. Ranks are signed.
+        rng = random.Random(67)
+        for _ in range(300):
+            cells, size = rng.randint(0, 12), rng.randint(1, 6)
+            ranks = [INF if rng.random() < 0.4 else rng.randint(-4, 6) for _ in range(cells)]
+            digit_of = [rng.randrange(size) for _ in range(cells)]
+            want = [
+                min((r for r, j in zip(ranks, digit_of) if j == k and r is not INF), default=INF)
+                for k in range(size)
+            ]
+            got = _least_ranks(ranks, digit_of, size)
+            assert got == want
+            assert all(g is INF for g, w in zip(got, want) if w is INF)
 
 
 class TestIndependence:
