@@ -189,7 +189,15 @@ def serialize_network(net: SpohnianNetwork) -> str:
     for node in d.names:
         table = net.tables[node]
         order = _SEP.join([quoted[n] for n in table.space.names])
-        ranks = _SEP.join(['"inf"' if r is INF else str(r) for r in table.ranks])
+        try:
+            ranks = _SEP.join(['"inf"' if r is INF else str(r) for r in table.ranks])
+        except ValueError as exc:
+            # The engine can add ranks past sys.get_int_max_str_digits(), the
+            # limit str() has for an int, from inputs that are within it.
+            raise DocumentError(
+                f"table for {node} holds a rank of more than "
+                f"{sys.get_int_max_str_digits()} digits, too long to write"
+            ) from exc
         tables.append(_TABLE % (quoted[node], order, ranks))
     blocks = (_block(variables, "[]"), _block(edges, "[]"), _block(tables, "{}"))
     return '{\n  "variables": %s,\n  "edges": %s,\n  "tables": %s\n}\n' % blocks

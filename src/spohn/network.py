@@ -67,22 +67,24 @@ class SpohnianNetwork:
         node's marginal is one least-rank pass over its table, on the
         diagram's one-variable space for the node, kept on the immutable
         table; engine results share every table their messages did not
-        reach, so they inherit it. The memo is used only on this diagram's
-        space, so a table shared with another diagram never returns that
-        one's marginal. Equal to table.marginalize((name,)), and on a valid
-        network to joint().marginalize((name,)); an unknown name raises
-        UnknownVariable.
+        reach, so they inherit it. The memo is returned before any other
+        work, but only when it lies on this diagram's space, so a table
+        shared with another diagram never returns that one's marginal.
+        Equal to table.marginalize((name,)), and on a valid network to
+        joint().marginalize((name,)); an unknown name raises UnknownVariable.
         """
+        table = self.tables.get(name)
+        if table is not None:
+            marg = table._marginal
+            if marg is not None and marg.space is self.diagram._unit_spaces.get(name):
+                return marg
         space = self.diagram._unit_space(name)
-        table = self.tables[name]
         if len(table.space.variables) == 1:
             return table
-        marg = table._marginal
-        if marg is None or marg.space is not space:
-            ranks = _least_ranks(table.ranks, table.space.projection((name,)), space.size)
-            # Valid: the least ranks of a valid table, so one of them is 0.
-            marg = OCF._trusted(space, tuple(ranks))
-            object.__setattr__(table, "_marginal", marg)
+        ranks = _least_ranks(table.ranks, table.space.projection((name,)), space.size)
+        # Valid: the least ranks of a valid table, so one of them is 0.
+        marg = OCF._trusted(space, tuple(ranks))
+        object.__setattr__(table, "_marginal", marg)
         return marg
 
     def joint(self) -> OCF:

@@ -210,7 +210,7 @@ class StateSpace:
         return proj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proposition:
     """A set of states, stored as a bitset over state indices."""
 
@@ -231,12 +231,16 @@ class Proposition:
 
     @classmethod
     def of_states(cls, space: StateSpace, indices: Iterable[int]) -> Proposition:
-        mask = 0
+        size, mask = space.size, 0
         for i in indices:
-            if not 0 <= i < space.size:
+            if not 0 <= i < size:
                 raise ValueError(f"state index {i} out of range")
             mask |= 1 << i
-        return cls(space, mask)
+        # Every bit is a state of the space: __post_init__'s check holds.
+        out = object.__new__(cls)
+        object.__setattr__(out, "space", space)
+        object.__setattr__(out, "mask", mask)
+        return out
 
     @classmethod
     def constrain(cls, space: StateSpace, constraints: Mapping[str, Iterable[str]]) -> Proposition:
@@ -395,13 +399,14 @@ class OCF:
         """
         # A marginal and a proposition built on it share their space; the
         # identity test spares the dataclass comparison on every read.
-        if prop.space is not self.space and prop.space != self.space:
+        space, mask = prop.space, prop.mask
+        if space is not self.space and space != self.space:
             raise SpaceMismatch("proposition is over a different state space")
-        if prop.is_empty:
+        if mask == 0:
             raise EmptyProposition("belief strength of the empty proposition is undefined")
-        if prop.is_full:
+        if mask == (1 << space.size) - 1:
             raise FullProposition("belief strength of the full space is undefined")
-        k_in, k_out = _least_in_out(self.ranks, prop.mask)
+        k_in, k_out = _least_in_out(self.ranks, mask)
         if k_in is INF:
             return NEG_INF
         if k_in > 0:

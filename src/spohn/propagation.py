@@ -45,7 +45,11 @@ receiver's marginal by exactly the sender's change, INF entries included.
 Pending work is a set of dirty marks, not of messages: a delivery marks
 the receiver's other edges, and popping a mark sends the change in each
 shared marginal since the last send, so changes queued on one edge
-coalesce into one message. Under the default schedule marks pop in the
+coalesce into one message. A pop computes each marginal it sends once, and
+the change from each distinct snapshot of the node's own marginal once:
+its edges to children that hold the same snapshot (on a first send, all
+of them) get one immutable change, so a hub's fan-out costs one change,
+not one per child. Under the default schedule marks pop in the
 collect-then-distribute order of Jensen, Lauritzen & Olesen (1990) over a
 rooting of each component: edges toward the root deepest sender first,
 then edges away from it shallowest sender first. Each node then sends
@@ -208,7 +212,10 @@ def _run(
     snapshot, if there is one, and makes that marginal the snapshot, so
     nothing a neighbor said is echoed back at it; pending changes on an
     edge coalesce into that one message. Each distinct shared variable's
-    marginal is computed once per pop.
+    marginal is computed once per pop, and so is the change from each
+    distinct snapshot of the node's own marginal: edges to children that
+    hold the same snapshot share one change tuple. Edges toward parents
+    compute their own. A stored snapshot is never mutated.
 
     Under FIFO the injections go first, in order; then marks pop from one
     bucket store, up marks deepest sender first and down marks shallowest
@@ -262,22 +269,33 @@ def _run(
     def send(node: str, key: int) -> None:
         # key < 0: the node's up mark; key >= 0: its down mark.
         node_links, work, up = links[node], vec[node], up_of[node]
-        own = None  # the node's own marginal, shared by its edges to children
+        # The node's own marginal now and in the input, shared by its edges
+        # to children, and per snapshot of it (by id) the snapshot and its
+        # change: holding the snapshot keeps its id from being reused.
+        own = start = None
+        changes: dict[int, tuple] = {}
         for k in (up,) if key < 0 else range(len(node_links)):
             if k == up and key >= 0:
                 continue
             receiver, shared, digit_s, card, back, edge = node_links[k]
+            last = snap.get(edge)
             if shared != node:
                 marginal = _least_ranks(work, digit_s, card)
-            elif own is None:
-                marginal = own = _least_ranks(work, digit_s, card)
+                if last is None:
+                    # Valid tables agree with the shared node's own marginal.
+                    last = net.marginal(shared).ranks
+                change = tuple(map(rank_delta, marginal, last))
             else:
-                marginal = own
-            last = snap.get(edge)
-            if last is None:
-                # Valid tables agree with the shared node's own marginal.
-                last = net.marginal(shared).ranks
-            change = tuple(map(rank_delta, marginal, last))
+                if own is None:
+                    own = _least_ranks(work, digit_s, card)
+                if last is None:
+                    if start is None:
+                        start = net.marginal(node).ranks
+                    last = start
+                known = changes.get(id(last))
+                if known is None:
+                    known = changes[id(last)] = (last, tuple(map(rank_delta, own, last)))
+                marginal, change = own, known[1]
             if any(change):
                 snap[edge] = marginal
                 deliver(node, receiver, back, shared, change)

@@ -195,6 +195,35 @@ class TestPropagate:
         assert code == 0
         assert out == "believed (beta=1)\n"
 
+    def test_a_rank_past_the_digit_limit_is_a_clean_error(self, capsys, tmp_path):
+        # Input ranks within the int-to-str limit; the engine lifts one of
+        # B's past it, and writing the output ends in one error line.
+        limit = sys.get_int_max_str_digits()
+        five, nine = 5 * 10 ** (limit - 1), 9 * 10 ** (limit - 1)
+        network = tmp_path / "net.json"
+        network.write_text(json.dumps({
+            "variables": [{"name": "A", "domain": ["a0", "a1"]}, {"name": "B", "domain": ["b0", "b1"]}],
+            "edges": [["A", "B"]],
+            "tables": {
+                "A": {"order": ["A"], "ranks": [0, five]},
+                "B": {"order": ["A", "B"], "ranks": [0, 0, five, nine]},
+            },
+        }))
+        evidence = tmp_path / "ev.json"
+        evidence.write_text(json.dumps(
+            {"evidence": [{"variable": "A", "values": ["a0"], "strength": 99 * 10 ** (limit - 2)}]}
+        ))
+        assert run(capsys, "validate", str(network)) == (0, "ok\n", "")
+        error = f"error: table for B holds a rank of more than {limit} digits, too long to write\n"
+        code, out, err = run(capsys, "propagate", str(network), str(evidence), "--mode", "single")
+        assert (code, out, err) == (1, "", error)
+        code, out, err = run(
+            capsys, "propagate", str(network), str(evidence), "--mode", "single", "--trace"
+        )
+        lines = err.splitlines(keepends=True)
+        assert (code, out, len(lines), lines[-1]) == (1, "", 3, error)
+        assert lines[0].startswith("seq=1 edge=A->A ") and lines[1].startswith("seq=2 edge=A->B ")
+
     def test_unwritable_output_is_a_clean_error(self, capsys, tmp_path):
         out_path = tmp_path / "missing" / "out.json"
         code, out, err = run(

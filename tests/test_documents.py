@@ -14,6 +14,7 @@ from spohn import (
     INF,
     OCF,
     DocumentError,
+    EvidenceSpec,
     InfluenceDiagram,
     InvalidTarget,
     SpohnianNetwork,
@@ -210,6 +211,30 @@ class TestSerializerLayout:
             net = random_instance(rng, rng.randint(1, 7), p_inf=0.2, p_detach=rng.random())
             assert serialize_network(net) == json_module_layout(net)
 
+    def test_a_rank_past_the_digit_limit_is_a_document_error(self):
+        # Every input rank has exactly as many digits as str() allows, so the
+        # network parses, validates and serializes; learning a0 at a finite
+        # strength lifts B's a1 row past the limit.
+        limit = sys.get_int_max_str_digits()
+        five, nine = 5 * 10 ** (limit - 1), 9 * 10 ** (limit - 1)
+        a, b = Variable("A", ("a0", "a1")), Variable("B", ("b0", "b1"))
+        net = SpohnianNetwork(
+            InfluenceDiagram((a, b), (("A", "B"),)),
+            {
+                "A": OCF(StateSpace((a,)), (0, five)),
+                "B": OCF(StateSpace((a, b)), (0, 0, five, nine)),
+            },
+        )
+        assert net.validate().ok
+        assert parse_network(serialize_network(net)) == net
+        evidence = [EvidenceSpec("A", values=("a0",), strength=99 * 10 ** (limit - 2))]
+        out = propagate(net, evidence)
+        assert out.tables["A"].ranks == (0, 99 * 10 ** (limit - 2))
+        message = f"^table for B holds a rank of more than {limit} digits, too long to write$"
+        with pytest.raises(DocumentError, match=message) as err:
+            serialize_network(out)
+        assert isinstance(err.value.__cause__, ValueError)
+
 
 class TestNetworkParseErrors:
     def base(self, five_node_net):
@@ -235,6 +260,18 @@ class TestNetworkParseErrors:
         evidence = f'{{"evidence": [{{"variable": "species", "values": ["PENGUIN"], "strength": {huge}}}]}}'
         with pytest.raises(DocumentError, match=f"evidence {message}"):
             parse_evidence(evidence, penguin_net)
+
+    def test_a_repeated_table_key_keeps_its_last_value(self):
+        # JSON leaves repeated keys open; the json module keeps the last, and
+        # so does the parser: a bogus first "A" is overridden, not refused.
+        text = (DOCS / "five_node.json").read_text()
+        bogus = '"tables": {\n    "A": {"order": ["A"], "ranks": [7, 7, 7]},'
+        doubled = text.replace('"tables": {', bogus, 1)
+        assert doubled.count('"A": {"order"') == 2
+        net = parse_network(doubled)
+        assert net.validate().ok
+        assert net == parse_network(text)
+        assert serialize_network(net) == serialize_network(parse_network(text))
 
     def test_top_level_must_be_object(self):
         with pytest.raises(DocumentError, match="JSON object"):

@@ -96,6 +96,31 @@ def test_a_table_shared_by_two_diagrams_reads_its_own_marginal_in_each():
     assert b_to_a.marginal("A").ranks == (0, 2)
 
 
+def test_a_kept_marginal_answers_only_its_own_diagram():
+    # The memo is read before anything else, but only when it lies on the
+    # reading diagram's own space for the name: an unknown name still
+    # raises, and an equal diagram built apart reads its own marginal.
+    a, b = Variable("A", ("a0", "a1")), Variable("B", ("b0", "b1", "b2"))
+    pair = OCF(StateSpace((a, b)), (0, 3, 1, 2, INF, 4))
+    tables = {"A": pair.marginalize(("A",)), "B": pair}
+    first = SpohnianNetwork(InfluenceDiagram((a, b), (("A", "B"),)), tables)
+    second = SpohnianNetwork(InfluenceDiagram((a, b), (("A", "B"),)), tables)
+    kept = first.marginal("B")
+    assert pair._marginal is kept and first.marginal("B") is kept
+    for net in (first, second):
+        with pytest.raises(UnknownVariable, match="^unknown variable 'nope'$"):
+            net.marginal("nope")
+    own = second.marginal("B")
+    assert own is not kept and own == kept
+    assert own.space is second.diagram._unit_space("B")
+    assert own.space is not kept.space
+    assert second.marginal("B") is own
+    # the memo now lies on the second diagram's space, so the first reads anew
+    again = first.marginal("B")
+    assert again is not own and again.space is first.diagram._unit_space("B")
+    assert again.ranks == (0, 3, 1)
+
+
 class TestReadOnlyTables:
     def test_assignment_raises(self, five_node_net):
         with pytest.raises(TypeError):

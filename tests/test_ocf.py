@@ -206,6 +206,28 @@ class TestProposition:
         with pytest.raises(SpaceMismatch):
             bird(penguin_space) & Proposition.full(other)
 
+    def test_a_proposition_is_a_frozen_slotted_value(self, penguin_space):
+        prop = Proposition.of_states(penguin_space, (0, 3, 4))
+        assert not hasattr(prop, "__dict__")
+        for name in ("space", "mask"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(prop, name, 1)
+        same = Proposition(StateSpace(penguin_space.variables), 0b11001)
+        assert prop == same and hash(prop) == hash(same) == hash((penguin_space, 0b11001))
+        assert prop != Proposition(penguin_space, 0b11000)
+        assert prop != Proposition.of_states(StateSpace((FLIGHT, SPECIES)), (0, 3, 4))
+        for twin in (pickle.loads(pickle.dumps(prop)), copy.copy(prop), copy.deepcopy(prop)):
+            assert twin == prop and hash(twin) == hash(prop)
+            assert (twin.space, twin.mask) == (penguin_space, prop.mask)
+
+    def test_of_states_checks_each_index(self, penguin_space):
+        assert Proposition.of_states(penguin_space, ()) == Proposition.empty(penguin_space)
+        assert Proposition.of_states(penguin_space, range(6)) == Proposition.full(penguin_space)
+        assert Proposition.of_states(penguin_space, (5, 1, 1)).mask == 0b100010
+        for bad in (6, -1):
+            with pytest.raises(ValueError, match=f"^state index {bad} out of range$"):
+                Proposition.of_states(penguin_space, (0, bad))
+
 
 class TestWorkedExample:
     """The bird/penguin revision sequence, column by column."""

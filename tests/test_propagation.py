@@ -43,6 +43,7 @@ import spohn.network
 import spohn.ocf
 import spohn.propagation
 from spohn.oracle import ORACLE_STATE_LIMIT
+from spohn.ranks import rank_delta
 
 from generators import (
     random_certain_evidence,
@@ -987,6 +988,141 @@ class TestBoundedDeliveries:
             assert senders == sorted(senders), edges
             for sender, receiver in edges[1:]:
                 assert hops[receiver] == hops[sender] + 1, edges
+
+
+def _hub_star(leaves):
+    """Hub H (three values, marginal 0, 1, 2) with binary leaves L1..Ln, each
+    table the hub's marginal plus one conditional row per hub value, so an
+    observation at a leaf moves the hub's marginal."""
+    hub = Variable("H", ("h0", "h1", "h2"))
+    variables = [hub] + [Variable(f"L{i}", ("l0", "l1")) for i in range(1, leaves + 1)]
+    diagram = InfluenceDiagram(tuple(variables), tuple(("H", v.name) for v in variables[1:]))
+    tables = {"H": OCF(StateSpace((hub,)), (0, 1, 2))}
+    for leaf in variables[1:]:
+        tables[leaf.name] = OCF(StateSpace((hub, leaf)), (0, 3, 3, 1, 2, 3))
+    return SpohnianNetwork(diagram, tables)
+
+
+def _replayed_changes(net, trace):
+    """Replay a trace on the input tables and check each message entry by
+    entry: its deltas are rank_delta of the sender's marginal of the shared
+    variable just before sending and of the edge's last sent marginal,
+    which starts as the input's. Returns the number of messages checked."""
+    work = {name: list(table.ranks) for name, table in net.tables.items()}
+    last = {}
+    checked = 0
+
+    def marginal(node, variable):
+        digits = net.tables[node].space.projection((variable,))
+        card = len(net.diagram.variable(variable).domain)
+        least = [INF] * card
+        for r, j in zip(work[node], digits):
+            least[j] = min(least[j], r)
+        return least
+
+    for entry in trace:
+        sender, receiver = entry.edge
+        variable = entry.variable
+        if sender != receiver:
+            key = frozenset(entry.edge)
+            now = marginal(sender, variable)
+            before = last.get(key, net.marginal(variable).ranks)
+            assert len(entry.deltas) == len(now)
+            for d, c, b in zip(entry.deltas, now, before):
+                assert d == rank_delta(c, b), entry
+            last[key] = now
+            checked += 1
+        digits = net.tables[receiver].space.projection((variable,))
+        cells = work[receiver]
+        for i, j in enumerate(digits):
+            d = entry.deltas[j]
+            if d is INF:
+                cells[i] = INF
+            elif cells[i] is not INF:
+                cells[i] += d
+    return checked
+
+
+class TestFanOut:
+    def test_a_hub_computes_one_change_for_all_its_children(self, monkeypatch):
+        # One surprising leaf observation: the leaf reports to the hub, and
+        # the hub sends the same change to every other leaf. The number of
+        # rank_delta calls is bounded by the hub's cardinality, whatever the
+        # number of leaves.
+        counts = {}
+        for leaves in (5, 50, 500):
+            net = _hub_star(leaves)
+            calls = [0]
+            real = spohn.propagation.rank_delta
+
+            def counted(a, b):
+                calls[0] += 1
+                return real(a, b)
+
+            monkeypatch.setattr(spohn.propagation, "rank_delta", counted)
+            trace = []
+            out = propagate_single(net, EvidenceSpec("L1", values=("l1",)), trace)
+            monkeypatch.undo()
+            assert len(trace) == 1 + leaves
+            fan = [t for t in trace if t.edge[0] == "H"]
+            assert len(fan) == leaves - 1
+            assert all(t.deltas is fan[0].deltas for t in fan)
+            assert fan[0].deltas == (3, 0, 1)
+            assert out.marginal("H").ranks == (2, 0, 2)
+            assert _replayed_changes(net, trace) == leaves
+            counts[leaves] = calls[0]
+        assert counts[5] == counts[50] == counts[500] <= 2 * 3
+
+    def test_fifo_seeded_and_oracle_agree_on_stars_and_polytrees(self):
+        rng = random.Random(73)
+        for shape in ("star", "polytree") * 6:
+            n = rng.choice((8, 40, 120))
+            net = _shaped_network(rng, shape, n)
+            names = net.diagram.names
+            if rng.random() < 0.5:
+                net.marginal(rng.choice(names))  # some edges start from a kept memo
+            certain = [
+                EvidenceSpec(name, values=(_observed_value(rng, net, name),))
+                for name in rng.sample(names, rng.randint(1, 4))
+            ]
+            targets = [
+                (name, OCF(net.diagram._unit_space(name),
+                           random_target(rng, net.diagram.variable(name).domain)))
+                for name in rng.sample(names, 2)
+            ]
+            single = EvidenceSpec(names[0], values=(_observed_value(rng, net, names[0]),),
+                                  strength=rng.randint(0, 3))
+            calls = [
+                (lambda s, tr: propagate_certain_multi(net, certain, s, tr),
+                 lambda: oracle_revise(net.joint(), certain), 0),
+                (lambda s, tr: propagate_uncertain_multi(net, targets, s, tr),
+                 lambda: oracle_impose(net, targets), len(targets)),
+                (lambda s, tr: propagate(net, [single], s, tr),
+                 lambda: oracle_revise(net.joint(), [single]), 0),
+            ]
+            for call, oracle, dummies in calls:
+                trace = []
+                try:
+                    out = call(Schedule.fifo(), trace)
+                except SpohnError as exc:
+                    out = (type(exc), str(exc))
+                if isinstance(out, SpohnianNetwork):
+                    assert _replayed_changes(net, trace) == len(trace) - len(
+                        [t for t in trace if t.edge[0] == t.edge[1]]
+                    )
+                for seed in (1, 2):
+                    seeded_trace = []
+                    try:
+                        again = call(Schedule.seeded(seed), seeded_trace)
+                    except SpohnError as exc:
+                        again = (type(exc), str(exc))
+                    assert again == out
+                    if isinstance(again, SpohnianNetwork):
+                        _replayed_changes(net, seeded_trace)
+                if isinstance(out, SpohnianNetwork) and (
+                    net.diagram.space.size << dummies <= ORACLE_STATE_LIMIT
+                ):
+                    assert out == SpohnianNetwork.from_joint(oracle(), net.diagram)
 
 
 def _hops(diagram, source):
