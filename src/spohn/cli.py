@@ -36,7 +36,7 @@ from .ocf import OCF, Proposition, StateSpace
 from .oracle import compare as oracle_compare
 from .oracle import _ensure_tractable_over, oracle_impose, oracle_revise
 from .propagation import EvidenceSpec, Schedule, TraceEntry, propagate
-from .ranks import INF
+from .ranks import INF, _rank_texts
 
 
 def _read(path: str, what: str) -> str:
@@ -58,9 +58,7 @@ def _parse_prop(text: str) -> tuple[str, tuple[str, ...]]:
 
 def _schedule(args: argparse.Namespace) -> Schedule:
     # One observation always spreads breadth first: --seed leaves single mode alone.
-    if args.seed is None or args.mode == "single":
-        return Schedule.fifo()
-    return Schedule.seeded(args.seed)
+    return Schedule(seed=None if args.mode == "single" else args.seed)
 
 
 def _mode_evidence(
@@ -112,7 +110,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     if args.joint:
         _ensure_tractable_over(net.diagram.variables)
         joint = net.joint()
-        for i, r in enumerate(joint.ranks):
+        for i, r in enumerate(_rank_texts(joint.ranks, "the joint ranking")):
             print(f"{','.join(joint.space.state_at(i))}:{r}")
         return 0
     text = args.believe if args.believe is not None else args.beta
@@ -137,8 +135,10 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     trace: list[TraceEntry] | None = [] if args.trace else None
     result = propagate(net, evidence, _schedule(args), trace)
     if trace is not None:
-        for entry in trace:
-            print(entry.format(), file=sys.stderr)
+        # Every line first: a change too long to write leaves no partial trace.
+        lines = [entry.format() for entry in trace]
+        for line in lines:
+            print(line, file=sys.stderr)
     doc = serialize_network(result)
     if args.out:
         try:

@@ -26,7 +26,7 @@ from .errors import DocumentError, InvalidTarget, UnknownVariable
 from .network import SpohnianNetwork
 from .ocf import OCF, StateSpace, Variable
 from .propagation import EvidenceSpec
-from .ranks import INF, Rank
+from .ranks import INF, Rank, _rank_texts
 
 
 def _rank_from_json(value: Any, where: str, *, signed: bool = False) -> Rank:
@@ -189,15 +189,7 @@ def serialize_network(net: SpohnianNetwork) -> str:
     for node in d.names:
         table = net.tables[node]
         order = _SEP.join([quoted[n] for n in table.space.names])
-        try:
-            ranks = _SEP.join(['"inf"' if r is INF else str(r) for r in table.ranks])
-        except ValueError as exc:
-            # The engine can add ranks past sys.get_int_max_str_digits(), the
-            # limit str() has for an int, from inputs that are within it.
-            raise DocumentError(
-                f"table for {node} holds a rank of more than "
-                f"{sys.get_int_max_str_digits()} digits, too long to write"
-            ) from exc
+        ranks = _SEP.join(_rank_texts(table.ranks, f"table for {node}", '"inf"'))
         tables.append(_TABLE % (quoted[node], order, ranks))
     blocks = (_block(variables, "[]"), _block(edges, "[]"), _block(tables, "{}"))
     return '{\n  "variables": %s,\n  "edges": %s,\n  "tables": %s\n}\n' % blocks

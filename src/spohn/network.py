@@ -126,7 +126,8 @@ class SpohnianNetwork:
     def validate(self) -> ValidationReport:
         """Diagram shape plus marginal agreement across every edge: both
         ends' tables must give the shared variable the same marginal.
-        Recomputed on every call."""
+        Recomputed on every call: an engine output inherits its input's
+        gate (_revised), so this is the one check of its own tables."""
         return self._check()[0]
 
     @cached_property

@@ -27,10 +27,9 @@ from .propagation import EvidenceSpec, augment_with_dummy
 ORACLE_STATE_LIMIT = 4096
 
 
-def ensure_tractable(space: StateSpace, dummies: int = 0) -> None:
-    """Refuse a space the oracle cannot enumerate, counting dummies extra
-    binary variables that will join it before the joint is built."""
-    _ensure_tractable_over(space.variables, dummies)
+def ensure_tractable(space: StateSpace) -> None:
+    """Refuse a space the oracle cannot enumerate."""
+    _ensure_tractable_over(space.variables)
 
 
 def _ensure_tractable_over(variables: Sequence[Variable], dummies: int = 0) -> None:

@@ -92,7 +92,7 @@ from .errors import (
 )
 from .network import SpohnianNetwork
 from .ocf import OCF, Proposition, StateSpace, Variable, _least_ranks
-from .ranks import INF, NEG_INF, BeliefStrength, Rank, is_rank, rank_delta, s_normalize
+from .ranks import INF, NEG_INF, BeliefStrength, Rank, _rank_texts, is_rank, rank_delta, s_normalize
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,8 @@ class EvidenceSpec:
 class TraceEntry:
     """One delivered message: per-value implausibility changes for one
     variable, sent along edge (sender, receiver); injections use (v, v).
-    deltas is indexed by the variable's domain order."""
+    deltas is indexed by the variable's domain order, and seq is the
+    delivery's place in this call's trace, counted from 1."""
 
     seq: int
     edge: tuple[str, str]
@@ -136,44 +137,35 @@ class TraceEntry:
     deltas: tuple[Rank, ...]
 
     def format(self) -> str:
-        rendered = ",".join(str(d) for d in self.deltas)
-        return (
-            f"seq={self.seq} edge={self.edge[0]}->{self.edge[1]} "
-            f"var={self.variable} deltas=[{rendered}]"
-        )
+        head = f"seq={self.seq} edge={self.edge[0]}->{self.edge[1]}"
+        rendered = ",".join(_rank_texts(self.deltas, f"trace entry {head}"))
+        return f"{head} var={self.variable} deltas=[{rendered}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Schedule:
-    """Delivery order for the message engine.
+    """Delivery order for the message engine. A schedule is its seed.
 
-    fifo, the default, is fully deterministic: the injections in the order
-    given, then collect then distribute over a rooting of each component,
-    which delivers at most one message per directed edge; a single
-    observation is its own root, so its wave goes breadth first. seeded
-    draws the next injection or dirty mark uniformly with a fixed seed, so
+    None, the default (fifo()), is fully deterministic: the injections in
+    the order given, then collect then distribute over a rooting of each
+    component, which delivers at most one message per directed edge; a
+    single observation is its own root, so its wave goes breadth first. A
+    seed (seeded()) draws the next injection or dirty mark uniformly, so
     runs are reproducible; an edge may then carry several messages, and
     the tables come out the same.
     """
 
-    policy: str = "fifo"
     seed: int | None = None
-
-    def __post_init__(self):
-        if self.policy not in ("fifo", "random"):
-            raise ValueError(f"unknown schedule policy {self.policy!r}")
-        if self.policy == "random" and self.seed is None:
-            raise ValueError("random schedule needs a seed")
-        if self.policy == "fifo" and self.seed is not None:
-            raise ValueError("fifo schedule takes no seed")
 
     @classmethod
     def fifo(cls) -> Schedule:
-        return cls("fifo")
+        return cls()
 
     @classmethod
     def seeded(cls, seed: int) -> Schedule:
-        return cls("random", seed)
+        if seed is None:
+            raise ValueError("random schedule needs a seed")
+        return cls(seed=seed)
 
 
 def _require_valid(net: SpohnianNetwork) -> dict[str, list[tuple]]:
@@ -217,10 +209,10 @@ def _run(
     hold the same snapshot share one change tuple. Edges toward parents
     compute their own. A stored snapshot is never mutated.
 
-    Under FIFO the injections go first, in order; then marks pop from one
-    bucket store, up marks deepest sender first and down marks shallowest
-    sender first, so each node sends up after all its subtrees have
-    reported and down after it has heard from every side: at most one
+    Under FIFO (no seed) the injections go first, in order; then marks pop
+    from one bucket store, up marks deepest sender first and down marks
+    shallowest sender first, so each node sends up after all its subtrees
+    have reported and down after it has heard from every side: at most one
     message per directed edge. A seeded schedule draws the next injection
     or mark uniformly. Several injections use the network's rooting; a
     single one is the root of its own, which its wave extends as it
@@ -229,20 +221,19 @@ def _run(
 
     Touched tables are s-normalized once, at quiescence; the first node in
     declaration order whose vector has gone entirely infinite names the
-    contradiction.
+    contradiction. A traced delivery is numbered by its place in this
+    call's entries of trace, which may already hold earlier ones.
     """
     tables = net.tables
     depth_of, up_of = net._rooting if len(injections) > 1 else ({}, {})
     vec: dict[str, list[Rank]] = {}
     snap: dict[tuple[str, str], list[Rank]] = {}
-    seq = 0
+    before = len(trace) if trace is not None else 0
 
     def deliver(sender: str, node: str, arrival: int, variable: str, deltas) -> None:
         # arrival is the edge's position in the node's links, -1 for an injection.
-        nonlocal seq
-        seq += 1
         if trace is not None:
-            trace.append(TraceEntry(seq, (sender, node), variable, deltas))
+            trace.append(TraceEntry(len(trace) - before + 1, (sender, node), variable, deltas))
         node_links = links[node]
         work = vec.get(node)
         if work is None:
@@ -300,7 +291,7 @@ def _run(
                 snap[edge] = marginal
                 deliver(node, receiver, back, shared, change)
 
-    if schedule.policy == "random":
+    if schedule.seed is not None:
         rng = random.Random(schedule.seed)
         # Pending (node, key, deltas): deltas for an injection, None for a mark.
         pool: list[tuple] = [(v, 0, deltas) for v, deltas in injections]

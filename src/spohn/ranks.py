@@ -14,9 +14,10 @@ strength, never as a rank.
 
 from __future__ import annotations
 
-from typing import Iterable, TypeAlias, Union
+import sys
+from typing import Iterable, Sequence, TypeAlias, Union
 
-from .errors import AllInfinite, RankArithmeticError
+from .errors import AllInfinite, DocumentError, RankArithmeticError
 
 
 class _Infinity:
@@ -124,6 +125,19 @@ def is_rank(value: object) -> bool:
     if isinstance(value, _Infinity):
         return True
     return type(value) is int and value >= 0
+
+
+def _rank_texts(ranks: Sequence[Rank], holder: str, inf: str = "inf") -> list[str]:
+    """Each rank, or signed change, in decimal and INF as inf. The engine
+    can add ranks past sys.get_int_max_str_digits(), the limit str() has
+    for an int, from inputs within it: that is a DocumentError naming the
+    holder, raised before any text of the sequence is written."""
+    try:
+        return [inf if r is INF else str(r) for r in ranks]
+    except ValueError as exc:
+        raise DocumentError(
+            f"{holder} holds a rank of more than {sys.get_int_max_str_digits()} digits, too long to write"
+        ) from exc
 
 
 def rank_delta(new: Rank, old: Rank) -> Rank:

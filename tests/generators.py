@@ -39,19 +39,25 @@ def random_diagram(
     n_vars: int,
     max_domain: int = 3,
     p_detach: float = 0.1,
+    shape: str = "forest",
 ) -> InfluenceDiagram:
-    """Random singly connected DAG: each node after the first hooks onto an
-    earlier one (unless it starts a fresh component), direction coin-flipped.
-    Flipping directions on a forest cannot create a cycle or a second path."""
+    """Random singly connected DAG. A forest hooks each node after the first
+    onto an earlier one (unless it starts a fresh component), direction
+    coin-flipped. Flipping directions on a forest cannot create a cycle or a
+    second path. A chain hooks each node onto the one before it, direction
+    coin-flipped; a star makes V0 the one parent of every other node."""
     variables = tuple(
         Variable(f"V{i}", tuple(f"v{i}_{j}" for j in range(rng.randint(2, max_domain))))
         for i in range(n_vars)
     )
     edges = []
     for i in range(1, n_vars):
-        if rng.random() < p_detach:
+        if shape == "star":
+            edges.append(("V0", f"V{i}"))
             continue
-        j = rng.randrange(i)
+        if shape == "forest" and rng.random() < p_detach:
+            continue
+        j = rng.randrange(i) if shape == "forest" else i - 1
         pair = (f"V{j}", f"V{i}")
         edges.append(pair if rng.random() < 0.5 else pair[::-1])
     return InfluenceDiagram(variables, tuple(edges))

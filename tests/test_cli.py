@@ -35,6 +35,26 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def digit_limit_star(tmp_path):
+    """A valid star H -> L1, L2, L3 whose ranks are within the int-to-str
+    limit, and targets on L1 and L2 that send H -> L3 a change past it.
+    Its joint sums three such ranks in one state."""
+    nine = 9 * 10 ** (sys.get_int_max_str_digits() - 1)
+    names = ["H", "L1", "L2", "L3"]
+    tables = {leaf: {"order": ["H", leaf], "ranks": [0, nine, nine, 0]} for leaf in names[1:]}
+    network = tmp_path / "star.json"
+    network.write_text(json.dumps({
+        "variables": [{"name": n, "domain": [n.lower() + "0", n.lower() + "1"]} for n in names],
+        "edges": [["H", leaf] for leaf in names[1:]],
+        "tables": {"H": {"order": ["H"], "ranks": [0, 0]}, **tables},
+    }))
+    evidence = tmp_path / "star_ev.json"
+    evidence.write_text(json.dumps(
+        {"evidence": [{"variable": leaf, "target": [0, nine]} for leaf in ("L1", "L2")]}
+    ))
+    return str(network), str(evidence)
+
+
 class TestValidate:
     def test_consistent_network_is_ok(self, capsys):
         code, out, _ = run(capsys, "validate", FIVE)
@@ -147,6 +167,13 @@ class TestQuery:
         assert out == ""
         assert "8192" in err and "4096" in err
 
+    def test_a_joint_rank_past_the_digit_limit_is_a_clean_error(self, capsys, tmp_path):
+        network, _ = digit_limit_star(tmp_path)
+        assert run(capsys, "validate", network) == (0, "ok\n", "")
+        limit = sys.get_int_max_str_digits()
+        error = f"error: the joint ranking holds a rank of more than {limit} digits, too long to write\n"
+        assert run(capsys, "query", network, "--joint") == (1, "", error)
+
     def test_believe_after_one_lesson(self, capsys, tmp_path):
         t1 = tmp_path / "t1.json"
         assert main(["propagate", PENGUIN, EV_BIRD, "--mode", "single", "--out", str(t1)]) == 0
@@ -223,6 +250,21 @@ class TestPropagate:
         lines = err.splitlines(keepends=True)
         assert (code, out, len(lines), lines[-1]) == (1, "", 3, error)
         assert lines[0].startswith("seq=1 edge=A->A ") and lines[1].startswith("seq=2 edge=A->B ")
+
+    def test_a_traced_change_past_the_digit_limit_is_a_clean_error(self, capsys, tmp_path):
+        # Without --trace the output table for H fails to write; with it the
+        # trace line of H's change to L3 fails first, and no line is printed.
+        network, evidence = digit_limit_star(tmp_path)
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "propagate", network, evidence, "--mode", "uncertain")
+        error = f"error: table for H holds a rank of more than {limit} digits, too long to write\n"
+        assert (code, out, err) == (1, "", error)
+        code, out, err = run(capsys, "propagate", network, evidence, "--mode", "uncertain", "--trace")
+        error = (
+            f"error: trace entry seq=7 edge=H->L3 holds a rank of more than {limit} digits, "
+            "too long to write\n"
+        )
+        assert (code, out, err) == (1, "", error)
 
     def test_unwritable_output_is_a_clean_error(self, capsys, tmp_path):
         out_path = tmp_path / "missing" / "out.json"

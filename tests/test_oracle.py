@@ -69,6 +69,11 @@ class TestEnsureTractable:
         with pytest.raises(TooLargeForOracle, match="8192"):
             ensure_tractable(space)
 
+    def test_takes_the_space_alone(self):
+        # Dummies are counted where the joint's variables are known.
+        with pytest.raises(TypeError):
+            ensure_tractable(self._binary_space(2), 1)
+
     def test_guard_sits_on_the_revision_entry_point(self):
         space = self._binary_space(13)
         kappa = OCF(space, (0,) * space.size)

@@ -93,13 +93,15 @@ class TestEvidenceSpec:
         assert EvidenceSpec("X", target=[INF, 0]).target == (INF, 0)
 
     def test_schedule_validation(self):
-        with pytest.raises(ValueError):
-            Schedule("lifo")
-        with pytest.raises(ValueError):
-            Schedule("random")
-        with pytest.raises(ValueError):
-            Schedule("fifo", seed=5)
-        assert Schedule.seeded(3).seed == 3
+        # A schedule is its seed, given by keyword: there is no policy
+        # argument, and a string is never taken as a seed.
+        for args, kwargs in ((("lifo",), {}), (("random",), {}), (("fifo",), {"seed": 5})):
+            with pytest.raises(TypeError):
+                Schedule(*args, **kwargs)
+        assert Schedule() == Schedule.fifo() and Schedule.fifo().seed is None
+        assert Schedule(seed=3) == Schedule.seeded(3) and Schedule.seeded(3).seed == 3
+        with pytest.raises(ValueError, match="random schedule needs a seed"):
+            Schedule.seeded(None)
 
 
 class TestSingleEvidence:
@@ -245,6 +247,18 @@ class TestSingleEvidence:
             (("A", "B"), "A"),
             (("B", "D"), "B"),
         ]
+
+    def test_a_reused_trace_numbers_each_call_from_one(self, five_node_net):
+        evidence = [EvidenceSpec("B", values=("b1",)), EvidenceSpec("E", values=("e1",))]
+        for schedule in (Schedule.fifo(), Schedule.seeded(7)):
+            alone: list = []
+            propagate(five_node_net, evidence, schedule, alone)
+            trace: list = []
+            propagate(five_node_net, evidence[:1], schedule, trace)
+            earlier = list(trace)
+            propagate(five_node_net, evidence, schedule, trace)
+            assert trace[: len(earlier)] == earlier and trace[len(earlier):] == alone
+            assert [t.seq for t in alone] == list(range(1, len(alone) + 1))
 
 
 class TestCertainMulti:
