@@ -35,7 +35,7 @@ from .network import SpohnianNetwork
 from .ocf import OCF, Proposition, StateSpace
 from .oracle import compare as oracle_compare
 from .oracle import _ensure_tractable_over, oracle_impose, oracle_revise
-from .propagation import EvidenceSpec, Schedule, TraceEntry, propagate
+from .propagation import EvidenceSpec, Schedule, TraceEntry, _require_valid, propagate
 from .ranks import INF, _rank_texts
 
 
@@ -109,6 +109,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         return 0
     if args.joint:
         _ensure_tractable_over(net.diagram.variables)
+        _require_valid(net)  # an invalid network's tables have no joint
         joint = net.joint()
         for i, r in enumerate(_rank_texts(joint.ranks, "the joint ranking")):
             print(f"{','.join(joint.space.state_at(i))}:{r}")

@@ -185,18 +185,19 @@ class InfluenceDiagram:
         return self._families[child][0]
 
     def validate(self) -> ValidationReport:
-        """Check acyclicity and single-connectedness, naming offenders."""
-        problems: list[str] = []
-        cycle = self._find_directed_cycle()
-        if cycle:
-            problems.append("directed cycle: " + " -> ".join(cycle))
+        """Check acyclicity and single-connectedness, naming offenders.
+        A directed cycle, self-loops included, is an undirected one too, so
+        the cycle search runs only when union-find has found a clash."""
         clash = self._find_multiply_connected_pair()
-        if clash:
-            a, b = clash
-            problems.append(
-                f"multiply-connected: more than one undirected path between {a} and {b}"
-            )
-        return ValidationReport(not problems, tuple(problems))
+        if clash is None:
+            return ValidationReport(True, ())
+        cycle = self._find_directed_cycle()
+        problems = ["directed cycle: " + " -> ".join(cycle)] if cycle else []
+        a, b = clash
+        problems.append(
+            f"multiply-connected: more than one undirected path between {a} and {b}"
+        )
+        return ValidationReport(False, tuple(problems))
 
     def _find_directed_cycle(self) -> list[str] | None:
         indeg = {n: 0 for n in self.names}

@@ -131,7 +131,8 @@ def parse_network(text: str) -> SpohnianNetwork:
             raise DocumentError(
                 f"{where}.order: expected a permutation of {list(family)}, got {order!r}"
             )
-        space = StateSpace(members)
+        # The diagram has checked the family: non-empty, distinct names.
+        space = StateSpace._trusted(members, family)
         raw_ranks = entry["ranks"]
         # Any order is a permutation of the family, so its space has the same size.
         if not isinstance(raw_ranks, list) or len(raw_ranks) != space.size:
@@ -141,15 +142,18 @@ def parse_network(text: str) -> SpohnianNetwork:
             )
         # Plain non-negative ints (bools are not int here) are ranks as they
         # stand; anything else goes cell by cell, which names the first bad one.
-        if set(map(type, raw_ranks)) == {int} and min(raw_ranks) >= 0:
+        # Either way one min gives the least rank, which no reordering changes.
+        least = min(raw_ranks) if set(map(type, raw_ranks)) == {int} else -1
+        if least >= 0:
             ranks = raw_ranks
         else:
             ranks = [_rank_from_json(v, f"{where}.ranks[{i}]") for i, v in enumerate(raw_ranks)]
+            least = min(ranks)
         if not canonical:
             doc_space = StateSpace(tuple(diagram.variable(n) for n in order))
             at = [family.index(n) for n in order]
             ranks = [ranks[doc_space.index_of([s[p] for p in at])] for s in space.states()]
-        if min(ranks) != 0:
+        if least != 0:
             raise DocumentError(f"{where}: table has no rank-0 entry")
         # Every cell is a checked rank, there are space.size of them and one
         # is 0: exactly what OCF.__post_init__ would check again.

@@ -44,7 +44,8 @@ class SpohnianNetwork:
         for node in names:
             table = self.tables[node]
             fam, want = families[node]
-            if table.space.variables != want:
+            # Parsed tables hold the family's own tuple: identity answers first.
+            if table.space.variables is not want and table.space.variables != want:
                 raise SpaceMismatch(
                     f"table for {node} is over {table.space.names}, expected {fam}"
                 )
@@ -147,13 +148,14 @@ class SpohnianNetwork:
         receiver's list, the edge's own tuple from diagram.edges: both ends
         hold it, and the engine keys its one snapshot per edge by it). A
         digit map depends only on (size, stride, cardinality), so all tables
-        of one shape share the first one's projection; a node's own marginal
-        is computed once for all its edges to children."""
+        of one shape share the first one's projection. Each parent's digit
+        map in its own table, its own marginal and its cardinality are
+        computed once for all its edges to children."""
         d = self.diagram
         problems = list(d.validate().problems)
         links: dict[str, list[tuple]] = {node: [] for node in d.names}
         maps: dict[tuple[int, int, int], list[int]] = {}
-        own: dict[str, list[Rank]] = {}
+        parents: dict[str, tuple[list[int], list[Rank], int]] = {}
 
         def digit_map(space, name: str, card: int) -> list[int]:
             key = (space.size, space.strides[space._position[name]], card)
@@ -163,12 +165,15 @@ class SpohnianNetwork:
 
         for edge in d.edges:
             a, b = edge
-            card = len(d.variable(a).domain)
-            ta, tb = self.tables[a], self.tables[b]
-            digit_a, digit_b = digit_map(ta.space, a, card), digit_map(tb.space, a, card)
-            if a not in own:
-                own[a] = _least_ranks(ta.ranks, digit_a, card)
-            if own[a] != _least_ranks(tb.ranks, digit_b, card):
+            entry = parents.get(a)
+            if entry is None:
+                ta, card = self.tables[a], len(d.variable(a).domain)
+                digit_a = digit_map(ta.space, a, card)
+                entry = parents[a] = (digit_a, _least_ranks(ta.ranks, digit_a, card), card)
+            digit_a, own, card = entry
+            tb = self.tables[b]
+            digit_b = digit_map(tb.space, a, card)
+            if own != _least_ranks(tb.ranks, digit_b, card):
                 problems.append(f"edge {a}->{b}: tables disagree on the marginal of {a}")
             at_a, at_b = len(links[a]), len(links[b])
             links[a].append((b, a, digit_a, card, at_b, edge))

@@ -59,6 +59,23 @@ class Variable:
             raise ValueError(f"variable {self.name!r} has duplicate values")
 
 
+def _lay_out(space: StateSpace, variables: tuple[Variable, ...], names: tuple[str, ...]) -> None:
+    """Fill a new StateSpace's slots: one helper for both of its constructors."""
+    size = 1
+    strides = []  # last variable first
+    for v in variables[::-1]:
+        strides.append(size)
+        size *= len(v.domain)
+    put = object.__setattr__
+    put(space, "variables", variables)
+    put(space, "names", names)
+    put(space, "_position", dict(zip(names, range(len(names)))))
+    put(space, "size", size)
+    put(space, "strides", tuple(strides[::-1]))
+    put(space, "_proj_cache", {})
+    put(space, "_digit_maps", None)
+
+
 @dataclass(frozen=True, slots=True)
 class StateSpace:
     """Cartesian product of variable domains, with mixed-radix indexing.
@@ -82,22 +99,17 @@ class StateSpace:
         if not variables:
             raise ValueError("state space needs at least one variable")
         names = tuple([v.name for v in variables])
-        position = dict(zip(names, range(len(names))))
-        if len(position) != len(names):
+        if len(set(names)) != len(names):
             raise ValueError("duplicate variable names in state space")
-        size = 1
-        strides = []  # last variable first
-        for v in variables[::-1]:
-            strides.append(size)
-            size *= len(v.domain)
-        put = object.__setattr__
-        put(self, "variables", variables)
-        put(self, "names", names)
-        put(self, "_position", position)
-        put(self, "size", size)
-        put(self, "strides", tuple(strides[::-1]))
-        put(self, "_proj_cache", {})
-        put(self, "_digit_maps", None)
+        _lay_out(self, variables, names)
+
+    @classmethod
+    def _trusted(cls, variables: tuple[Variable, ...], names: tuple[str, ...]) -> StateSpace:
+        """A space without __post_init__'s checks, for a caller that has made
+        them: variables is a non-empty tuple, names their distinct names."""
+        out = object.__new__(cls)
+        _lay_out(out, variables, names)
+        return out
 
     def __reduce__(self):
         # Rebuild through the constructor, so the layout, the digit maps and

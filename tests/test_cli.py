@@ -174,6 +174,35 @@ class TestQuery:
         error = f"error: the joint ranking holds a rank of more than {limit} digits, too long to write\n"
         assert run(capsys, "query", network, "--joint") == (1, "", error)
 
+    @pytest.mark.parametrize(
+        "edges, a_ranks",
+        [
+            ([["A", "B"], ["B", "A"]], [0, 1, 1, 0]),  # a two-cycle
+            ([["A", "B"]], [0, 1]),  # tables that disagree on A's marginal
+        ],
+    )
+    def test_joint_of_an_invalid_network_is_refused_as_propagate_refuses_it(
+        self, capsys, tmp_path, edges, a_ranks
+    ):
+        a_order = ["A", "B"] if len(a_ranks) == 4 else ["A"]
+        network = tmp_path / "invalid.json"
+        network.write_text(json.dumps({
+            "variables": [{"name": "A", "domain": ["a0", "a1"]}, {"name": "B", "domain": ["b0", "b1"]}],
+            "edges": edges,
+            "tables": {
+                "A": {"order": a_order, "ranks": a_ranks},
+                "B": {"order": ["A", "B"], "ranks": [0, 2, 2, 0]},
+            },
+        }))
+        evidence = tmp_path / "ev.json"
+        evidence.write_text(json.dumps({"evidence": [{"variable": "A", "values": ["a0"], "strength": 1}]}))
+        code, out, err = run(capsys, "propagate", str(network), str(evidence), "--mode", "single")
+        assert code == 1 and out == "" and err.startswith("error: ")
+        assert run(capsys, "query", str(network), "--joint") == (1, "", err)
+        _, report, _ = run(capsys, "validate", str(network))
+        problems = [line.removeprefix("invalid: ") for line in report.splitlines()]
+        assert err == "error: " + "; ".join(problems) + "\n"
+
     def test_believe_after_one_lesson(self, capsys, tmp_path):
         t1 = tmp_path / "t1.json"
         assert main(["propagate", PENGUIN, EV_BIRD, "--mode", "single", "--out", str(t1)]) == 0

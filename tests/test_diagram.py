@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from spohn import Family, InfluenceDiagram, Variable
+from spohn import Family, InfluenceDiagram, Variable, parse_network, serialize_network
+from spohn.diagram import ValidationReport
 from spohn.errors import UnknownVariable
 
-from generators import random_diagram
+from generators import random_diagram, random_instance, topological
 
 
 def v(name):
@@ -113,6 +114,79 @@ class TestValidate:
     def test_forest_is_valid(self):
         d = InfluenceDiagram((v("A"), v("B"), v("C")), (("A", "B"),))
         assert d.validate().ok
+
+    def test_report_matches_running_both_searches(self):
+        # The reference always runs the cycle search and union-find, in the
+        # report's order; validate() runs the cycle search only after a clash.
+        def reference(d):
+            problems = []
+            cycle = d._find_directed_cycle()
+            if cycle:
+                problems.append("directed cycle: " + " -> ".join(cycle))
+            clash = d._find_multiply_connected_pair()
+            if clash:
+                a, b = clash
+                problems.append(
+                    f"multiply-connected: more than one undirected path between {a} and {b}"
+                )
+            return ValidationReport(not problems, tuple(problems))
+
+        def with_extra_edges(rng, base, kind):
+            edges, names = list(base.edges), list(base.names)
+            if kind == "self-loop":
+                extra = [(x, x) for x in rng.sample(names, rng.randint(1, 2))]
+            elif kind == "two-cycle" and edges:
+                extra = [(b, a) for a, b in rng.sample(edges, rng.randint(1, min(2, len(edges))))]
+            elif kind == "cycle":
+                ring = rng.sample(names, rng.randint(3, len(names)))
+                extra = list(zip(ring, ring[1:] + ring[:1]))
+            elif kind == "dag":
+                order = topological(base)
+                extra = []
+                for _ in range(rng.randint(1, 3)):
+                    i, j = sorted(rng.sample(range(len(order)), 2))
+                    extra.append((order[i], order[j]))
+            else:  # anything, self-loops included
+                extra = [(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(1, 4))]
+            for e in extra:
+                if e not in edges:
+                    edges.append(e)
+            return InfluenceDiagram(base.variables, tuple(edges))
+
+        rng = random.Random(113)
+        seen = {"ok": 0, "cycle": 0, "loop only": 0}
+        for _ in range(400):
+            base = random_diagram(rng, rng.randint(3, 14), p_detach=0.3)
+            kind = rng.choice(["forest", "self-loop", "two-cycle", "cycle", "dag", "any"])
+            d = base if kind == "forest" else with_extra_edges(rng, base, kind)
+            want = reference(d)
+            assert d.validate() == want
+            if want.ok:
+                seen["ok"] += 1
+            elif want.problems[0].startswith("directed cycle"):
+                seen["cycle"] += 1
+                assert len(want.problems) == 2
+            else:
+                seen["loop only"] += 1
+        assert min(seen.values()) >= 40, seen
+
+    def test_a_polytree_is_parsed_and_gated_without_a_cycle_search(self, monkeypatch):
+        calls = []
+        search = InfluenceDiagram._find_directed_cycle
+
+        def counted(self):
+            calls.append(self)
+            return search(self)
+
+        monkeypatch.setattr(InfluenceDiagram, "_find_directed_cycle", counted)
+        rng = random.Random(29)
+        for n in (1, 5, 40, 300):
+            net = parse_network(serialize_network(random_instance(rng, n, p_detach=0.2)))
+            assert net.validate().ok
+            assert calls == []
+        cyclic = diagram([("A", "B"), ("B", "C"), ("C", "A")])
+        assert not cyclic.validate().ok
+        assert calls == [cyclic]
 
 
 class TestSeparation:

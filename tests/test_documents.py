@@ -17,6 +17,7 @@ from spohn import (
     EvidenceSpec,
     InfluenceDiagram,
     InvalidTarget,
+    SpaceMismatch,
     SpohnianNetwork,
     StateSpace,
     Variable,
@@ -33,6 +34,37 @@ DOCS = Path(__file__).resolve().parent.parent / "docs"
 
 def doc_dict(net):
     return json.loads(serialize_network(net))
+
+
+def permuted_orders(doc, rng):
+    """The document with every table of two or more variables rewritten in
+    a random order of its variables."""
+    variables = {v["name"]: Variable(v["name"], tuple(v["domain"])) for v in doc["variables"]}
+    out = copy.deepcopy(doc)
+    for entry in out["tables"].values():
+        order = entry["order"][:]
+        rng.shuffle(order)
+        given = StateSpace(tuple(variables[n] for n in entry["order"]))
+        wanted = StateSpace(tuple(variables[n] for n in order))
+        entry["ranks"] = [
+            entry["ranks"][given.index_of(dict(zip(order, state)))] for state in wanted.states()
+        ]
+        entry["order"] = order
+    return out
+
+
+def built_by_hand(doc):
+    """The document's network built through the public constructors only."""
+    variables = tuple(Variable(v["name"], tuple(v["domain"])) for v in doc["variables"])
+    diagram = InfluenceDiagram(variables, tuple(tuple(e) for e in doc["edges"]))
+    tables = {}
+    for node, entry in doc["tables"].items():
+        ranks = [INF if r == "inf" else r for r in entry["ranks"]]
+        given = StateSpace(tuple(diagram.variable(n) for n in entry["order"]))
+        family = StateSpace(tuple(diagram.variable(n) for n in diagram.family_variables(node)))
+        cells = [ranks[given.index_of(dict(zip(family.names, s)))] for s in family.states()]
+        tables[node] = OCF(family, tuple(cells))
+    return SpohnianNetwork(diagram, tables)
 
 
 class TestRoundTrip:
@@ -61,6 +93,47 @@ class TestRoundTrip:
                 assert not hasattr(space, "__dict__")
                 assert space._digit_maps is None or space.names == (evidence.variable,)
             assert "space" not in net.diagram.__dict__
+            assert "_children" not in net.diagram.__dict__
+
+    def test_parsed_family_spaces_are_the_public_constructors_spaces(self):
+        # The parser lays out each family's space without re-checking the
+        # names the diagram has checked; slot for slot it is StateSpace's.
+        rng = random.Random(83)
+        texts = []
+        for n in (1, 3, 12, 60):
+            text = serialize_network(random_instance(rng, n, p_inf=0.25))
+            for d in (json.loads(text), permuted_orders(json.loads(text), rng)):
+                texts.append(json.dumps(d))
+                parsed = parse_network(texts[-1])
+                families = parsed.diagram._families
+                for node, table in parsed.tables.items():
+                    space, want = table.space, StateSpace(families[node][1])
+                    for slot in ("variables", "names", "_position", "size", "strides"):
+                        assert getattr(space, slot) == getattr(want, slot)
+                    assert space._proj_cache == {} and space._digit_maps is None
+                    assert not hasattr(space, "__dict__")
+                assert parsed == built_by_hand(d)
+                assert serialize_network(parsed) == text
+        assert '"inf"' in texts[-1] and texts[-1] != texts[-2]
+
+    def test_a_table_over_another_space_is_still_refused(self):
+        rng = random.Random(89)
+        net = parse_network(serialize_network(random_instance(rng, 12, p_detach=0.0)))
+        for node in net.diagram.names:
+            table = net.tables[node]
+            family = net.diagram.family_variables(node)
+            wider = tuple(Variable(v.name, v.domain + ("extra",)) for v in table.space.variables)
+            others = [StateSpace(wider)]
+            if len(family) > 1:
+                others.append(StateSpace(table.space.variables[::-1]))
+            for space in others:
+                tables = dict(net.tables)
+                tables[node] = OCF(space, (0,) * space.size)
+                with pytest.raises(SpaceMismatch) as caught:
+                    SpohnianNetwork(net.diagram, tables)
+                assert str(caught.value) == (
+                    f"table for {node} is over {space.names}, expected {family}"
+                )
 
     def test_infinite_ranks_survive(self, penguin_space):
         a = Variable("A", ("a0", "a1"))
@@ -374,10 +447,19 @@ class TestNetworkParseErrors:
             parse_network(json.dumps(doc))
 
     def test_table_without_a_zero_names_the_node(self, five_node_net):
-        doc = self.base(five_node_net)
-        doc["tables"]["C"]["ranks"] = [1, 3]
-        with pytest.raises(DocumentError, match=r"tables\.C: table has no rank-0"):
-            parse_network(json.dumps(doc))
+        # Integer cells, "inf" cells and permuted orders alike.
+        for node, order, ranks in [
+            ("C", ["C"], [1, 3]),
+            ("C", ["C"], ["inf", 2]),
+            ("C", ["C"], ["inf", "inf"]),
+            ("D", ["D", "C", "B"], [4, "inf", 1, 2, 3, 3, 1, 5]),
+            ("D", ["C", "D", "B"], [4, 2, 1, 2, 3, 3, 1, 5]),
+        ]:
+            doc = self.base(five_node_net)
+            doc["tables"][node] = {"order": order, "ranks": ranks}
+            with pytest.raises(DocumentError) as caught:
+                parse_network(json.dumps(doc))
+            assert str(caught.value) == f"tables.{node}: table has no rank-0 entry"
 
 
 class TestEvidenceParsing:
