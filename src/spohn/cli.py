@@ -102,14 +102,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_query(args: argparse.Namespace) -> int:
     net = parse_network(_read(args.network, "network file"))
+    if args.joint:
+        _ensure_tractable_over(net.diagram.variables)
+    _require_valid(net)  # an invalid network's tables are no joint's marginals
     if args.marginal is not None:
         marg = net.marginal(args.marginal)
         domain = marg.space.variables[0].domain
         print(" ".join(f"{v}:{r}" for v, r in zip(domain, marg.ranks)))
         return 0
     if args.joint:
-        _ensure_tractable_over(net.diagram.variables)
-        _require_valid(net)  # an invalid network's tables have no joint
         joint = net.joint()
         for i, r in enumerate(_rank_texts(joint.ranks, "the joint ranking")):
             print(f"{','.join(joint.space.state_at(i))}:{r}")

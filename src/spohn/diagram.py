@@ -23,18 +23,6 @@ from .ocf import StateSpace, Variable
 
 
 @dataclass(frozen=True)
-class Family:
-    """A node together with its parents, parents in declared order."""
-
-    child: str
-    parents: tuple[str, ...]
-
-    @property
-    def members(self) -> tuple[str, ...]:
-        return self.parents + (self.child,)
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     ok: bool
     problems: tuple[str, ...]
@@ -111,12 +99,11 @@ class InfluenceDiagram:
 
     @cached_property
     def _neighbors(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {n: [] for n in self.names}
-        for a, b in self.edges:
-            out[a].append(b)
-            out[b].append(a)
-        order = self._position
-        return {n: tuple(sorted(set(ns), key=order.__getitem__)) for n, ns in out.items()}
+        parents, children, order = self._parents, self._children, self._position
+        return {
+            n: tuple(sorted({*parents[n], *children[n]}, key=order.__getitem__))
+            for n in self.names
+        }
 
     @cached_property
     def _unit_spaces(self) -> dict[str, StateSpace]:
@@ -176,9 +163,6 @@ class InfluenceDiagram:
                 stack.extend(self._parents[n])
         return tuple(n for n in self.names if n in seen)
 
-    def family(self, child: str) -> Family:
-        return Family(child, self.parents(child))
-
     def family_variables(self, child: str) -> tuple[str, ...]:
         """The family's members in diagram declaration order."""
         self.variable(child)
@@ -200,44 +184,19 @@ class InfluenceDiagram:
         return ValidationReport(False, tuple(problems))
 
     def _find_directed_cycle(self) -> list[str] | None:
-        indeg = {n: 0 for n in self.names}
-        for _, b in self.edges:
-            indeg[b] += 1
-        queue = deque(n for n in self.names if indeg[n] == 0)
-        seen = 0
-        while queue:
-            n = queue.popleft()
-            seen += 1
-            for m in self._children[n]:
-                indeg[m] -= 1
-                if indeg[m] == 0:
-                    queue.append(m)
-        if seen == len(self.names):
+        # Peeling sources keeps what lies downstream of a cycle, then peeling
+        # sinks keeps what lies upstream of one: every node kept has a child
+        # kept. Walk from the first declared one until a node repeats.
+        kept = _peel(_peel(set(self.names), self._parents, self._children),
+                     self._children, self._parents)
+        if not kept:
             return None
-        # Prune the leftover nodes that only lead out of the cycles, so every
-        # one kept has a child kept; then walk from the first declared one
-        # until a node repeats.
-        stuck = {n for n in self.names if indeg[n] > 0}
-        outdeg = {n: sum(m in stuck for m in self._children[n]) for n in stuck}
-        dead_ends = [n for n in stuck if outdeg[n] == 0]
-        while dead_ends:
-            n = dead_ends.pop()
-            stuck.discard(n)
-            for p in self._parents[n]:
-                if p in stuck:
-                    outdeg[p] -= 1
-                    if outdeg[p] == 0:
-                        dead_ends.append(p)
-        start = min(stuck, key=self._position.__getitem__)
-        trail = [start]
-        positions = {start: 0}
-        cur = start
-        while True:
-            cur = next(m for m in self._children[cur] if m in stuck)
-            if cur in positions:
-                return trail[positions[cur]:] + [cur]
-            positions[cur] = len(trail)
-            trail.append(cur)
+        positions: dict[str, int] = {}
+        cur = min(kept, key=self._position.__getitem__)
+        while cur not in positions:
+            positions[cur] = len(positions)
+            cur = next(m for m in self._children[cur] if m in kept)
+        return list(positions)[positions[cur]:] + [cur]
 
     def _find_multiply_connected_pair(self) -> tuple[str, str] | None:
         parent: dict[str, str] = {n: n for n in self.names}
@@ -296,14 +255,15 @@ class InfluenceDiagram:
         self.variable(y)
         return all(self._path_blocked(p, g) for p in self.undirected_paths(x, y))
 
-    def unique_connector(self, fam: Family, observed: str) -> str | None:
-        """The family member every path from the observed variable enters through.
+    def unique_connector(self, family: Iterable[str], observed: str) -> str | None:
+        """The family member every path from the observed variable enters
+        through; family is the members' names, as family_variables gives them.
 
         None when the observed variable is in a different component. Assumes
         the diagram is singly connected, which makes the member unique.
         """
         self.variable(observed)
-        members = set(fam.members)
+        members = set(family)
         if observed in members:
             return observed
         seen = {observed}
@@ -317,3 +277,17 @@ class InfluenceDiagram:
                     seen.add(m)
                     queue.append(m)
         return None
+
+
+def _peel(nodes: set[str], before: dict, after: dict) -> set[str]:
+    """What is left of nodes after repeatedly removing any node with no
+    before-neighbor left; after is before's inverse relation."""
+    left = {n: sum(m in nodes for m in before[n]) for n in nodes}
+    free = [n for n, k in left.items() if not k]
+    for n in free:  # free grows as it is walked
+        for m in after[n]:
+            if m in left:
+                left[m] -= 1
+                if not left[m]:
+                    free.append(m)
+    return {n for n, k in left.items() if k}

@@ -26,7 +26,7 @@ from .ocf import OCF, _least_ranks
 from .ranks import INF, Rank
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SpohnianNetwork:
     diagram: InfluenceDiagram
     tables: Mapping[str, OCF] = field(repr=False)
@@ -55,11 +55,6 @@ class SpohnianNetwork:
     def __reduce__(self):
         # The read-only mapping does not pickle; rebuild through the constructor.
         return type(self), (self.diagram, dict(self.tables))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SpohnianNetwork):
-            return NotImplemented
-        return self.diagram == other.diagram and self.tables == other.tables
 
     def marginal(self, name: str) -> OCF:
         """The single-variable ranking of a node, read off its own table.

@@ -461,10 +461,6 @@ class OCF:
         # it the least rank k_out becomes strength >= 0 (or stays INF).
         return OCF._trusted(self.space, tuple(out))
 
-    def revise_certain(self, prop: Proposition) -> OCF:
-        """Learn prop with certainty: revise(prop, INF)."""
-        return self.revise(prop, INF)
-
     def cond_rank(self, prop: Proposition, given: Proposition) -> Rank:
         """Rank of prop conditional on given; INF when they are incompatible."""
         if prop.space != self.space or given.space != self.space:

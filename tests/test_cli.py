@@ -198,7 +198,9 @@ class TestQuery:
         evidence.write_text(json.dumps({"evidence": [{"variable": "A", "values": ["a0"], "strength": 1}]}))
         code, out, err = run(capsys, "propagate", str(network), str(evidence), "--mode", "single")
         assert code == 1 and out == "" and err.startswith("error: ")
-        assert run(capsys, "query", str(network), "--joint") == (1, "", err)
+        # Every query refuses it, not just --joint: its tables are no joint's marginals.
+        for flag in (["--joint"], ["--marginal", "A"], ["--beta", "A=a0"], ["--believe", "A=a0"]):
+            assert run(capsys, "query", str(network), *flag) == (1, "", err)
         _, report, _ = run(capsys, "validate", str(network))
         problems = [line.removeprefix("invalid: ") for line in report.splitlines()]
         assert err == "error: " + "; ".join(problems) + "\n"

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from spohn import Family, InfluenceDiagram, Variable, parse_network, serialize_network
+from spohn import InfluenceDiagram, Variable, parse_network, serialize_network
 from spohn.diagram import ValidationReport
 from spohn.errors import UnknownVariable
 
@@ -28,7 +28,6 @@ def test_accessors(polytree):
     assert polytree.parents("D") == ("B", "C")
     assert polytree.children("C") == ("D", "E")
     assert polytree.neighbors("B") == ("A", "D")
-    assert polytree.family("D").members == ("B", "C", "D")
     assert polytree.family_variables("D") == ("B", "C", "D")
     assert polytree.incident_edges("C") == (("C", "D"), ("C", "E"))
     assert polytree.ancestors("D") == ("A", "B", "C")
@@ -170,6 +169,57 @@ class TestValidate:
                 seen["loop only"] += 1
         assert min(seen.values()) >= 40, seen
 
+    def test_cycle_search_matches_a_reachability_reference(self):
+        # The reference knows only reachability: a node is on a cycle when
+        # it reaches itself, and kept when a cycle node reaches it and it
+        # reaches a cycle node. The walk starts at the first declared kept
+        # node and takes each node's first kept child until a node repeats.
+        def reference(d):
+            children = {n: [b for a, b in d.edges if a == n] for n in d.names}
+            reach = {}
+            for n in d.names:
+                seen, stack = set(), list(children[n])
+                while stack:
+                    m = stack.pop()
+                    if m not in seen:
+                        seen.add(m)
+                        stack.extend(children[m])
+                reach[n] = seen
+            cyclic = {n for n in d.names if n in reach[n]}
+            kept = [n for n in d.names
+                    if reach[n] & cyclic and any(n in reach[c] for c in cyclic)]
+            if not kept:
+                return None
+            trail = [kept[0]]
+            while True:
+                nxt = next(m for m in d.names if m in kept and m in children[trail[-1]])
+                if nxt in trail:
+                    return trail[trail.index(nxt):] + [nxt]
+                trail.append(nxt)
+
+        rng = random.Random(131)
+        cyclic = 0
+        for _ in range(2000):
+            names = rng.sample("ABCDEFGH", rng.randint(1, 8))
+            edges = {(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 2 * len(names)))}
+            d = InfluenceDiagram(tuple(v(n) for n in names), tuple(sorted(edges)))
+            want = reference(d)
+            got = d._find_directed_cycle()
+            assert got == want, (names, d.edges)
+            problems = []
+            if want:
+                cyclic += 1
+                assert want[0] == want[-1] and len(set(want)) == len(want) - 1
+                assert all(e in edges for e in zip(want, want[1:]))
+                problems.append("directed cycle: " + " -> ".join(want))
+            clash = d._find_multiply_connected_pair()
+            if clash:
+                problems.append(
+                    f"multiply-connected: more than one undirected path between {clash[0]} and {clash[1]}"
+                )
+            assert d.validate().problems == tuple(problems)
+        assert 500 <= cyclic <= 1800, cyclic
+
     def test_a_polytree_is_parsed_and_gated_without_a_cycle_search(self, monkeypatch):
         calls = []
         search = InfluenceDiagram._find_directed_cycle
@@ -255,28 +305,22 @@ class TestSeparation:
 
 class TestUniqueConnector:
     def test_observed_inside_the_family_is_its_own_connector(self, polytree):
-        fam = polytree.family("D")
+        fam = polytree.family_variables("D")
         assert polytree.unique_connector(fam, "D") == "D"
         assert polytree.unique_connector(fam, "B") == "B"
 
     def test_entry_point_from_outside(self, polytree):
-        fam = polytree.family("D")
+        fam = polytree.family_variables("D")
         assert polytree.unique_connector(fam, "A") == "B"
         assert polytree.unique_connector(fam, "E") == "C"
-        fam_e = polytree.family("E")
+        fam_e = polytree.family_variables("E")
         assert polytree.unique_connector(fam_e, "A") == "C"
 
     def test_disconnected_observation_has_no_connector(self):
         d = InfluenceDiagram((v("A"), v("B"), v("C")), (("A", "B"),))
-        assert d.unique_connector(d.family("B"), "C") is None
+        assert d.unique_connector(d.family_variables("B"), "C") is None
 
     def test_single_member_family(self, polytree):
-        fam = polytree.family("A")
-        assert fam.members == ("A",)
+        fam = polytree.family_variables("A")
+        assert fam == ("A",)
         assert polytree.unique_connector(fam, "E") == "A"
-
-
-def test_family_is_a_plain_value():
-    f = Family("D", ("B", "C"))
-    assert f.members == ("B", "C", "D")
-    assert f == Family("D", ("B", "C"))

@@ -4,6 +4,7 @@ import copy
 import json
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -415,6 +416,46 @@ class TestNetworkParseErrors:
         doc["tables"]["D"]["ranks"] = [0, 1, 2]
         with pytest.raises(DocumentError, match="expected 8 entries"):
             parse_network(json.dumps(doc))
+
+    def test_a_wide_family_is_refused_by_its_length_before_any_allocation(self):
+        parents = [f"P{i}" for i in range(40)]
+        doc = json.dumps({
+            "variables": [{"name": x, "domain": ["0", "1"]} for x in parents + ["C"]],
+            "edges": [[p, "C"] for p in parents],
+            "tables": {
+                **{p: {"order": [p], "ranks": [0, 0]} for p in parents},
+                "C": {"order": parents + ["C"], "ranks": [0]},
+            },
+        })
+        tracemalloc.start()
+        try:
+            with pytest.raises(DocumentError) as caught:
+                parse_network(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(caught.value) == "tables.C.ranks: expected 2199023255552 entries, got 1"
+        assert peak < 2**20, peak
+
+    def test_a_huge_domain_with_a_one_cell_table_is_refused(self):
+        domain = ", ".join(f'"{i}"' for i in range(10**6))
+        doc = f'{{"variables": [{{"name": "A", "domain": [{domain}]}}], "edges": [], "tables": {{"A": {{"order": ["A"], "ranks": [0]}}}}}}'
+        with pytest.raises(DocumentError) as caught:
+            parse_network(doc)
+        assert str(caught.value) == "tables.A.ranks: expected 1000000 entries, got 1"
+
+    @pytest.mark.parametrize("bad, shown", [("NaN", "nan"), ("1e400", "inf")])
+    def test_json_floats_past_the_integers_are_refused(self, bad, shown):
+        doc = '{"variables": [{"name": "A", "domain": ["a0", "a1"]}], "edges": [], "tables": {"A": {"order": ["A"], "ranks": [0, %s]}}}'
+        with pytest.raises(DocumentError) as caught:
+            parse_network(doc % bad)
+        assert str(caught.value) == f'tables.A.ranks[1]: expected a non-negative integer or "inf", got {shown}'
+
+    def test_an_empty_domain_is_refused(self):
+        doc = {"variables": [{"name": "A", "domain": []}], "edges": [], "tables": {"A": {"order": ["A"], "ranks": []}}}
+        with pytest.raises(DocumentError) as caught:
+            parse_network(json.dumps(doc))
+        assert str(caught.value) == "variables[0]: variable 'A' needs at least two values"
 
     @pytest.mark.parametrize("bad", [-1, 1.5, True, "infinite", None])
     def test_rank_entries_must_be_counting_numbers_or_inf(self, five_node_net, bad):

@@ -148,6 +148,11 @@ class TestReadOnlyTables:
             assert twin.validate().ok
             with pytest.raises(TypeError):
                 twin.tables["A"] = twin.tables["B"]
+        # The dataclass compares diagram and tables; the read-only tables
+        # mapping is unhashable, so the network is too.
+        assert five_node_net.__eq__(object()) is NotImplemented
+        with pytest.raises(TypeError):
+            hash(five_node_net)
 
     def test_use_does_not_grow_the_pickle(self):
         # Diagrams and state spaces pickle through their constructors, so
@@ -161,6 +166,7 @@ class TestReadOnlyTables:
         out = propagate_certain_multi(net, evidence)
         assert len(pickle.dumps(net)) == fresh
         rebuilt = SpohnianNetwork(out.diagram, dict(out.tables))
+        assert out == rebuilt
         assert len(pickle.dumps(out)) == len(pickle.dumps(rebuilt))
         for obj in (net, out, net.diagram, net.diagram.space, net.tables[name].space):
             for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):

@@ -329,7 +329,6 @@ class TestRevision:
         p = penguin(penguin_space)
         post = prior.revise(p, INF)
         assert post.ranks == (1, 0, INF, INF, INF, INF)
-        assert post == prior.revise_certain(p)
 
     def test_impossible_states_stay_impossible(self):
         x = Variable("X", ("a", "b", "c"))
@@ -348,12 +347,12 @@ class TestRevision:
         with pytest.raises(ImpossibleEvidence):
             k.revise(b, 3)
         with pytest.raises(ImpossibleEvidence):
-            k.revise_certain(b)
+            k.revise(b, INF)
 
     def test_negative_strength_is_the_complement_lesson(self, prior, penguin_space):
         p = penguin(penguin_space)
         assert prior.revise(p, -2) == prior.revise(~p, 2)
-        assert prior.revise(p, NEG_INF) == prior.revise_certain(~p)
+        assert prior.revise(p, NEG_INF) == prior.revise(~p, INF)
 
     def test_reversibility(self, penguin_space):
         rng = random.Random(11)
@@ -439,12 +438,6 @@ class TestLinearPasses:
                         kappa.revise(prop, strength)
                 else:
                     assert kappa.revise(prop, strength).ranks == want
-            want = _revised_by_definition(kappa.ranks, inside, INF)
-            if want is ImpossibleEvidence:
-                with pytest.raises(ImpossibleEvidence, match="^the proposition is already ruled out$"):
-                    kappa.revise_certain(prop)
-            else:
-                assert kappa.revise_certain(prop).ranks == want
             assert kappa.rank_of(prop) == min((r for r, x in zip(kappa.ranks, inside) if x), default=INF)
             assert kappa.rank_of(~prop) == min(
                 (r for r, x in zip(kappa.ranks, inside) if not x), default=INF
