@@ -54,8 +54,6 @@ def _load_json(text: str, what: str) -> Any:
 
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
-    if obj.keys() == required:
-        return
     extra = set(obj) - allowed
     if extra:
         raise DocumentError(f"{where}: unknown keys {sorted(extra)}")
@@ -64,30 +62,36 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
         raise DocumentError(f"{where}: missing keys {sorted(missing)}")
 
 
+# Each record's keys; a record's location string is formatted only for an error.
+_NETWORK_KEYS = frozenset(("variables", "edges", "tables"))
+_VARIABLE_KEYS = frozenset(("name", "domain"))
+_TABLE_KEYS = frozenset(("order", "ranks"))
+
+
 def parse_network(text: str) -> SpohnianNetwork:
     doc = _load_json(text, "network document")
     if not isinstance(doc, dict):
         raise DocumentError("network document must be a JSON object")
-    _require_keys(doc, {"variables", "edges", "tables"}, {"variables", "edges", "tables"}, "network document")
+    _require_keys(doc, _NETWORK_KEYS, _NETWORK_KEYS, "network document")
 
     raw_vars = doc["variables"]
     if not isinstance(raw_vars, list) or not raw_vars:
         raise DocumentError("variables: expected a non-empty list")
     variables: list[Variable] = []
     for i, item in enumerate(raw_vars):
-        where = f"variables[{i}]"
         if not isinstance(item, dict):
-            raise DocumentError(f"{where}: expected an object")
-        _require_keys(item, {"name", "domain"}, {"name", "domain"}, where)
+            raise DocumentError(f"variables[{i}]: expected an object")
+        if item.keys() != _VARIABLE_KEYS:
+            _require_keys(item, _VARIABLE_KEYS, _VARIABLE_KEYS, f"variables[{i}]")
         name, domain = item["name"], item["domain"]
         if not isinstance(name, str):
-            raise DocumentError(f"{where}.name: expected a string")
+            raise DocumentError(f"variables[{i}].name: expected a string")
         if not isinstance(domain, list) or not all(isinstance(v, str) for v in domain):
-            raise DocumentError(f"{where}.domain: expected a list of strings")
+            raise DocumentError(f"variables[{i}].domain: expected a list of strings")
         try:
             variables.append(Variable(name, tuple(domain)))
         except ValueError as exc:
-            raise DocumentError(f"{where}: {exc}") from exc
+            raise DocumentError(f"variables[{i}]: {exc}") from exc
 
     raw_edges = doc["edges"]
     if not isinstance(raw_edges, list):
@@ -115,11 +119,11 @@ def parse_network(text: str) -> SpohnianNetwork:
     families = diagram._families
     tables: dict[str, OCF] = {}
     for node in diagram.names:
-        where = f"tables.{node}"
         entry = raw_tables[node]
         if not isinstance(entry, dict):
-            raise DocumentError(f"{where}: expected an object")
-        _require_keys(entry, {"order", "ranks"}, {"order", "ranks"}, where)
+            raise DocumentError(f"tables.{node}: expected an object")
+        if entry.keys() != _TABLE_KEYS:
+            _require_keys(entry, _TABLE_KEYS, _TABLE_KEYS, f"tables.{node}")
         order = entry["order"]
         family, members = families[node]
         canonical = order == list(family)
@@ -129,7 +133,7 @@ def parse_network(text: str) -> SpohnianNetwork:
             or sorted(order) != sorted(family)
         ):
             raise DocumentError(
-                f"{where}.order: expected a permutation of {list(family)}, got {order!r}"
+                f"tables.{node}.order: expected a permutation of {list(family)}, got {order!r}"
             )
         # The diagram has checked the family: non-empty, distinct names.
         space = StateSpace._trusted(members, family)
@@ -137,7 +141,7 @@ def parse_network(text: str) -> SpohnianNetwork:
         # Any order is a permutation of the family, so its space has the same size.
         if not isinstance(raw_ranks, list) or len(raw_ranks) != space.size:
             raise DocumentError(
-                f"{where}.ranks: expected {space.size} entries, got "
+                f"tables.{node}.ranks: expected {space.size} entries, got "
                 f"{len(raw_ranks) if isinstance(raw_ranks, list) else type(raw_ranks).__name__}"
             )
         # Plain non-negative ints (bools are not int here) are ranks as they
@@ -147,14 +151,14 @@ def parse_network(text: str) -> SpohnianNetwork:
         if least >= 0:
             ranks = raw_ranks
         else:
-            ranks = [_rank_from_json(v, f"{where}.ranks[{i}]") for i, v in enumerate(raw_ranks)]
+            ranks = [_rank_from_json(v, f"tables.{node}.ranks[{i}]") for i, v in enumerate(raw_ranks)]
             least = min(ranks)
         if not canonical:
             doc_space = StateSpace(tuple(diagram.variable(n) for n in order))
             at = [family.index(n) for n in order]
             ranks = [ranks[doc_space.index_of([s[p] for p in at])] for s in space.states()]
         if least != 0:
-            raise DocumentError(f"{where}: table has no rank-0 entry")
+            raise DocumentError(f"tables.{node}: table has no rank-0 entry")
         # Every cell is a checked rank, there are space.size of them and one
         # is 0: exactly what OCF.__post_init__ would check again.
         tables[node] = OCF._trusted(space, tuple(ranks))

@@ -153,7 +153,7 @@ class SpohnianNetwork:
         parents: dict[str, tuple[list[int], list[Rank], int]] = {}
 
         def digit_map(space, name: str, card: int) -> list[int]:
-            key = (space.size, space.strides[space._position[name]], card)
+            key = (space.size, space.strides[space.names.index(name)], card)
             if key not in maps:
                 maps[key] = space.projection((name,))
             return maps[key]

@@ -10,9 +10,9 @@ point of using ranks instead of probabilities here.
 
 States are value tuples in declared variable order; tables are dense,
 row-major with the last variable varying fastest. A state space lays out
-its names, positions, size and strides once, at construction, in slots:
-every family table has one, so it is built on every parse. Its per-value
-digit maps and its projections are built on first use. Propositions are
+its names, size and strides once, at construction, in slots: every family
+table has one, so it is built on every parse. Its name positions, per-value
+digit maps and projections are built on first use. Propositions are
 bitsets over state indices. Everything is immutable; operations return new
 objects.
 """
@@ -69,7 +69,7 @@ def _lay_out(space: StateSpace, variables: tuple[Variable, ...], names: tuple[st
     put = object.__setattr__
     put(space, "variables", variables)
     put(space, "names", names)
-    put(space, "_position", dict(zip(names, range(len(names)))))
+    put(space, "_positions", None)
     put(space, "size", size)
     put(space, "strides", tuple(strides[::-1]))
     put(space, "_proj_cache", {})
@@ -80,15 +80,15 @@ def _lay_out(space: StateSpace, variables: tuple[Variable, ...], names: tuple[st
 class StateSpace:
     """Cartesian product of variable domains, with mixed-radix indexing.
 
-    Only the variables are compared. The layout (names, positions, size,
-    strides) is computed once at construction, into slots; the per-value
-    digit maps, which parsing and validation never read, are built on first
+    Only the variables are compared. The layout (names, size, strides) is
+    computed once at construction, into slots; the name positions and the
+    per-value digit maps, which parsing never reads, are built on first
     use, and projections are cached per subset.
     """
 
     variables: tuple[Variable, ...]
     names: tuple[str, ...] = field(init=False, compare=False, repr=False)
-    _position: dict[str, int] = field(init=False, compare=False, repr=False)
+    _positions: dict[str, int] | None = field(init=False, compare=False, repr=False)
     size: int = field(init=False, compare=False, repr=False)
     strides: tuple[int, ...] = field(init=False, compare=False, repr=False)
     _proj_cache: dict = field(init=False, compare=False, repr=False)
@@ -115,6 +115,15 @@ class StateSpace:
         # Rebuild through the constructor, so the layout, the digit maps and
         # the projection cache are neither pickled nor copied.
         return type(self), (self.variables,)
+
+    @property
+    def _position(self) -> dict[str, int]:
+        """Per name, its position in variables; built on first use."""
+        position = self._positions
+        if position is None:
+            position = dict(zip(self.names, range(len(self.names))))
+            object.__setattr__(self, "_positions", position)
+        return position
 
     @property
     def _value_index(self) -> tuple[dict[str, int], ...]:
@@ -179,9 +188,9 @@ class StateSpace:
         if isinstance(names, str):
             raise ValueError(f"expected a collection of variable names, not a string: {names!r}")
         names = tuple(names)
-        wanted = set(names)
+        wanted, position = set(names), self._position
         for n in names:
-            if n not in self._position:
+            if n not in position:
                 raise UnknownVariable(f"unknown variable {n!r}")
         return tuple(n for n in self.names if n in wanted)
 

@@ -1,6 +1,8 @@
 """Command-line front end, driven in process through main(argv)."""
 
+import gc
 import json
+import random
 import re
 import sys
 from pathlib import Path
@@ -19,6 +21,8 @@ from spohn import (
     serialize_network,
 )
 from spohn.cli import main
+
+from generators import random_instance, random_value_evidence
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 PENGUIN = str(DOCS / "penguin.json")
@@ -226,17 +230,34 @@ class TestQuery:
         assert out == "0\n"
 
     @pytest.mark.parametrize(
-        "prop, fragment",
+        "flag, prop, message",
         [
-            ("flight", "bad proposition"),
-            ("flight=SOARS", "no value"),
-            ("wings=YES", "wings"),
+            pytest.param(
+                "--believe", "flight", "bad proposition 'flight', expected VAR=VALUE[,VALUE...]",
+                id="flight-bad proposition",
+            ),
+            pytest.param(
+                "--believe", "flight=SOARS", "variable 'flight' has no value 'SOARS'",
+                id="flight=SOARS-no value",
+            ),
+            pytest.param("--believe", "wings=YES", "unknown variable 'wings'", id="wings=YES-wings"),
+            # An empty value is refused as written, not read as the empty
+            # proposition nor dropped from the list.
+            pytest.param(
+                "--believe", "species=,", "bad proposition 'species=,', expected VAR=VALUE[,VALUE...]",
+                id="species=,-empty value",
+            ),
+            pytest.param(
+                "--beta", "species=PENGUIN,,NOT-BIRD",
+                "bad proposition 'species=PENGUIN,,NOT-BIRD', expected VAR=VALUE[,VALUE...]",
+                id="species=PENGUIN,,NOT-BIRD-empty value",
+            ),
         ],
     )
-    def test_bad_propositions(self, capsys, prop, fragment):
-        code, _, err = run(capsys, "query", PENGUIN, "--believe", prop)
-        assert code == 1
-        assert fragment in err
+    def test_bad_propositions(self, capsys, flag, prop, message):
+        code, out, err = run(capsys, "query", PENGUIN, flag, prop)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestPropagate:
@@ -522,3 +543,92 @@ class TestCompare:
         code, _, err = run(capsys, "compare", str(path), str(ev), "--mode", "uncertain")
         assert code == 1
         assert "8192" in err and "4096" in err
+
+
+class TestCollector:
+    """main() runs the command with the cyclic collector paused and leaves
+    it as the caller had it, on every way out."""
+
+    @pytest.fixture(params=[True, False], ids=["caller-on", "caller-off"])
+    def caller(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @staticmethod
+    def clash(tmp_path):
+        ev = tmp_path / "clash.json"
+        ev.write_text(json.dumps({"evidence": [
+            {"variable": "B", "values": [value], "strength": "inf"} for value in ("b0", "b1")
+        ]}))
+        return str(ev)
+
+    @pytest.mark.parametrize("exit_code", [0, 1, 2])
+    def test_a_command_runs_paused_and_restores_the_callers_setting(
+        self, capsys, tmp_path, monkeypatch, caller, exit_code
+    ):
+        argv = {
+            0: ["validate", FIVE],
+            1: ["query", PENGUIN, "--believe", "flight"],
+            2: ["propagate", FIVE, self.clash(tmp_path), "--mode", "certain"],
+        }[exit_code]
+        seen = []
+        real = spohn.cli.parse_network
+
+        def parse(text):
+            seen.append(gc.isenabled())
+            return real(text)
+
+        monkeypatch.setattr(spohn.cli, "parse_network", parse)
+        code, _, _ = run(capsys, *argv)
+        assert (code, seen) == (exit_code, [False])
+        assert gc.isenabled() is caller
+
+    def test_an_argument_error_leaves_the_setting_alone(self, capsys, caller):
+        with pytest.raises(SystemExit) as caught:
+            main(["propagate", FIVE])
+        assert caught.value.code == 2
+        assert gc.isenabled() is caller
+        capsys.readouterr()
+
+    def test_an_unexpected_exception_restores_the_setting(self, monkeypatch, caller):
+        def broken(args):
+            assert not gc.isenabled()
+            raise KeyError("broken")
+
+        monkeypatch.setattr(spohn.cli, "cmd_validate", broken)
+        with pytest.raises(KeyError, match="broken"):
+            main(["validate", FIVE])
+        assert gc.isenabled() is caller
+
+    def test_the_pause_holds_back_no_garbage_that_grows_with_the_network(self, capsys, tmp_path):
+        # What a call leaves for the collector is argparse's cycles: the
+        # same count at 100 and at 1000 variables, for each command.
+        rng = random.Random(97)
+        found = {}
+        for n in (100, 1000):
+            net = random_instance(rng, n)
+            network = tmp_path / f"net{n}.json"
+            network.write_text(serialize_network(net))
+            ev = random_value_evidence(rng, net)
+            evidence = tmp_path / f"ev{n}.json"
+            evidence.write_text(json.dumps({"evidence": [
+                {"variable": ev.variable, "values": list(ev.values), "strength": ev.strength}
+            ]}))
+            for argv in (
+                ["propagate", str(network), str(evidence), "--mode", "single"],
+                ["validate", str(network)],
+                ["query", str(network), "--marginal", net.diagram.names[-1]],
+            ):
+                was = gc.isenabled()
+                gc.collect()
+                gc.disable()
+                try:
+                    assert main(argv) == 0
+                    found.setdefault(argv[0], []).append(gc.collect())
+                finally:
+                    (gc.enable if was else gc.disable)()
+                capsys.readouterr()
+        for command, (small, large) in found.items():
+            assert small == large, (command, small, large)

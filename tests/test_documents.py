@@ -77,14 +77,16 @@ class TestRoundTrip:
 
     def test_the_cold_path_builds_no_digit_map_and_no_joint_space(self):
         # Parse, validate, propagate and serialize: each family space keeps
-        # its layout in slots, no instance dict. Only the observed family's
-        # space builds its per-value digit maps, to read the evidence's
-        # values; nothing builds the diagram's joint space.
+        # its layout in slots, no instance dict, and the parse builds no
+        # name positions. Only the observed family's space builds its
+        # per-value digit maps, to read the evidence's values; nothing
+        # builds the diagram's joint space.
         rng = random.Random(71)
         for n in (1, 4, 12, 40):
             net = parse_network(serialize_network(random_instance(rng, n)))
-            assert net.validate().ok
             spaces = [table.space for table in net.tables.values()]
+            assert all(space._positions is None for space in spaces)
+            assert net.validate().ok
             assert all(space._digit_maps is None for space in spaces)
             evidence = random_value_evidence(rng, net)
             out = propagate(net, [evidence])
@@ -109,8 +111,12 @@ class TestRoundTrip:
                 families = parsed.diagram._families
                 for node, table in parsed.tables.items():
                     space, want = table.space, StateSpace(families[node][1])
+                    assert space._positions is None
                     for slot in ("variables", "names", "_position", "size", "strides"):
                         assert getattr(space, slot) == getattr(want, slot)
+                    # Built on first use, to its definition, and kept.
+                    assert space._position == {v.name: i for i, v in enumerate(space.variables)}
+                    assert space._positions is space._position
                     assert space._proj_cache == {} and space._digit_maps is None
                     assert not hasattr(space, "__dict__")
                 assert parsed == built_by_hand(d)
@@ -501,6 +507,50 @@ class TestNetworkParseErrors:
             with pytest.raises(DocumentError) as caught:
                 parse_network(json.dumps(doc))
             assert str(caught.value) == f"tables.{node}: table has no rank-0 entry"
+
+    @pytest.mark.parametrize("path, value, text", [
+        # variables[i]: the record, its keys, its name and domain, the Variable
+        (("variables", 2), "C", "variables[2]: expected an object"),
+        (("variables", 2, "label"), "x", "variables[2]: unknown keys ['label']"),
+        (("variables", 2, "domain"), None, "variables[2]: missing keys ['domain']"),
+        (("variables", 2, "name"), 3, "variables[2].name: expected a string"),
+        (("variables", 2, "domain"), "c0c1", "variables[2].domain: expected a list of strings"),
+        (("variables", 2, "domain"), ["c0", 1], "variables[2].domain: expected a list of strings"),
+        (("variables", 2, "domain"), ["c0", "c0"], "variables[2]: variable 'C' has duplicate values"),
+        (("variables", 2, "domain"), ["c0"], "variables[2]: variable 'C' needs at least two values"),
+        (("variables", 0, "name"), "", "variables[0]: variable name must be non-empty"),
+        # tables.X: the record, its keys, its order, its ranks and its cells
+        (("tables", "D"), [0], "tables.D: expected an object"),
+        (("tables", "D", "note"), "x", "tables.D: unknown keys ['note']"),
+        (("tables", "D", "order"), None, "tables.D: missing keys ['order']"),
+        (("tables", "D", "order"), ["B", "C"],
+         "tables.D.order: expected a permutation of ['B', 'C', 'D'], got ['B', 'C']"),
+        (("tables", "D", "order"), "BCD",
+         "tables.D.order: expected a permutation of ['B', 'C', 'D'], got 'BCD'"),
+        (("tables", "E", "order"), [["C"], "E"],
+         "tables.E.order: expected a permutation of ['C', 'E'], got [['C'], 'E']"),
+        (("tables", "D", "ranks"), [0, 1, 2], "tables.D.ranks: expected 8 entries, got 3"),
+        (("tables", "D", "ranks"), "0", "tables.D.ranks: expected 8 entries, got str"),
+        (("tables", "B", "ranks", 3), -1,
+         'tables.B.ranks[3]: expected a non-negative integer or "inf", got -1'),
+        (("tables", "B", "ranks", 0), "INF",
+         "tables.B.ranks[0]: expected a non-negative integer or \"inf\", got 'INF'"),
+        (("tables", "E", "ranks", 0), 5, "tables.E: table has no rank-0 entry"),
+    ])
+    def test_each_located_error_keeps_its_exact_text(self, five_node_net, path, value, text):
+        # One edit to the five-node document (None deletes the key); the
+        # record's location string is part of each message.
+        doc = record = self.base(five_node_net)
+        *parents, last = path
+        for key in parents:
+            record = record[key]
+        if value is None:
+            del record[last]
+        else:
+            record[last] = value
+        with pytest.raises(DocumentError) as caught:
+            parse_network(json.dumps(doc))
+        assert str(caught.value) == text
 
 
 class TestEvidenceParsing:
