@@ -33,10 +33,9 @@ from .errors import (
     RankArithmeticError,
     SpohnError,
 )
-from .network import SpohnianNetwork
-from .ocf import OCF, Proposition, StateSpace
+from .ocf import Proposition
 from .oracle import compare as oracle_compare
-from .oracle import _ensure_tractable_over, oracle_impose, oracle_revise
+from .oracle import _ensure_tractable_over, _plan, oracle_posterior
 from .propagation import EvidenceSpec, Schedule, TraceEntry, _require_valid, propagate
 from .ranks import INF, _rank_texts
 
@@ -81,15 +80,6 @@ def _mode_evidence(
             if ev.target is None:
                 raise DocumentError("uncertain mode takes target observations only")
     return evidence
-
-
-def _targets(net: SpohnianNetwork, evidence: list[EvidenceSpec]) -> list[tuple[str, OCF]]:
-    """Target evidence as the (name, OCF) pairs oracle_impose takes."""
-    out = []
-    for ev in evidence:
-        var = net.diagram.variable(ev.variable)
-        out.append((ev.variable, OCF(StateSpace((var,)), ev.target)))
-    return out
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -158,16 +148,9 @@ def cmd_propagate(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     net = parse_network(_read(args.network, "network file"))
     evidence = _mode_evidence(args.mode, parse_evidence(_read(args.evidence, "evidence file"), net))
-    uncertain = args.mode == "uncertain"
-    # Refuse before running anything: in uncertain mode the oracle's joint
-    # carries one binary dummy per target.
-    _ensure_tractable_over(net.diagram.variables, len(evidence) if uncertain else 0)
+    _plan(net, evidence)  # refuse a joint, dummies included, before running anything
     engine = propagate(net, evidence, _schedule(args))
-    if uncertain:
-        oracle_joint = oracle_impose(net, _targets(net, evidence))
-    else:
-        oracle_joint = oracle_revise(net.joint(), evidence)
-    report = oracle_compare(engine, oracle_joint)
+    report = oracle_compare(engine, oracle_posterior(net, evidence))
     for line in report.to_lines():
         print(line)
     return 0 if report.passed else 1

@@ -208,8 +208,6 @@ class InfluenceDiagram:
             return n
 
         for a, b in self.edges:
-            if a == b:
-                return (a, b)
             ra, rb = find(a), find(b)
             if ra == rb:
                 return (a, b)

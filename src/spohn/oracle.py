@@ -1,12 +1,14 @@
 """Brute-force reference path over the full joint ranking.
 
-The oracle ignores the network structure entirely: it folds evidence into
-the joint OCF one revision at a time, then projects the result back onto
-families. Target marginals take the long way round: explicit dummy
-children (augment_with_dummy), conditioned on being observed. Agreement
-between that and the message engine is the strongest correctness check
-this package has, so nothing here may ever share code with the
-propagation module's update logic.
+The oracle ignores the network structure entirely. oracle_posterior takes
+any mix of evidence, as propagate does, and reads each item's target on
+the prior: it folds the infinite items and the first finite one into the
+joint OCF by plain revision, and imposes every other item the long way
+round, through an explicit dummy child (augment_with_dummy) conditioned
+on being observed. It then projects the result back onto families.
+Agreement between that and the message engine is the strongest
+correctness check this package has, so nothing here may ever share code
+with the propagation module's update logic.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from .diagram import InfluenceDiagram
 from .errors import TooLargeForOracle
 from .network import SpohnianNetwork
 from .ocf import OCF, Proposition, StateSpace, Variable
-from .propagation import EvidenceSpec, augment_with_dummy
+from .propagation import EvidenceSpec, _target_evidence, augment_with_dummy
+from .ranks import _rank_texts
 
 # Exhaustive enumeration is the point; past 12 bits of state space it stops
 # being a test tool and starts being a space heater.
@@ -64,9 +67,9 @@ class OracleReport:
         lines = ["match" if self.passed else "DIVERGENCE"]
         if self.first_divergence is not None:
             node, state, engine, oracle = self.first_divergence
-            lines.append(
-                f"node={node} state={','.join(state)} engine={engine} oracle={oracle}"
-            )
+            head = f"node={node} state={','.join(state)}"
+            engine, oracle = _rank_texts((engine, oracle), f"the divergence at {head}")
+            lines.append(f"{head} engine={engine} oracle={oracle}")
         for e in self.independence_audit:
             given = ",".join(e.given) if e.given else "-"
             lines.append(
@@ -88,22 +91,52 @@ def oracle_revise(kappa: OCF, evidence: Sequence[EvidenceSpec]) -> OCF:
     return out
 
 
-def oracle_impose(net: SpohnianNetwork, targets: Sequence[tuple[str, OCF]]) -> OCF:
-    """Posterior joint over the network's own variables after imposing targets.
+def _plan(
+    net: SpohnianNetwork, evidence: Sequence[EvidenceSpec]
+) -> tuple[list[EvidenceSpec], list[EvidenceSpec]]:
+    """How oracle_posterior takes a call apart: the value items it folds
+    into the prior joint, the first finite one first and then every
+    infinite one, and the items that each get a dummy child, every target
+    and every later finite one. Refuses a call whose joint, dummies
+    included, the oracle cannot enumerate."""
+    finite = [ev for ev in evidence if type(ev.strength) is int]  # a target's is INF
+    infinite = [ev for ev in evidence if ev.values is not None and type(ev.strength) is not int]
+    dummied = [ev for ev in evidence if ev.target is not None] + finite[1:]
+    _ensure_tractable_over(net.diagram.variables, len(dummied))
+    return finite[:1] + infinite, dummied
 
-    The reference construction: one binary dummy child per target
-    (augment_with_dummy), the augmented joint conditioned on every dummy
-    being observed, and the dummies projected away.
+
+def oracle_posterior(net: SpohnianNetwork, evidence: Sequence[EvidenceSpec]) -> OCF:
+    """Posterior joint over the network's own variables after any mix of
+    evidence, the list propagate takes; propagate's tables must be its
+    family projections.
+
+    Each item's target is read on the prior: a target as given, a value
+    item (A, alpha) as prior.revise(A, alpha). An item of infinite strength
+    conditions the joint. The first finite one revises the prior joint,
+    which adds exactly prior.revise(A, alpha) - prior on A's variable, so it
+    needs no dummy. Every other item gets its own binary dummy child
+    (augment_with_dummy); the joint is conditioned on every dummy being
+    observed, and the dummies are projected away.
     """
+    folded, dummied = _plan(net, evidence)
     augmented = net
-    for name, target in targets:
-        augmented, _ = augment_with_dummy(augmented, name, target)
-    _ensure_tractable_over(augmented.diagram.variables)
+    for ev in dummied:
+        prior = net.marginal(ev.variable)
+        if ev.target is not None:
+            target = OCF(prior.space, ev.target)
+        else:
+            prop = Proposition.constrain(prior.space, {ev.variable: ev.values})
+            target = prior.revise(prop, ev.strength)
+        augmented, _ = augment_with_dummy(augmented, ev.variable, target)
     dummies = augmented.diagram.names[len(net.diagram.names):]
-    conditioned = oracle_revise(
-        augmented.joint(), [EvidenceSpec(d, values=("observed",)) for d in dummies]
-    )
-    return conditioned.marginalize(net.diagram.names)
+    observed = [EvidenceSpec(d, values=("observed",)) for d in dummies]
+    return oracle_revise(augmented.joint(), folded + observed).marginalize(net.diagram.names)
+
+
+def oracle_impose(net: SpohnianNetwork, targets: Sequence[tuple[str, OCF]]) -> OCF:
+    """oracle_posterior for target marginals, each a one-variable OCF."""
+    return oracle_posterior(net, _target_evidence(net, targets))
 
 
 def compare(result: SpohnianNetwork, oracle_joint: OCF) -> OracleReport:

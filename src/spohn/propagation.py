@@ -395,8 +395,9 @@ def propagate(
 ) -> SpohnianNetwork:
     """Assimilate any mix of observations and return the updated network.
 
-    The result is oracle_impose's, each item's target read on the prior:
-    a target as given, a value item (A, alpha) as prior.revise(A, alpha).
+    The result is the family projection of oracle_posterior's joint: each
+    item's target read on the prior, a target as given and a value item
+    (A, alpha) as prior.revise(A, alpha).
     Value items may repeat a variable; two targets on one may not. Every
     first message is computed, and every error raised, before any delivery.
     """
@@ -449,6 +450,14 @@ def propagate_uncertain_multi(
     """propagate for target marginals, each a one-variable OCF; see the
     module docstring for what several targets on dependent variables do."""
     _require_valid(net)
+    return propagate(net, _target_evidence(net, targets), schedule, trace)
+
+
+def _target_evidence(
+    net: SpohnianNetwork, targets: Sequence[tuple[str, OCF]]
+) -> list[EvidenceSpec]:
+    """(name, one-variable OCF) targets as evidence items, each checked to
+    lie on its variable's own space."""
     evidence = []
     for name, target in targets:
         if target.space != net.diagram._unit_space(name):
@@ -457,7 +466,7 @@ def propagate_uncertain_multi(
                 f"got one over {target.space.names}"
             )
         evidence.append(EvidenceSpec(name, target=target.ranks))
-    return propagate(net, evidence, schedule, trace)
+    return evidence
 
 
 def augment_with_dummy(

@@ -188,22 +188,6 @@ def random_mixed_evidence(
     return out
 
 
-def targets_read_on_prior(
-    net: SpohnianNetwork, evidence: list[EvidenceSpec]
-) -> list[tuple[str, OCF]]:
-    """Each item as the target oracle_impose takes: a target as given, a
-    value item (A, alpha) as prior.revise(A, alpha)."""
-    out = []
-    for ev in evidence:
-        prior = net.marginal(ev.variable)
-        if ev.target is not None:
-            out.append((ev.variable, OCF(prior.space, ev.target)))
-        else:
-            prop = Proposition.constrain(prior.space, {ev.variable: ev.values})
-            out.append((ev.variable, prior.revise(prop, ev.strength)))
-    return out
-
-
 def random_ocf(
     rng: random.Random,
     space: StateSpace,

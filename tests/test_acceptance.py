@@ -18,11 +18,12 @@ from generators import (
     random_ocf,
     random_target,
     random_value_evidence,
-    targets_read_on_prior,
 )
 from spohn import (
     INF,
     OCF,
+    ORACLE_STATE_LIMIT,
+    EvidenceSpec,
     InfluenceDiagram,
     Proposition,
     Schedule,
@@ -31,6 +32,7 @@ from spohn import (
     Variable,
     augment_with_dummy,
     oracle_impose,
+    oracle_posterior,
     oracle_revise,
     propagate,
     propagate_certain_multi,
@@ -205,7 +207,7 @@ def test_criterion_5_every_schedule_lands_on_the_same_tables():
             assert propagate_uncertain_multi(net, target, Schedule.seeded(seed)) == single
 
     # any mix of certain, finite, -inf and target items, value items free to
-    # repeat a variable: one rule, and oracle_impose on targets read on the prior
+    # repeat a variable: one rule, and the oracle's one entry for any mix
     for _ in range(50):
         net = random_instance(rng, rng.randint(2, 5), p_detach=0.0)
         evidence = random_mixed_evidence(rng, net, rng.randint(2, 4))
@@ -214,8 +216,41 @@ def test_criterion_5_every_schedule_lands_on_the_same_tables():
         for seed in range(50):
             again = propagate(net, evidence, Schedule.seeded(seed))
             assert serialize_network(again) == reference
-        posterior_joint = oracle_impose(net, targets_read_on_prior(net, evidence))
+        posterior_joint = oracle_posterior(net, evidence)
         assert first == SpohnianNetwork.from_joint(posterior_joint, net.diagram)
+
+
+def test_oracle_posterior_needs_no_dummy_for_the_first_finite_item():
+    # Revising the prior joint by the first finite item (A, alpha) adds
+    # exactly prior.revise(A, alpha) - prior on A's variable: the same as a
+    # dummy child for it. Build the all-dummies joint inline, every
+    # non-certain item with a dummy whose target is read on the prior.
+    rng = random.Random(2155)
+    checked = 0
+    while checked < 100:
+        net = random_instance(rng, rng.randint(2, 5), p_detach=0.2)
+        evidence = random_mixed_evidence(rng, net, rng.randint(2, 5))
+        finite = [ev for ev in evidence if type(ev.strength) is int]
+        dummied = [ev for ev in evidence if ev.target is not None] + finite
+        if len(finite) < 2 or net.diagram.space.size << len(dummied) > ORACLE_STATE_LIMIT:
+            continue
+        augmented = net
+        for ev in dummied:
+            prior = net.marginal(ev.variable)
+            if ev.target is not None:
+                target = OCF(prior.space, ev.target)
+            else:
+                prop = Proposition.constrain(prior.space, {ev.variable: ev.values})
+                target = prior.revise(prop, ev.strength)
+            augmented, _ = augment_with_dummy(augmented, ev.variable, target)
+        conditions = [ev for ev in evidence if ev.values is not None and type(ev.strength) is not int]
+        conditions += [
+            EvidenceSpec(d, values=("observed",))
+            for d in augmented.diagram.names[len(net.diagram.names):]
+        ]
+        all_dummies = oracle_revise(augmented.joint(), conditions).marginalize(net.diagram.names)
+        assert oracle_posterior(net, evidence) == all_dummies
+        checked += 1
 
 
 @timed(6, 10.0)

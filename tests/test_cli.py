@@ -526,23 +526,52 @@ class TestCompare:
             code, _, err = run(capsys, "compare", str(path), str(ev), "--mode", "certain")
             assert (code, err) == (1, f"error: state space has {count} states, oracle limit is 4096\n")
 
-    def test_uncertain_mode_counts_the_dummies(self, capsys, tmp_path, monkeypatch):
-        # 2^12 states fit the oracle; the target's dummy doubles them
+    def test_a_divergent_rank_past_the_digit_limit_is_a_clean_error(self, capsys, monkeypatch):
+        real = spohn.cli.propagate
+        limit = sys.get_int_max_str_digits()
+
+        def corrupt(net, evidence, schedule, trace=None):
+            result = real(net, evidence, schedule, trace)
+            tables = dict(result.tables)
+            t = tables["A"]
+            tables["A"] = OCF(t.space, (10 ** limit, 0))
+            return SpohnianNetwork(result.diagram, tables)
+
+        monkeypatch.setattr(spohn.cli, "propagate", corrupt)
+        code, out, err = run(capsys, "compare", FIVE, EV_CERTAIN, "--mode", "certain")
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: the divergence at node=A state=a0 holds a rank of more than {limit} digits,"
+            " too long to write\n"
+        )
+
+    @pytest.mark.parametrize(
+        "mode, item, expected",
+        [
+            ("single", {"values": ["f"], "strength": 1}, (0, "match\n", "")),
+            ("certain", {"values": ["f"], "strength": "inf"}, (0, "match\n", "")),
+            ("uncertain", {"target": [0, 1]},
+             (1, "", "error: state space has 8192 states, oracle limit is 4096\n")),
+        ],
+        ids=["single", "certain", "uncertain"],
+    )
+    def test_each_mode_keeps_its_dummy_count(self, capsys, tmp_path, monkeypatch, mode, item, expected):
+        # 2^12 states fit the oracle. A value item folds into the joint; a
+        # target's dummy doubles it, and the engine must not run.
         variables = tuple(Variable(f"V{i}", ("f", "t")) for i in range(12))
         tables = {v.name: OCF(StateSpace((v,)), (0, 0)) for v in variables}
         net = SpohnianNetwork(InfluenceDiagram(variables, ()), tables)
         path = tmp_path / "big.json"
         path.write_text(serialize_network(net))
         ev = tmp_path / "ev.json"
-        ev.write_text(json.dumps({"evidence": [{"variable": "V0", "target": [0, 1]}]}))
+        ev.write_text(json.dumps({"evidence": [{"variable": "V0", **item}]}))
 
         def refuse(*args, **kwargs):
             raise AssertionError("the engine must not run")
 
-        monkeypatch.setattr(spohn.cli, "propagate", refuse)
-        code, _, err = run(capsys, "compare", str(path), str(ev), "--mode", "uncertain")
-        assert code == 1
-        assert "8192" in err and "4096" in err
+        if mode == "uncertain":
+            monkeypatch.setattr(spohn.cli, "propagate", refuse)
+        assert run(capsys, "compare", str(path), str(ev), "--mode", mode) == expected
 
 
 class TestCollector:

@@ -21,6 +21,7 @@ from spohn import (
     augment_with_dummy,
     compare,
     oracle_impose,
+    oracle_posterior,
     oracle_revise,
     propagate,
     propagate_certain_multi,
@@ -52,7 +53,6 @@ from generators import (
     random_network,
     random_target,
     random_value_evidence,
-    targets_read_on_prior,
 )
 
 
@@ -480,6 +480,8 @@ class TestDummyNodes:
         bad = OCF(StateSpace((flight,)), (0, 1))
         with pytest.raises(SpaceMismatch):
             augment_with_dummy(penguin_net, "species", bad)
+        with pytest.raises(SpaceMismatch, match="single-variable ranking"):
+            oracle_impose(penguin_net, [("species", bad)])
 
 
 class TestUncertainMulti:
@@ -637,7 +639,7 @@ class TestPropagate:
             net = random_instance(rng, rng.randint(2, 5), p_detach=0.2)
             evidence = random_mixed_evidence(rng, net, rng.randint(1, 4))
             post = propagate(net, evidence, Schedule.seeded(rng.randrange(99)))
-            report = compare(post, oracle_impose(net, targets_read_on_prior(net, evidence)))
+            report = compare(post, oracle_posterior(net, evidence))
             assert report.passed, report.first_divergence
             assert propagate(net, evidence) == post
 
