@@ -105,8 +105,8 @@ def cmd_query(args: argparse.Namespace) -> int:
         return 0
     if args.joint:
         joint = net.joint()
-        for i, r in enumerate(_rank_texts(joint.ranks, "the joint ranking")):
-            print(f"{','.join(joint.space.state_at(i))}:{r}")
+        for state, r in zip(joint.space.states(), _rank_texts(joint.ranks, "the joint ranking")):
+            print(f"{','.join(state)}:{r}")
         return 0
     text = args.believe if args.believe is not None else args.beta
     name, values = _parse_prop(text)

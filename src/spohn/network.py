@@ -91,7 +91,7 @@ class SpohnianNetwork:
         sum to a negative rank or to no rank-0 state: InconsistentTables.
         """
         full = self.diagram.space
-        total: list[Rank] = [0] * full.size
+        total: list[Rank] | None = None
         for node in self.diagram.names:
             table = self.tables[node]
             cells = table.ranks
@@ -100,7 +100,10 @@ class SpohnianNetwork:
                 own, marg = table.space.projection((node,)), self.marginal(node).ranks
                 cells = [t if t is INF else t - shared * marg[x] for t, x in zip(cells, own)]
             proj = full.projection(table.space.names)
-            total = [t + cells[j] for t, j in zip(total, proj)]
+            if total is None:  # the first family's column seeds the sum
+                total = [cells[j] for j in proj]
+            else:
+                total = [t + cells[j] for t, j in zip(total, proj)]
         try:
             return OCF(full, tuple(total))
         except ValueError as exc:

@@ -15,10 +15,17 @@ table has one, so it is built on every parse. Its name positions, per-value
 digit maps and projections are built on first use. Propositions are
 bitsets over state indices. Everything is immutable; operations return new
 objects.
+
+The whole-table kernels (projections, the checked constructor, constrain,
+revise, and the joint in network.py) run on joints of up to 4096 cells in
+the oracle, so they keep their per-cell work in list operations that run
+in C: repetition, comprehensions, map, min and join. Cells are tested
+against INF by identity, never through its Python-level dunders.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -177,7 +184,9 @@ class StateSpace:
         return tuple(out)
 
     def states(self) -> Iterator[tuple[str, ...]]:
-        return (self.state_at(i) for i in range(self.size))
+        """Every state in index order: the product of the domains, whose
+        last variable varies fastest."""
+        return itertools.product(*(v.domain for v in self.variables))
 
     def canonical_subset(self, names: Iterable[str]) -> tuple[str, ...]:
         """The given names, deduplicated and put in declared order.
@@ -203,11 +212,13 @@ class StateSpace:
     def projection(self, names: Iterable[str]) -> list[int]:
         """Map each full state index to its index in subspace(names).
 
-        Built by prefix expansion over the variables in declared order, so
-        O(size), and cached per subset: a kept variable with c values turns
-        each entry p into p*c + d for every digit d, a dropped one repeats
-        each entry c times. The cache is keyed by canonical tuples, so a
-        caller's tuple that is one is looked up before canonicalising.
+        Built over the variables from the last to the first, so each step
+        prepends one digit: a dropped variable with c values repeats the
+        whole list c times, and a kept one lays c copies end to end, the
+        d-th shifted by d times the size of the kept suffix. Both are list
+        operations that run in C, O(size) in all, and the result is cached
+        per subset. The cache is keyed by canonical tuples, so a caller's
+        tuple that is one is looked up before canonicalising.
         """
         if type(names) is tuple:
             cached = self._proj_cache.get(names)
@@ -220,13 +231,14 @@ class StateSpace:
         if cached is not None:
             return cached
         kept_set = set(keep)
-        proj = [0]
-        for v in self.variables:
-            digits = range(len(v.domain))
+        proj, sub = [0], 1
+        for v in reversed(self.variables):
+            c = len(v.domain)
             if v.name in kept_set:
-                proj = [p * len(digits) + d for p in proj for d in digits]
+                proj = [p + d for d in range(0, c * sub, sub) for p in proj]
+                sub *= c
             else:
-                proj = [p for p in proj for _ in digits]
+                proj *= c
         self._proj_cache[keep] = proj
         return proj
 
@@ -266,16 +278,15 @@ class Proposition:
     @classmethod
     def constrain(cls, space: StateSpace, constraints: Mapping[str, Iterable[str]]) -> Proposition:
         """States whose value for every constrained variable is among those allowed."""
-        if not constraints:
-            return cls.full(space)
-        inside = [True] * space.size
+        mask = (1 << space.size) - 1
         for name, values in constraints.items():
             if isinstance(values, str):
                 raise ValueError(f"values of {name} must be a collection, not a string: {values!r}")
             digits = {space.value_digit(name, v) for v in values}
-            proj = space.projection((name,))
-            inside = [keep and d in digits for keep, d in zip(inside, proj)]
-        return cls(space, int("".join("1" if keep else "0" for keep in reversed(inside)), 2))
+            bit = ["1" if d in digits else "0" for d in range(len(space.variable(name).domain))]
+            # One character per cell, read through the projection, last cell first.
+            mask &= int("".join(map(bit.__getitem__, reversed(space.projection((name,))))), 2)
+        return cls(space, mask)
 
     def _check_space(self, other: Proposition) -> None:
         if self.space != other.space:
@@ -357,6 +368,9 @@ def _least_in_out(ranks: Sequence[Rank], mask: int) -> tuple[Rank, Rank]:
     return k_in, k_out
 
 
+_RANK_TYPES = frozenset((int, _Infinity))
+
+
 @dataclass(frozen=True)
 class OCF:
     """A ranking of all states: dense, min 0, possibly infinite entries."""
@@ -370,14 +384,16 @@ class OCF:
             raise ValueError(
                 f"rank table has {len(self.ranks)} entries, space has {self.space.size} states"
             )
-        has_zero = False
-        for r in self.ranks:
-            if not is_rank(r):
-                raise ValueError(f"invalid rank {r!r}")
-            # The identity test spares INF's Python-level __eq__, as in is_believed.
-            if r is not INF and r == 0:
-                has_zero = True
-        if not has_zero:
+        # One type pass and one min over the finite cells; the identity test
+        # spares INF's Python-level comparisons. Walk the cells only to name
+        # the first bad one.
+        low = -1
+        if set(map(type, self.ranks)) <= _RANK_TYPES:
+            low = min([r for r in self.ranks if r is not INF], default=1)
+        if low < 0:
+            bad = next(r for r in self.ranks if not is_rank(r))
+            raise ValueError(f"invalid rank {bad!r}")
+        if low:
             raise ValueError("no state has rank 0")
 
     # SpohnianNetwork.marginal's memo, set on a table's instance on first read.
@@ -456,14 +472,18 @@ class OCF:
         if isinstance(k_in, _Infinity):
             raise ImpossibleEvidence("the proposition is already ruled out")
         bits = _cell_bits(prop.mask, self.space.size)
+        # The identity tests spare INF's Python-level arithmetic on every cell.
         if isinstance(strength, _Infinity):
-            out = (r - k_in if bit == "1" else INF for r, bit in zip(self.ranks, bits))
+            out = [INF if bit == "0" or r is INF else r - k_in for r, bit in zip(self.ranks, bits)]
         elif isinstance(k_out, _Infinity):
             # already certain in prop; the complement stays impossible
-            out = (r - k_in if bit == "1" else r for r, bit in zip(self.ranks, bits))
+            out = [r if bit == "0" or r is INF else r - k_in for r, bit in zip(self.ranks, bits)]
         else:
             shift = strength - k_out
-            out = (r - k_in if bit == "1" else r + shift for r, bit in zip(self.ranks, bits))
+            out = [
+                r if r is INF else r - k_in if bit == "1" else r + shift
+                for r, bit in zip(self.ranks, bits)
+            ]
         if type(strength) is not int and strength is not INF:
             return OCF(self.space, tuple(out))  # no rank: the checks name the bad cell
         # Valid: k_in, the least rank in prop, is subtracted there, and outside

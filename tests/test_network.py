@@ -29,6 +29,7 @@ from generators import (
     random_diagram,
     random_instance,
     random_network,
+    random_ocf,
 )
 
 
@@ -233,6 +234,49 @@ def test_five_term_decomposition(five_node_net):
         assert joint.ranks[i] == want
 
 
+def _joint_by_cells(net):
+    """The joint cell by cell, read through state_at: the sum of the family
+    tables less each node's own marginal once per child; INF where any
+    table holds INF."""
+    d = net.diagram
+    margs = {n: net.tables[n].marginalize((n,)) for n in d.names}
+    out = []
+    for i in range(d.space.size):
+        state = dict(zip(d.space.names, d.space.state_at(i)))
+        cells = [net.tables[n].ranks[net.tables[n].space.index_of(state)] for n in d.names]
+        if any(c is INF for c in cells):
+            out.append(INF)
+            continue
+        shared = [
+            len(d.children(n)) * margs[n].ranks[margs[n].space.index_of(state)] for n in d.names
+        ]
+        out.append(sum(cells) - sum(shared))
+    return out
+
+
+def test_joint_is_the_cell_by_cell_sum_less_shared_marginals():
+    # Valid networks with INF cells, and tables drawn one by one, which
+    # need not compose: then the error names what the checked constructor
+    # names for the summed cells.
+    rng = random.Random(71)
+    for trial in range(60):
+        if trial % 2:
+            net = random_instance(rng, rng.randint(1, 7), p_inf=0.2)
+        else:
+            d = random_diagram(rng, rng.randint(1, 6))
+            net = SpohnianNetwork(
+                d, {n: random_ocf(rng, d.space.subspace(d.family_variables(n)), 3, 0.2) for n in d.names}
+            )
+        want = _joint_by_cells(net)
+        try:
+            expected = OCF(net.diagram.space, tuple(want))
+        except ValueError as exc:
+            with pytest.raises(InconsistentTables, match=f"^node tables do not compose: {exc}$"):
+                net.joint()
+        else:
+            assert net.joint() == expected
+
+
 def test_from_joint_round_trips(five_node_net):
     joint = five_node_net.joint()
     rebuilt = SpohnianNetwork.from_joint(joint, five_node_net.diagram)
@@ -302,7 +346,24 @@ def test_incompatible_certainty_claims_do_not_compose():
             "B": OCF(StateSpace((a, b)), (INF, INF, 0, 1)),
         },
     )
-    with pytest.raises(InconsistentTables):
+    with pytest.raises(InconsistentTables, match="^node tables do not compose: no state has rank 0$"):
+        net.joint()
+
+
+def test_tables_that_sum_to_a_negative_rank_do_not_compose():
+    # A root (0, 2) shared with two children: its a1 cell less twice its
+    # own marginal is -2, and both children add 0 at (a1, b0, c0).
+    a, b, c = (Variable(n, (n.lower() + "0", n.lower() + "1")) for n in "ABC")
+    dia = InfluenceDiagram((a, b, c), (("A", "B"), ("A", "C")))
+    net = SpohnianNetwork(
+        dia,
+        {
+            "A": OCF(StateSpace((a,)), (0, 2)),
+            "B": OCF(StateSpace((a, b)), (0, 1, 0, 1)),
+            "C": OCF(StateSpace((a, c)), (0, 1, 0, 1)),
+        },
+    )
+    with pytest.raises(InconsistentTables, match="^node tables do not compose: invalid rank -2$"):
         net.joint()
 
 

@@ -4,6 +4,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -18,6 +19,7 @@ from spohn.errors import (
     UnknownVariable,
 )
 from spohn.ocf import _cell_bits, _least_in_out, _least_ranks
+from spohn.ranks import is_rank
 
 from conftest import AFTER_BIRD, AFTER_PENGUIN, FLIGHT, PRIOR, SPECIES
 from generators import random_ocf
@@ -465,6 +467,82 @@ class TestLinearPasses:
             checked += 1
 
 
+def _projection_by_prefix_expansion(space, keep):
+    """The projection built from the first variable to the last: a kept
+    variable with c values turns each entry p into p*c + d for every digit
+    d, a dropped one repeats each entry c times."""
+    kept, proj = set(keep), [0]
+    for v in space.variables:
+        digits = range(len(v.domain))
+        if v.name in kept:
+            proj = [p * len(digits) + d for p in proj for d in digits]
+        else:
+            proj = [p for p in proj for _ in digits]
+    return proj
+
+
+def _rank_check_by_walk(ranks):
+    """The constructor's rank checks cell by cell: the first bad cell's
+    text, else the missing zero's, else None."""
+    has_zero = False
+    for r in ranks:
+        if not is_rank(r):
+            return f"invalid rank {r!r}"
+        if r is not INF and r == 0:
+            has_zero = True
+    return None if has_zero else "no state has rank 0"
+
+
+def _constrained_by_bools(space, constraints):
+    """Proposition.constrain's mask from one list of bools per constraint."""
+    inside = [True] * space.size
+    for name, values in constraints.items():
+        digits = {space.value_digit(name, v) for v in values}
+        proj = _projection_by_prefix_expansion(space, (name,))
+        inside = [keep and d in digits for keep, d in zip(inside, proj)]
+    return int("".join("1" if keep else "0" for keep in reversed(inside)), 2)
+
+
+def test_whole_table_kernels_match_their_cell_by_cell_references():
+    # Spaces of 1 to 7 variables of 2 to 4 values, declared in a shuffled
+    # order, and their states; keep-sets of any subset, asked in any order;
+    # constraints on any subset; rank tables with INF, some with no zero,
+    # some all INF and some with bad cells.
+    rng = random.Random(97)
+    bad = (-1, -7, 1.0, 2.5, True, False, NEG_INF, "0", None)
+    for _ in range(150):
+        variables = [
+            Variable(f"V{k}", tuple(f"v{k}_{j}" for j in range(rng.randint(2, 4))))
+            for k in range(rng.randint(1, 7))
+        ]
+        rng.shuffle(variables)
+        space = StateSpace(tuple(variables))
+        assert list(space.states()) == [space.state_at(i) for i in range(space.size)]
+        asked = rng.sample(space.names, rng.randint(1, len(space.names)))
+        want = _projection_by_prefix_expansion(space, asked)
+        assert space.projection(asked) == want
+        assert space.projection(tuple(asked)) == want
+
+        constraints = {
+            v.name: rng.sample(v.domain, rng.randint(0, len(v.domain)))
+            for v in rng.sample(variables, rng.randint(0, len(variables)))
+        }
+        assert Proposition.constrain(space, constraints).mask == _constrained_by_bools(space, constraints)
+
+        p_inf = rng.choice((0.0, 0.3, 1.0))
+        ranks = [INF if rng.random() < p_inf else rng.randint(0, 5) for _ in range(space.size)]
+        if rng.random() < 0.5:
+            ranks[rng.randrange(space.size)] = 0
+        for _ in range(rng.choice((0, 0, 1, 3))):
+            ranks[rng.randrange(space.size)] = rng.choice(bad)
+        text = _rank_check_by_walk(ranks)
+        if text is None:
+            assert OCF(space, ranks).ranks == tuple(ranks)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+                OCF(space, ranks)
+
+
 class TestConditionalRank:
     def test_matches_the_subtraction_definition(self, prior, penguin_space):
         p = penguin(penguin_space)
@@ -593,16 +671,22 @@ class TestIndependence:
 
 
 def test_ocf_constructor_rejects_bad_tables(penguin_space):
-    with pytest.raises(ValueError):
-        OCF(penguin_space, (1, 1, 1, 1, 1, 1))  # no zero
-    with pytest.raises(ValueError):
-        OCF(penguin_space, (0, 1, 2))  # wrong length
-    with pytest.raises(ValueError):
-        OCF(penguin_space, (0, 1, 2, 3, 4, -1))  # negative
-    with pytest.raises(ValueError):
-        OCF(penguin_space, (0, 1, 2, 3, 4, 1.5))  # float
-    with pytest.raises(ValueError, match="invalid rank"):
-        OCF(penguin_space, (0, 1, 2, 3, 4, True))  # bool
+    for ranks, text in [
+        ((1, 1, 1, 1, 1, 1), "no state has rank 0"),
+        ((INF,) * 6, "no state has rank 0"),
+        ((0, 1, 2), "rank table has 3 entries, space has 6 states"),
+        ((0, 1, 2, 3, 4, -1), "invalid rank -1"),
+        ((0, 1, 2, 3, 4, 1.5), "invalid rank 1.5"),
+        ((0, 1, 2, 3, 4, True), "invalid rank True"),
+        ((0, INF, NEG_INF, 3, 4, 5), "invalid rank -inf"),
+        ((0, 1, "2", 3, 4, 5), "invalid rank '2'"),
+        # several bad cells: the first one is named, before a missing zero
+        ((1, INF, 2.5, -3, True, 1), "invalid rank 2.5"),
+        ((1, INF, -3, 2.5, True, 1), "invalid rank -3"),
+        ((1, INF, False, -3, 2.5, 1), "invalid rank False"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            OCF(penguin_space, ranks)
 
 
 def test_revise_and_marginalize_outputs_pass_the_public_checks():
