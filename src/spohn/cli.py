@@ -14,15 +14,18 @@ order in certain and uncertain mode; it has no effect with --mode single,
 whose one observation always spreads breadth first. The updated network
 document goes to stdout (or --out); trace lines go to stderr. Exit codes:
 0 ok, 1 validation or parse failure, 2 contradictory evidence, 3 internal
-invariant breach. main() runs the command with the cyclic garbage collector
-paused and then restores the caller's setting; library calls leave it alone.
+invariant breach; a closed output stream also exits 1, with no traceback.
+main() runs the command with the cyclic garbage collector paused and then
+restores the caller's setting; library calls leave it alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
+from contextlib import suppress
 from pathlib import Path
 from typing import Sequence
 
@@ -108,19 +111,16 @@ def cmd_query(args: argparse.Namespace) -> int:
         for state, r in zip(joint.space.states(), _rank_texts(joint.ranks, "the joint ranking")):
             print(f"{','.join(state)}:{r}")
         return 0
-    text = args.believe if args.believe is not None else args.beta
-    name, values = _parse_prop(text)
+    name, values = _parse_prop(args.believe if args.believe is not None else args.beta)
     marg = net.marginal(name)
     prop = Proposition.constrain(marg.space, {name: values})
-    if args.believe is not None:
-        held = marg.is_believed(prop)
-        if prop.is_full:
-            print("believed" if held else "not believed")
-        else:
-            beta = marg.belief_strength(prop)
-            print(f"{'believed' if held else 'not believed'} (beta={beta})")
-        return 0
-    print(marg.belief_strength(prop))
+    if args.believe is None:
+        print(marg.belief_strength(prop))
+    elif prop.is_full:  # every rank-0 state satisfies it
+        print("believed")
+    else:  # a proper proposition is believed when its strength is positive
+        beta = marg.belief_strength(prop)
+        print(f"{'believed' if beta > 0 else 'not believed'} (beta={beta})")
     return 0
 
 
@@ -196,12 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    # A command leaves cyclic garbage that does not grow with its documents,
-    # so full collections over every family's objects would free nothing.
-    enabled = gc.isenabled()
-    gc.disable()
+def _run(args: argparse.Namespace) -> int:
+    """The command's exit code; a library error is one line on stderr."""
     try:
         return args.func(args)
     except ContradictoryEvidence as exc:
@@ -212,6 +208,27 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except SpohnError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    # A command leaves cyclic garbage that does not grow with its documents,
+    # so full collections over every family's objects would free nothing.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        code = _run(args)
+        sys.stdout.flush()  # a closed stdout shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # A reader closed stdout, or stderr before the trace or an error line
+        # was written. Point both at os.devnull, so that the flush at exit
+        # writes nowhere instead of failing again.
+        with open(os.devnull, "w") as devnull:
+            for stream in (sys.stdout, sys.stderr):
+                with suppress(OSError, ValueError):  # an in-process caller's stream may have no file
+                    os.dup2(devnull.fileno(), stream.fileno())
         return 1
     finally:
         if enabled:

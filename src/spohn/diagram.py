@@ -79,23 +79,11 @@ class InfluenceDiagram:
 
     @cached_property
     def _parents(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {n: [] for n in self.names}
-        for a, b in self.edges:
-            out[b].append(a)
-        order = self._position
-        return {n: tuple(sorted(ps, key=order.__getitem__)) for n, ps in out.items()}
+        return _adjacency(((b, a) for a, b in self.edges), self.names, self._position)
 
     @cached_property
     def _children(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {n: [] for n in self.names}
-        for a, b in self.edges:
-            out[a].append(b)
-        order = self._position
-        return {n: tuple(sorted(cs, key=order.__getitem__)) for n, cs in out.items()}
-
-    @cached_property
-    def _edge_set(self) -> frozenset[tuple[str, str]]:
-        return frozenset(self.edges)
+        return _adjacency(self.edges, self.names, self._position)
 
     @cached_property
     def _neighbors(self) -> dict[str, tuple[str, ...]]:
@@ -234,9 +222,8 @@ class InfluenceDiagram:
             mid = path[i]
             if mid not in gamma:
                 continue
-            into_left = (path[i - 1], mid) in self._edge_set
-            into_right = (path[i + 1], mid) in self._edge_set
-            if not (into_left and into_right):
+            parents = self._parents[mid]
+            if not (path[i - 1] in parents and path[i + 1] in parents):
                 return True  # head-to-tail or tail-to-tail at a member
         return False
 
@@ -275,6 +262,14 @@ class InfluenceDiagram:
                     seen.add(m)
                     queue.append(m)
         return None
+
+
+def _adjacency(links: Iterable, names: tuple, order: dict) -> dict[str, tuple[str, ...]]:
+    """Per name, the far ends of its (name, far end) links, ordered by order."""
+    out: dict[str, list[str]] = {n: [] for n in names}
+    for n, m in links:
+        out[n].append(m)
+    return {n: tuple(sorted(ms, key=order.__getitem__)) for n, ms in out.items()}
 
 
 def _peel(nodes: set[str], before: dict, after: dict) -> set[str]:

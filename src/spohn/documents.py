@@ -42,7 +42,7 @@ def _load_json(text: str, what: str) -> Any:
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise DocumentError(f"{what} is not valid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+        raise DocumentError(f"{what} is not valid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})") from exc
     except RecursionError as exc:
         raise DocumentError(f"{what} is nested too deeply") from exc
     except ValueError as exc:

@@ -1,7 +1,7 @@
 """Exception types raised by the ranking engine.
 
 Everything derives from SpohnError so callers can catch the library in one
-clause. DocumentError carries an optional source location for parse failures.
+clause.
 """
 
 from __future__ import annotations
@@ -73,10 +73,3 @@ class TooLargeForOracle(SpohnError):
 
 class DocumentError(SpohnError):
     """Malformed network or evidence document."""
-
-    def __init__(self, message: str, *, line: int | None = None, column: int | None = None):
-        if line is not None:
-            message = f"{message} (line {line}, column {column})"
-        super().__init__(message)
-        self.line = line
-        self.column = column

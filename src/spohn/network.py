@@ -112,7 +112,7 @@ class SpohnianNetwork:
     @classmethod
     def from_joint(cls, kappa: OCF, diagram: InfluenceDiagram) -> SpohnianNetwork:
         """Project a joint ranking onto every family of the diagram."""
-        if kappa.space.variables != diagram.space.variables:
+        if kappa.space.variables != diagram.variables:
             raise SpaceMismatch(
                 "joint ranking must be over the diagram's variables in declared order"
             )

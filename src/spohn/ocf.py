@@ -462,9 +462,7 @@ class OCF:
             raise SpaceMismatch("proposition is over a different state space")
         if prop.is_empty:
             raise EmptyProposition("cannot learn the empty proposition")
-        if isinstance(strength, _NegInfinity):
-            return self.revise(~prop, INF)
-        if isinstance(strength, int) and strength < 0:
+        if isinstance(strength, (int, _NegInfinity)) and strength < 0:
             return self.revise(~prop, -strength)
         if prop.is_full:
             return self
@@ -473,11 +471,9 @@ class OCF:
             raise ImpossibleEvidence("the proposition is already ruled out")
         bits = _cell_bits(prop.mask, self.space.size)
         # The identity tests spare INF's Python-level arithmetic on every cell.
-        if isinstance(strength, _Infinity):
+        # Conditioning also covers a prop already certain: its complement is INF.
+        if isinstance(strength, _Infinity) or isinstance(k_out, _Infinity):
             out = [INF if bit == "0" or r is INF else r - k_in for r, bit in zip(self.ranks, bits)]
-        elif isinstance(k_out, _Infinity):
-            # already certain in prop; the complement stays impossible
-            out = [r if bit == "0" or r is INF else r - k_in for r, bit in zip(self.ranks, bits)]
         else:
             shift = strength - k_out
             out = [

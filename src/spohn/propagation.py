@@ -482,11 +482,7 @@ def augment_with_dummy(
     """
     d = net.diagram
     var = d.variable(variable)
-    if target.space != d._unit_space(variable):
-        raise SpaceMismatch(
-            f"target for {variable} must be a single-variable ranking over it, "
-            f"got one over {target.space.names}"
-        )
+    _target_evidence(net, [(variable, target)])  # the engine's input check, and its text
     current = net.marginal(variable).ranks
     offset = 0
     for j, t in enumerate(target.ranks):

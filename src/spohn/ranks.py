@@ -68,7 +68,7 @@ class _Infinity:
         return "inf"
 
     def __reduce__(self):
-        return (_restore_inf, ())
+        return "INF"
 
 
 class _NegInfinity:
@@ -101,19 +101,11 @@ class _NegInfinity:
         return "-inf"
 
     def __reduce__(self):
-        return (_restore_neg_inf, ())
+        return "NEG_INF"
 
 
 INF = _Infinity()
 NEG_INF = _NegInfinity()
-
-
-def _restore_inf():
-    return INF
-
-
-def _restore_neg_inf():
-    return NEG_INF
 
 
 Rank: TypeAlias = Union[int, _Infinity]

@@ -1,9 +1,13 @@
-"""Command-line front end, driven in process through main(argv)."""
+"""Command-line front end, driven in process through main(argv), and in a
+subprocess where a closed pipe must be the process's own stream."""
 
 import gc
+import io
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,6 +18,7 @@ from spohn import (
     INF,
     OCF,
     InfluenceDiagram,
+    RankArithmeticError,
     SpohnianNetwork,
     StateSpace,
     Variable,
@@ -223,6 +228,28 @@ class TestQuery:
         )
         assert code == 0
         assert out == "believed\n"
+
+    @pytest.mark.parametrize("prop, line", [
+        ("species=TYPICAL-BIRD,NOT-BIRD", "believed (beta=1)"),
+        ("species=TYPICAL-BIRD", "not believed (beta=0)"),
+        ("species=PENGUIN", "not believed (beta=-1)"),
+    ])
+    def test_believe_reads_the_sign_of_beta(self, capsys, prop, line):
+        assert run(capsys, "query", PENGUIN, "--believe", prop) == (0, line + "\n", "")
+
+    def test_believe_at_infinite_strength(self, capsys, tmp_path):
+        network = tmp_path / "certain.json"
+        network.write_text(json.dumps({
+            "variables": [{"name": "A", "domain": ["a0", "a1"]}],
+            "edges": [],
+            "tables": {"A": {"order": ["A"], "ranks": [0, "inf"]}},
+        }))
+        assert run(capsys, "query", str(network), "--believe", "A=a0") == (
+            0, "believed (beta=inf)\n", ""
+        )
+        assert run(capsys, "query", str(network), "--believe", "A=a1") == (
+            0, "not believed (beta=-inf)\n", ""
+        )
 
     def test_beta_is_bare(self, capsys):
         code, out, _ = run(capsys, "query", PENGUIN, "--beta", "flight=FLYS")
@@ -454,6 +481,20 @@ class TestPropagate:
         assert code == 1
         assert fragment in err
 
+    def test_certain_mode_refuses_a_target(self, capsys):
+        assert run(capsys, "propagate", FIVE, EV_TARGET, "--mode", "certain") == (
+            1, "", "error: certain mode takes value observations only\n"
+        )
+
+    def test_an_arithmetic_breach_exits_3(self, capsys, monkeypatch):
+        def breach(*args, **kwargs):
+            raise RankArithmeticError("inf - inf is undefined")
+
+        monkeypatch.setattr(spohn.cli, "propagate", breach)
+        assert run(capsys, "propagate", FIVE, EV_CERTAIN, "--mode", "certain") == (
+            3, "", "internal error: inf - inf is undefined\n"
+        )
+
 
 class TestCompare:
     def test_bundled_examples_match(self, capsys):
@@ -614,6 +655,29 @@ class TestCollector:
         assert (code, seen) == (exit_code, [False])
         assert gc.isenabled() is caller
 
+    def test_a_closed_output_stream_exits_1_and_restores_the_setting(self, monkeypatch, caller):
+        # stdout is a pipe whose reader is gone; stderr is a stream with no
+        # file to point at os.devnull.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        closed, err = open(write_end, "w"), io.StringIO()
+        monkeypatch.setattr(sys, "stdout", closed)
+        monkeypatch.setattr(sys, "stderr", err)
+        seen = []
+        real = spohn.cli.parse_network
+
+        def parse(text):
+            seen.append(gc.isenabled())
+            return real(text)
+
+        monkeypatch.setattr(spohn.cli, "parse_network", parse)
+        try:
+            assert main(["query", PENGUIN, "--marginal", "species"]) == 1
+        finally:
+            closed.close()  # its fd is os.devnull's now: the flush succeeds
+        assert (seen, err.getvalue()) == ([False], "")
+        assert gc.isenabled() is caller
+
     def test_an_argument_error_leaves_the_setting_alone(self, capsys, caller):
         with pytest.raises(SystemExit) as caught:
             main(["propagate", FIVE])
@@ -661,3 +725,93 @@ class TestCollector:
                 capsys.readouterr()
         for command, (small, large) in found.items():
             assert small == large, (command, small, large)
+
+
+class TestClosedStream:
+    """A reader that closes the pipe early ends the run with exit 1 and no
+    traceback, whichever stream it held. Each output is larger than a pipe
+    buffer (64 KiB), so the command is still writing when the pipe closes."""
+
+    @staticmethod
+    def chain(tmp_path, n):
+        names = [f"X{i}" for i in range(n)]
+        network = tmp_path / f"chain{n}.json"
+        network.write_text(json.dumps({
+            "variables": [{"name": x, "domain": ["0", "1"]} for x in names],
+            "edges": list(zip(names, names[1:])),
+            "tables": {
+                "X0": {"order": ["X0"], "ranks": [0, 1]},
+                **{b: {"order": [a, b], "ranks": [0, 1, 1, 2]} for a, b in zip(names, names[1:])},
+            },
+        }))
+        evidence = tmp_path / f"chain{n}_ev.json"
+        evidence.write_text(json.dumps(
+            {"evidence": [{"variable": names[-1], "values": ["1"], "strength": "inf"}]}
+        ))
+        return str(network), str(evidence)
+
+    @staticmethod
+    def env():
+        env = dict(os.environ, PYTHONPATH=str(Path(spohn.cli.__file__).parents[1]))
+        # Unbuffered, the text layer drops what a short write left out and
+        # the run exits 0; the console script runs buffered.
+        env.pop("PYTHONUNBUFFERED", None)
+        return env
+
+    def run_closing(self, stream, *argv):
+        """Run the CLI, read 10 bytes of one stream, close it, and return the
+        exit code and the other stream's text."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "spohn.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.env(),
+        )
+        closing, kept = (proc.stdout, proc.stderr) if stream == "stdout" else (proc.stderr, proc.stdout)
+        assert len(closing.read(10)) == 10
+        closing.close()
+        rest = kept.read().decode()
+        kept.close()
+        return proc.wait(), rest
+
+    @pytest.mark.parametrize("stream, command", [
+        ("stdout", "query"), ("stdout", "propagate"), ("stderr", "propagate"),
+    ])
+    def test_exits_1_without_a_traceback(self, tmp_path, stream, command):
+        if command == "query":  # 4096 lines, from print
+            argv = ["query", self.chain(tmp_path, 12)[0], "--joint"]
+        else:  # one sys.stdout.write of the document, or the trace's lines on stderr
+            argv = ["propagate", *self.chain(tmp_path, 3000), "--mode", "certain"]
+            if stream == "stderr":
+                argv.append("--trace")
+        code, rest = self.run_closing(stream, *argv)
+        assert code == 1
+        assert "Traceback" not in rest and "Exception ignored" not in rest
+        if stream == "stdout":
+            assert rest == ""
+
+    def test_outputs_are_larger_than_a_pipe_buffer(self, tmp_path, capsys):
+        assert main(["query", self.chain(tmp_path, 12)[0], "--joint"]) == 0
+        assert len(capsys.readouterr().out) > 64 * 1024
+        assert main(["propagate", *self.chain(tmp_path, 3000), "--mode", "certain", "--trace"]) == 0
+        out, err = capsys.readouterr()
+        assert len(out) > 64 * 1024 and len(err) > 64 * 1024
+
+    def into_closed_pipe(self, stream, *argv):
+        """Run the CLI with one stream a pipe whose reader is already gone."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: write_end}
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "spohn.cli", *argv], **streams, env=self.env()
+            )
+        finally:
+            os.close(write_end)
+
+    def test_a_short_output_to_a_closed_pipe_exits_1(self):
+        # "ok" stays in the buffer until main flushes it, not until exit.
+        done = self.into_closed_pipe("stdout", "validate", FIVE)
+        assert (done.returncode, done.stderr) == (1, b"")
+
+    def test_an_error_line_to_a_closed_stderr_exits_1(self, tmp_path):
+        done = self.into_closed_pipe("stderr", "validate", str(tmp_path / "missing.json"))
+        assert (done.returncode, done.stdout) == (1, b"")

@@ -56,6 +56,10 @@ def test_family_variables_edge_cases():
     loop = InfluenceDiagram((v("A"), v("B")), (("A", "A"), ("B", "A")))
     assert loop.family_variables("A") == ("A", "B")
     assert loop.family_variables("B") == ("B",)
+    # Parents and children come in declaration order, whatever the edge order;
+    # a self-loop makes a node its own parent and child.
+    assert (d.parents("D"), d.children("A"), d.children("D")) == (("B", "A"), ("D",), ())
+    assert (loop.parents("A"), loop.children("A"), loop.children("B")) == (("A", "B"), ("A",), ("A",))
     with pytest.raises(UnknownVariable):
         d.family_variables("Z")
 
@@ -63,6 +67,8 @@ def test_family_variables_edge_cases():
 def test_unknown_endpoint_raises():
     with pytest.raises(UnknownVariable):
         InfluenceDiagram((v("A"),), (("A", "Z"),))
+    with pytest.raises(UnknownVariable, match="^edge endpoint 'Z' is not a variable$"):
+        InfluenceDiagram((v("A"),), (("Z", "A"),))
 
 
 def test_duplicate_edge_raises():

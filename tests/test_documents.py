@@ -320,9 +320,18 @@ class TestNetworkParseErrors:
     def base(self, five_node_net):
         return doc_dict(five_node_net)
 
-    def test_invalid_json_reports_location(self):
-        with pytest.raises(DocumentError, match=r"not valid JSON.*line 1"):
+    def test_invalid_json_reports_location(self, penguin_net):
+        with pytest.raises(DocumentError) as caught:
             parse_network("{")
+        assert str(caught.value) == (
+            "network document is not valid JSON: "
+            "Expecting property name enclosed in double quotes (line 1, column 2)"
+        )
+        with pytest.raises(DocumentError) as caught:
+            parse_evidence('{"evidence": [\n  1,\n]}', penguin_net)
+        assert str(caught.value) == (
+            "evidence document is not valid JSON: Expecting value (line 3, column 1)"
+        )
 
     def test_deeply_nested_json_is_a_document_error(self, penguin_net):
         deep = "[" * 100000
@@ -379,6 +388,12 @@ class TestNetworkParseErrors:
         doc = self.base(five_node_net)
         doc["variables"][0]["domain"] = ["a0", "a0"]
         with pytest.raises(DocumentError, match=r"variables\[0\]"):
+            parse_network(json.dumps(doc))
+
+    def test_edges_must_be_a_list(self, five_node_net):
+        doc = self.base(five_node_net)
+        doc["edges"] = {"A": "B"}
+        with pytest.raises(DocumentError, match="^edges: expected a list$"):
             parse_network(json.dumps(doc))
 
     def test_malformed_edge(self, five_node_net):

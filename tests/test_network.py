@@ -37,6 +37,9 @@ def test_tables_must_cover_exactly_the_diagram(penguin_net):
     dia = penguin_net.diagram
     with pytest.raises(ValueError, match="missing"):
         SpohnianNetwork(dia, {"species": penguin_net.tables["species"]})
+    extra = {**penguin_net.tables, "wings": penguin_net.tables["species"]}
+    with pytest.raises(ValueError, match=r"^tables for unknown variables \['wings'\]$"):
+        SpohnianNetwork(dia, extra)
     with pytest.raises(SpaceMismatch):
         SpohnianNetwork(
             dia,

@@ -16,6 +16,7 @@ from spohn.errors import (
     FullProposition,
     ImpossibleEvidence,
     SpaceMismatch,
+    UnknownValue,
     UnknownVariable,
 )
 from spohn.ocf import _cell_bits, _least_in_out, _least_ranks
@@ -169,6 +170,30 @@ class TestStateSpaceLayout:
         with pytest.raises(ValueError, match="^duplicate variable names in state space$"):
             StateSpace((a, Variable("B", ("y", "n")), Variable("A", ("x", "z"))))
 
+    def test_lookup_errors_keep_their_texts(self, penguin_space):
+        for call in (
+            lambda: penguin_space.variable("wings"),
+            lambda: penguin_space.value_digit("wings", "YES"),
+        ):
+            with pytest.raises(UnknownVariable, match="^unknown variable 'wings'$"):
+                call()
+        with pytest.raises(UnknownVariable, match=r"^assignment missing variables \['flight'\]$"):
+            penguin_space.index_of({"species": "PENGUIN"})
+        with pytest.raises(ValueError, match="^assignment length does not match variable count$"):
+            penguin_space.index_of(("PENGUIN",))
+        with pytest.raises(UnknownValue, match="^variable 'species' has no value 'DODO'$"):
+            penguin_space.index_of(("DODO", "FLYS"))
+        with pytest.raises(UnknownValue, match="^variable 'flight' has no value 'DODO'$"):
+            penguin_space.index_of({"species": "PENGUIN", "flight": "DODO"})
+
+    def test_no_names_are_refused(self, penguin_space, prior):
+        with pytest.raises(ValueError, match="^subspace needs at least one variable$"):
+            penguin_space.subspace(())
+        with pytest.raises(ValueError, match="^projection needs at least one variable$"):
+            penguin_space.projection(())
+        with pytest.raises(ValueError, match="^must keep at least one variable$"):
+            prior.marginalize([])
+
     def test_digit_maps_are_built_on_first_use(self):
         a, b = Variable("A", ("y", "n")), Variable("B", ("x", "y", "z"))
         space = StateSpace((a, b))
@@ -207,6 +232,12 @@ class TestProposition:
         other = StateSpace((SPECIES,))
         with pytest.raises(SpaceMismatch):
             bird(penguin_space) & Proposition.full(other)
+
+    def test_a_mask_outside_the_space_is_refused(self, penguin_space):
+        with pytest.raises(ValueError, match="^proposition mask outside the state space$"):
+            Proposition(penguin_space, 1 << 6)
+        with pytest.raises(ValueError, match="^proposition mask outside the state space$"):
+            Proposition(penguin_space, -1)
 
     def test_a_proposition_is_a_frozen_slotted_value(self, penguin_space):
         prop = Proposition.of_states(penguin_space, (0, 3, 4))
@@ -385,6 +416,74 @@ class TestRevision:
     def test_empty_proposition_cannot_be_learned(self, prior, penguin_space):
         with pytest.raises(EmptyProposition):
             prior.revise(Proposition.empty(penguin_space), 1)
+
+    def test_a_proposition_already_certain_stays_certain_at_any_strength(self):
+        # Its complement is impossible, so a finite lesson conditions, as inf does.
+        space = StateSpace((Variable("X", ("a", "b", "c")),))
+        k = OCF(space, (1, 0, INF))
+        ab = Proposition.constrain(space, {"X": ("a", "b")})
+        for strength in (0, 2, INF):
+            assert k.revise(ab, strength).ranks == (1, 0, INF)
+
+
+class TestSpaceMismatch:
+    """Each query of an OCF refuses a proposition over another space."""
+
+    def test_each_query_names_the_mismatch(self, prior):
+        other = Proposition.full(StateSpace((SPECIES,)))
+        text = "^proposition is over a different state space$"
+        for call in (
+            lambda: prior.rank_of(other),
+            lambda: prior.is_believed(other),
+            lambda: prior.belief_strength(other),
+            lambda: prior.revise(other, 1),
+        ):
+            with pytest.raises(SpaceMismatch, match=text):
+                call()
+        own = Proposition.full(prior.space)
+        for args in ((other, own), (own, other)):
+            with pytest.raises(SpaceMismatch, match="^propositions are over a different state space$"):
+                prior.cond_rank(*args)
+
+    def test_the_empty_proposition_has_no_rank(self, prior, penguin_space):
+        with pytest.raises(EmptyProposition, match="^the empty proposition has no rank$"):
+            prior.rank_of(Proposition.empty(penguin_space))
+
+
+class TestBasicLaws:
+    """Spohn's laws of ranks, on seeded random OCFs with impossible cells."""
+
+    @staticmethod
+    def draws(seed, count=300):
+        rng = random.Random(seed)
+        for _ in range(count):
+            space = StateSpace(tuple(
+                Variable(f"X{i}", ("a", "b", "c")[: rng.randint(2, 3)])
+                for i in range(rng.randint(1, 3))
+            ))
+            kappa = random_ocf(rng, space, p_inf=rng.choice([0.1, 0.3, 0.6]))
+            full = (1 << space.size) - 1
+            yield rng, kappa, full
+
+    def test_disjunction_takes_the_lesser_rank(self):
+        for rng, kappa, full in self.draws(1):
+            a = Proposition(kappa.space, rng.randint(1, full))
+            b = Proposition(kappa.space, rng.randint(1, full))
+            assert kappa.rank_of(a | b) == min(kappa.rank_of(a), kappa.rank_of(b))
+
+    def test_negation_leaves_one_side_at_zero(self):
+        for rng, kappa, full in self.draws(2):
+            a = Proposition(kappa.space, rng.randint(1, full - 1))
+            assert min(kappa.rank_of(a), kappa.rank_of(~a)) == 0
+
+    def test_firmness_is_antisymmetric(self):
+        seen = set()
+        for rng, kappa, full in self.draws(3):
+            a = Proposition(kappa.space, rng.randint(1, full - 1))
+            strength = kappa.belief_strength(a)
+            assert kappa.belief_strength(~a) == -strength
+            seen.add(strength if strength in (INF, NEG_INF) else (strength > 0) - (strength < 0))
+        assert seen == {INF, NEG_INF, 1, 0, -1}  # every case of the law was drawn
 
 
 def _revised_by_definition(ranks, inside, strength):
@@ -662,6 +761,20 @@ class TestIndependence:
     def test_coupled_tables_are_dependent(self, prior):
         # penguins mostly do not fly; species and flight are linked
         assert not prior.is_independent("species", "flight")
+
+    def test_jointly_impossible_conditioners_carry_no_constraint(self):
+        # Y = w is impossible: only u and v, where X's ranks move alike or not, decide.
+        x = Variable("X", ("a", "b"))
+        y = Variable("Y", ("u", "v", "w"))
+        space = StateSpace((x, y))
+        assert OCF(space, (0, 1, INF, 2, 3, INF)).is_independent("X", "Y")
+        assert not OCF(space, (0, 0, INF, 1, 2, INF)).is_independent("X", "Y")
+        # Given Z, with (Y, Z) = (v, p) and (w, q) impossible: cells X * 6 + Y * 2 + Z.
+        z = Variable("Z", ("p", "q"))
+        ranks = [INF if i % 6 in (2, 5) else i // 6 + i % 2 for i in range(12)]
+        assert OCF(StateSpace((x, y, z)), tuple(ranks)).is_independent("X", "Y", ("Z",))
+        ranks[1] = 3  # X = b is now less surprising at (u, q) than at (v, q)
+        assert not OCF(StateSpace((x, y, z)), tuple(ranks)).is_independent("X", "Y", ("Z",))
 
     def test_overlapping_arguments_raise(self, prior):
         with pytest.raises(ValueError):

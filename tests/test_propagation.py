@@ -411,6 +411,11 @@ class TestCertainMulti:
                 Schedule.fifo(),
             )
 
+    def test_a_target_is_refused(self, five_node_net):
+        evidence = [EvidenceSpec("B", values=("b0",)), EvidenceSpec("C", target=(1, 0))]
+        with pytest.raises(ValueError, match="^certain propagation needs value evidence, not targets$"):
+            propagate_certain_multi(five_node_net, evidence, Schedule.fifo())
+
 
 class TestDummyNodes:
     def test_pair_table_holds_target_under_observed(self):
@@ -478,10 +483,14 @@ class TestDummyNodes:
     def test_target_over_the_wrong_space_is_rejected(self, penguin_net):
         flight = penguin_net.diagram.variable("flight")
         bad = OCF(StateSpace((flight,)), (0, 1))
-        with pytest.raises(SpaceMismatch):
+        # One check, one text, whether the engine, the dummy or the oracle reads it.
+        text = r"^target for species must be a single-variable ranking over it, got one over \('flight',\)$"
+        with pytest.raises(SpaceMismatch, match=text):
             augment_with_dummy(penguin_net, "species", bad)
-        with pytest.raises(SpaceMismatch, match="single-variable ranking"):
+        with pytest.raises(SpaceMismatch, match=text):
             oracle_impose(penguin_net, [("species", bad)])
+        with pytest.raises(SpaceMismatch, match=text):
+            propagate_uncertain_multi(penguin_net, [("species", bad)])
 
 
 class TestUncertainMulti:

@@ -1,3 +1,4 @@
+import copy
 import pickle
 
 import pytest
@@ -15,6 +16,41 @@ rank = st.one_of(finite, st.just(INF))
 def test_inf_is_a_singleton_and_survives_pickling():
     assert pickle.loads(pickle.dumps(INF)) is INF
     assert pickle.loads(pickle.dumps(NEG_INF)) is NEG_INF
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_the_infinities_pickle_by_their_global_names(protocol):
+    for value, name in ((INF, b"INF"), (NEG_INF, b"NEG_INF")):
+        data = pickle.dumps(value, protocol)
+        assert name in data and b"spohn.ranks" in data
+        assert pickle.loads(data) is value
+        assert copy.copy(value) is value and copy.deepcopy(value) is value
+
+
+def test_inf_takes_no_float():
+    with pytest.raises(TypeError):
+        INF + 1.5
+    with pytest.raises(TypeError):
+        INF - 1.5
+
+
+def test_repr_of_the_infinities():
+    assert repr(INF) == "inf"
+    assert repr(NEG_INF) == "-inf"
+
+
+@given(st.integers())
+def test_neg_inf_is_below_every_int_and_inf(n):
+    assert NEG_INF <= n and NEG_INF <= INF and NEG_INF <= NEG_INF
+    assert not NEG_INF > n and not NEG_INF > NEG_INF
+    assert NEG_INF >= NEG_INF
+    assert not NEG_INF >= n and not NEG_INF >= INF
+
+
+def test_the_infinities_hash_apart():
+    assert hash(NEG_INF) == hash(NEG_INF) and hash(INF) == hash(INF)
+    assert hash(NEG_INF) != hash(INF)
+    assert len({INF, NEG_INF, INF, NEG_INF}) == 2
 
 
 @given(finite)
