@@ -85,6 +85,22 @@ def _mode_evidence(
     return evidence
 
 
+def _write_stdout(text: str) -> None:
+    """Write text to stdout whole. An unbuffered stdout's text layer drops
+    what a short write leaves out, so the bytes go to its binary layer until
+    all are written; a reader that closed the pipe then raises
+    BrokenPipeError. A stream with no binary layer takes the text."""
+    out = sys.stdout
+    binary = getattr(out, "buffer", None)
+    if binary is None:
+        out.write(text)
+        return
+    out.flush()
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        data = data[binary.write(data):]
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     net = parse_network(_read(args.network, "network file"))
     report = net.validate()
@@ -141,7 +157,7 @@ def cmd_propagate(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise DocumentError(f"cannot write output file {args.out!r}: {exc}") from exc
     else:
-        sys.stdout.write(doc)
+        _write_stdout(doc)
     return 0
 
 

@@ -422,12 +422,12 @@ class OCF:
         return _least_in_out(self.ranks, prop.mask)[0]
 
     def is_believed(self, prop: Proposition) -> bool:
-        """True when every rank-0 state satisfies the proposition."""
+        """True when every rank-0 state satisfies the proposition, that is,
+        when every state outside it has a positive rank."""
         if prop.space != self.space:
             raise SpaceMismatch("proposition is over a different state space")
-        bits = _cell_bits(prop.mask, self.space.size)
-        # The identity test spares INF's Python-level __eq__ on every cell.
-        return all(bit == "1" for r, bit in zip(self.ranks, bits) if r is not INF and r == 0)
+        k_out = _least_in_out(self.ranks, prop.mask)[1]
+        return k_out is INF or k_out > 0
 
     def belief_strength(self, prop: Proposition) -> BeliefStrength:
         """How firmly the proposition is held: negative when disbelieved.

@@ -22,7 +22,7 @@ from .diagram import InfluenceDiagram
 from .errors import TooLargeForOracle
 from .network import SpohnianNetwork
 from .ocf import OCF, Proposition, StateSpace, Variable
-from .propagation import EvidenceSpec, _target_evidence, augment_with_dummy
+from .propagation import EvidenceSpec, augment_with_dummy
 from .ranks import _rank_texts
 
 # Exhaustive enumeration is the point; past 12 bits of state space it stops
@@ -132,11 +132,6 @@ def oracle_posterior(net: SpohnianNetwork, evidence: Sequence[EvidenceSpec]) -> 
     dummies = augmented.diagram.names[len(net.diagram.names):]
     observed = [EvidenceSpec(d, values=("observed",)) for d in dummies]
     return oracle_revise(augmented.joint(), folded + observed).marginalize(net.diagram.names)
-
-
-def oracle_impose(net: SpohnianNetwork, targets: Sequence[tuple[str, OCF]]) -> OCF:
-    """oracle_posterior for target marginals, each a one-variable OCF."""
-    return oracle_posterior(net, _target_evidence(net, targets))
 
 
 def compare(result: SpohnianNetwork, oracle_joint: OCF) -> OracleReport:

@@ -24,8 +24,8 @@ they differ only in the first message each injects at its own variable:
   construction and pinned by a regression test rather than "fixed".
 
 propagate_single, propagate_certain_multi and propagate_uncertain_multi
-are checks plus delegation to propagate; each reads the gate (computed
-once per network) before its own checks, so an invalid network wins.
+are propagate under older names, and they check no evidence kinds: which
+kinds a command-line mode takes is the CLI's rule (cli._mode_evidence).
 
 The engine's adjacency is computed once per network, together with its
 validation gate (SpohnianNetwork._gate), and engine outputs share it:
@@ -98,7 +98,7 @@ from .ranks import INF, NEG_INF, BeliefStrength, Rank, _rank_texts, is_rank, ran
 @dataclass(frozen=True)
 class EvidenceSpec:
     """One observation: either a value proposition with a strength, or a
-    whole target marginal for the variable (used by the uncertain mode)."""
+    whole target marginal for the variable."""
 
     variable: str
     values: tuple[str, ...] | None = None
@@ -351,21 +351,25 @@ def _run(
     return net._revised(new_tables)
 
 
+def _checked_marginal(
+    net: SpohnianNetwork, variable: str, target: Sequence[Rank]
+) -> tuple[Rank, ...]:
+    """The variable's current marginal, with a target checked against it:
+    one rank per value, and no finite rank for a value already ruled out."""
+    current = net.marginal(variable).ranks
+    if len(target) != len(current):
+        raise SpaceMismatch(f"target for {variable} needs {len(current)} ranks, got {len(target)}")
+    if any(t is not INF and c is INF for t, c in zip(target, current)):
+        raise ImpossibleEvidence(f"target gives finite rank to an impossible value of {variable}")
+    return current
+
+
 def _first_message(net: SpohnianNetwork, ev: EvidenceSpec) -> tuple[Rank, ...]:
     """The message an observation injects at its own variable (module docstring)."""
     variable = ev.variable
     domain = net.diagram.variable(variable).domain
     if ev.target is not None:
-        if len(ev.target) != len(domain):
-            raise SpaceMismatch(
-                f"target for {variable} needs {len(domain)} ranks, got {len(ev.target)}"
-            )
-        current = net.marginal(variable).ranks
-        if any(t is not INF and c is INF for t, c in zip(ev.target, current)):
-            raise ImpossibleEvidence(
-                f"target gives finite rank to an impossible value of {variable}"
-            )
-        return tuple(map(rank_delta, ev.target, current))
+        return tuple(map(rank_delta, ev.target, _checked_marginal(net, variable, ev.target)))
     values, strength = ev.values, ev.strength
     for v in values:
         if v not in domain:
@@ -418,10 +422,7 @@ def propagate_single(
     evidence: EvidenceSpec,
     trace: list[TraceEntry] | None = None,
 ) -> SpohnianNetwork:
-    """propagate for one value observation of any strength, under FIFO."""
-    _require_valid(net)
-    if evidence.values is None:
-        raise ValueError("single-evidence propagation needs a value proposition")
+    """propagate of one observation, under FIFO, by an older name."""
     return propagate(net, [evidence], trace=trace)
 
 
@@ -431,13 +432,7 @@ def propagate_certain_multi(
     schedule: Schedule = Schedule.fifo(),
     trace: list[TraceEntry] | None = None,
 ) -> SpohnianNetwork:
-    """propagate for value observations of strength inf only."""
-    _require_valid(net)
-    for ev in evidence:
-        if ev.values is None:
-            raise ValueError("certain propagation needs value evidence, not targets")
-        if ev.strength is not INF:
-            raise ValueError("certain propagation requires strength inf for every item")
+    """propagate by an older name."""
     return propagate(net, evidence, schedule, trace)
 
 
@@ -447,8 +442,9 @@ def propagate_uncertain_multi(
     schedule: Schedule = Schedule.fifo(),
     trace: list[TraceEntry] | None = None,
 ) -> SpohnianNetwork:
-    """propagate for target marginals, each a one-variable OCF; see the
-    module docstring for what several targets on dependent variables do."""
+    """propagate of target marginals, each a one-variable OCF, by an older
+    name; see the module docstring for what several targets on dependent
+    variables do."""
     _require_valid(net)
     return propagate(net, _target_evidence(net, targets), schedule, trace)
 
@@ -482,18 +478,10 @@ def augment_with_dummy(
     """
     d = net.diagram
     var = d.variable(variable)
-    _target_evidence(net, [(variable, target)])  # the engine's input check, and its text
-    current = net.marginal(variable).ranks
-    offset = 0
-    for j, t in enumerate(target.ranks):
-        if t is INF:
-            continue
-        c = current[j]
-        if c is INF:
-            raise ImpossibleEvidence(
-                f"target gives finite rank to an impossible value of {variable}"
-            )
-        offset = max(offset, c - t)
+    # The engine's input checks, and their texts.
+    _target_evidence(net, [(variable, target)])
+    current = _checked_marginal(net, variable, target.ranks)
+    offset = max([0] + [c - t for t, c in zip(target.ranks, current) if t is not INF])
     name = f"_observe_{variable}"
     taken = set(d.names)
     while name in taken:

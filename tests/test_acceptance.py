@@ -31,7 +31,6 @@ from spohn import (
     StateSpace,
     Variable,
     augment_with_dummy,
-    oracle_impose,
     oracle_posterior,
     oracle_revise,
     propagate,
@@ -193,7 +192,8 @@ def test_criterion_5_every_schedule_lands_on_the_same_tables():
         for seed in range(50):
             again = propagate_uncertain_multi(net, targets, Schedule.seeded(seed))
             assert serialize_network(again) == reference
-        assert first == SpohnianNetwork.from_joint(oracle_impose(net, targets), net.diagram)
+        evidence = [EvidenceSpec(n, target=t.ranks) for n, t in targets]
+        assert first == SpohnianNetwork.from_joint(oracle_posterior(net, evidence), net.diagram)
 
     # finite evidence is the target its revision produces, under any schedule
     for _ in range(50):
@@ -340,7 +340,7 @@ def test_criterion_7_dummy_children_encode_uncertain_evidence():
         target = OCF(StateSpace((var,)), random_target(rng, var.domain))
         engine = propagate_uncertain_multi(net, [(name, target)])
         assert engine.marginal(name) == target
-        back = oracle_impose(net, [(name, target)])
+        back = oracle_posterior(net, [EvidenceSpec(name, target=target.ranks)])
         assert engine == SpohnianNetwork.from_joint(back, net.diagram)
 
     # pinned caveat: targets on dependent variables need not both hold

@@ -481,6 +481,14 @@ class TestPropagate:
         assert code == 1
         assert fragment in err
 
+    def test_a_stdout_with_no_binary_layer_gets_the_same_document(self, capsys, monkeypatch):
+        argv = ["propagate", FIVE, EV_CERTAIN, "--mode", "certain"]
+        code, want, _ = run(capsys, *argv)
+        text = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", text)
+        assert (main(argv), code) == (0, 0)
+        assert text.getvalue() == want
+
     def test_certain_mode_refuses_a_target(self, capsys):
         assert run(capsys, "propagate", FIVE, EV_TARGET, "--mode", "certain") == (
             1, "", "error: certain mode takes value observations only\n"
@@ -751,19 +759,20 @@ class TestClosedStream:
         return str(network), str(evidence)
 
     @staticmethod
-    def env():
+    def env(unbuffered=False):
         env = dict(os.environ, PYTHONPATH=str(Path(spohn.cli.__file__).parents[1]))
-        # Unbuffered, the text layer drops what a short write left out and
-        # the run exits 0; the console script runs buffered.
+        # The console script runs buffered; a case asks for unbuffered streams.
         env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         return env
 
-    def run_closing(self, stream, *argv):
+    def run_closing(self, stream, *argv, unbuffered=False):
         """Run the CLI, read 10 bytes of one stream, close it, and return the
         exit code and the other stream's text."""
         proc = subprocess.Popen(
             [sys.executable, "-m", "spohn.cli", *argv],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.env(unbuffered),
         )
         closing, kept = (proc.stdout, proc.stderr) if stream == "stdout" else (proc.stderr, proc.stdout)
         assert len(closing.read(10)) == 10
@@ -787,6 +796,11 @@ class TestClosedStream:
         assert "Traceback" not in rest and "Exception ignored" not in rest
         if stream == "stdout":
             assert rest == ""
+
+    def test_an_unbuffered_stdout_cut_short_exits_1(self, tmp_path):
+        # Unbuffered, the text layer would drop what a short write left out.
+        argv = ["propagate", *self.chain(tmp_path, 3000), "--mode", "certain"]
+        assert self.run_closing("stdout", *argv, unbuffered=True) == (1, "")
 
     def test_outputs_are_larger_than_a_pipe_buffer(self, tmp_path, capsys):
         assert main(["query", self.chain(tmp_path, 12)[0], "--joint"]) == 0

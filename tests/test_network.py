@@ -16,7 +16,7 @@ from spohn import (
     StateSpace,
     Variable,
     compare,
-    oracle_impose,
+    oracle_posterior,
     oracle_revise,
     propagate_certain_multi,
     propagate_single,
@@ -475,7 +475,8 @@ def _check_updates(rng, net):
     target[var.domain.index(rng.choice(possible))] = 0
     targets = [(name, OCF(StateSpace((var,)), tuple(target)))]
     post = propagate_uncertain_multi(net, targets, Schedule.fifo())
-    report = compare(post, oracle_impose(net, targets))
+    evidence = [EvidenceSpec(n, target=t.ranks) for n, t in targets]
+    report = compare(post, oracle_posterior(net, evidence))
     assert report.passed, ("uncertain", report.first_divergence)
 
 

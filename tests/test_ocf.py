@@ -543,7 +543,13 @@ class TestLinearPasses:
             assert kappa.rank_of(~prop) == min(
                 (r for r, x in zip(kappa.ranks, inside) if not x), default=INF
             )
-            assert kappa.is_believed(prop) == all(x for r, x in zip(kappa.ranks, inside) if r == 0)
+            # Believed: every rank-0 state lies inside, the empty and the full proposition too.
+            for p, p_inside in (
+                (prop, inside),
+                (Proposition.empty(space), [False] * space.size),
+                (Proposition.full(space), [True] * space.size),
+            ):
+                assert kappa.is_believed(p) == all(x for r, x in zip(kappa.ranks, p_inside) if r == 0)
             given_constraints = {}
             for var in rng_given.sample(space.variables, rng_given.randint(1, min(3, len(space.variables)))):
                 given_constraints[var.name] = rng_given.sample(

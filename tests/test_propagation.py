@@ -20,7 +20,6 @@ from spohn import (
     Variable,
     augment_with_dummy,
     compare,
-    oracle_impose,
     oracle_posterior,
     oracle_revise,
     propagate,
@@ -219,10 +218,6 @@ class TestSingleEvidence:
         with pytest.raises(InvalidNetwork):
             propagate_single(net, EvidenceSpec("A", values=("a0",), strength=1))
 
-    def test_target_payload_is_refused(self, penguin_net):
-        with pytest.raises(ValueError):
-            propagate_single(penguin_net, EvidenceSpec("flight", target=(0, 1)))
-
     def test_unknown_variable_raises(self, penguin_net):
         with pytest.raises(UnknownVariable):
             propagate_single(penguin_net, EvidenceSpec("beak", values=("x",), strength=1))
@@ -403,19 +398,6 @@ class TestCertainMulti:
                 net, [EvidenceSpec("A", values=("a1",), strength=INF)], Schedule.fifo()
             )
 
-    def test_finite_strength_is_refused(self, five_node_net):
-        with pytest.raises(ValueError):
-            propagate_certain_multi(
-                five_node_net,
-                [EvidenceSpec("B", values=("b0",), strength=2)],
-                Schedule.fifo(),
-            )
-
-    def test_a_target_is_refused(self, five_node_net):
-        evidence = [EvidenceSpec("B", values=("b0",)), EvidenceSpec("C", target=(1, 0))]
-        with pytest.raises(ValueError, match="^certain propagation needs value evidence, not targets$"):
-            propagate_certain_multi(five_node_net, evidence, Schedule.fifo())
-
 
 class TestDummyNodes:
     def test_pair_table_holds_target_under_observed(self):
@@ -483,12 +465,10 @@ class TestDummyNodes:
     def test_target_over_the_wrong_space_is_rejected(self, penguin_net):
         flight = penguin_net.diagram.variable("flight")
         bad = OCF(StateSpace((flight,)), (0, 1))
-        # One check, one text, whether the engine, the dummy or the oracle reads it.
+        # One check, one text, whether the engine or the dummy reads it.
         text = r"^target for species must be a single-variable ranking over it, got one over \('flight',\)$"
         with pytest.raises(SpaceMismatch, match=text):
             augment_with_dummy(penguin_net, "species", bad)
-        with pytest.raises(SpaceMismatch, match=text):
-            oracle_impose(penguin_net, [("species", bad)])
         with pytest.raises(SpaceMismatch, match=text):
             propagate_uncertain_multi(penguin_net, [("species", bad)])
 
@@ -511,7 +491,7 @@ class TestUncertainMulti:
             var = net.diagram.variable(name)
             target = OCF(StateSpace((var,)), random_target(rng, var.domain))
             post = propagate_uncertain_multi(net, [(name, target)], Schedule.fifo())
-            report = compare(post, oracle_impose(net, [(name, target)]))
+            report = compare(post, oracle_posterior(net, [EvidenceSpec(name, target=target.ranks)]))
             assert report.passed, report.first_divergence
             assert post.marginal(name).ranks == target.ranks
 
@@ -525,7 +505,8 @@ class TestUncertainMulti:
                 var = net.diagram.variable(name)
                 targets.append((name, OCF(StateSpace((var,)), random_target(rng, var.domain))))
             post = propagate_uncertain_multi(net, targets, Schedule.seeded(rng.randrange(99)))
-            report = compare(post, oracle_impose(net, targets))
+            evidence = [EvidenceSpec(n, target=t.ranks) for n, t in targets]
+            report = compare(post, oracle_posterior(net, evidence))
             assert report.passed, report.first_divergence
 
     def test_target_is_the_first_message(self, five_node_net):
@@ -599,7 +580,8 @@ class TestUncertainMulti:
         assert post.marginal("A").ranks == (0, 4)
         assert post.marginal("B").ranks == (0, 5)
         # the engine still agrees with brute force on the combined update
-        report = compare(post, oracle_impose(net, targets))
+        evidence = [EvidenceSpec(n, target=t.ranks) for n, t in targets]
+        report = compare(post, oracle_posterior(net, evidence))
         assert report.passed, report.first_divergence
 
 
@@ -641,6 +623,37 @@ class TestPropagate:
                 trace=trace,
             )
         assert trace == []
+
+    def test_each_older_name_is_propagate(self):
+        # The mode rules are the CLI's: the library's older names take any
+        # mix, a target and a finite strength included, and give propagate's
+        # tables and trace.
+        rng = random.Random(62)
+        for _ in range(30):
+            net = random_instance(rng, rng.randint(2, 5), max_domain=2, p_detach=0.2)
+            unit = net.diagram._unit_space
+            name = rng.choice(net.diagram.names)
+            target = OCF(unit(name), random_target(rng, net.diagram.variable(name).domain))
+            evidence = [
+                ev for ev in random_mixed_evidence(rng, net, rng.randint(2, 4))
+                if ev.variable != name or ev.target is None
+            ] + [random_value_evidence(rng, net), EvidenceSpec(name, target=target.ranks)]
+            targets = [(ev.variable, OCF(unit(ev.variable), ev.target)) for ev in evidence if ev.target]
+            schedule = Schedule.seeded(rng.randrange(99))
+            calls = [
+                (lambda tr: propagate_certain_multi(net, evidence, schedule, tr), evidence, schedule),
+                (lambda tr: propagate_uncertain_multi(net, targets, schedule, tr),
+                 [ev for ev in evidence if ev.target], schedule),
+                (lambda tr: propagate_single(net, evidence[-2], tr), evidence[-2:-1], Schedule.fifo()),
+                (lambda tr: propagate_single(net, evidence[-1], tr), evidence[-1:], Schedule.fifo()),
+            ]
+            for call, items, order in calls:
+                got, want = [], []
+                post = call(got)
+                assert post == propagate(net, items, order, want)
+                assert got == want
+                report = compare(post, oracle_posterior(net, items))
+                assert report.passed, report.first_divergence
 
     def test_mixed_evidence_is_oracle_impose_on_targets_read_on_the_prior(self):
         rng = random.Random(61)
@@ -960,7 +973,8 @@ class TestBoundedDeliveries:
             (lambda s, tr: propagate_certain_multi(net, certain, s, tr),
              lambda: oracle_revise(net.joint(), certain), 0),
             (lambda s, tr: propagate_uncertain_multi(net, targets, s, tr),
-             lambda: oracle_impose(net, targets), len(targets)),
+             lambda: oracle_posterior(net, [EvidenceSpec(n, target=t.ranks) for n, t in targets]),
+             len(targets)),
         ]
         for call, oracle, dummies in calls:
             trace = []
@@ -1121,7 +1135,8 @@ class TestFanOut:
                 (lambda s, tr: propagate_certain_multi(net, certain, s, tr),
                  lambda: oracle_revise(net.joint(), certain), 0),
                 (lambda s, tr: propagate_uncertain_multi(net, targets, s, tr),
-                 lambda: oracle_impose(net, targets), len(targets)),
+                 lambda: oracle_posterior(net, [EvidenceSpec(n, target=t.ranks) for n, t in targets]),
+                 len(targets)),
                 (lambda s, tr: propagate(net, [single], s, tr),
                  lambda: oracle_revise(net.joint(), [single]), 0),
             ]
