@@ -14,7 +14,9 @@ order in certain and uncertain mode; it has no effect with --mode single,
 whose one observation always spreads breadth first. The updated network
 document goes to stdout (or --out); trace lines go to stderr. Exit codes:
 0 ok, 1 validation or parse failure, 2 contradictory evidence, 3 internal
-invariant breach; a closed output stream also exits 1, with no traceback.
+invariant breach. An output stream that cannot be written also exits 1,
+with no traceback: a closed pipe silently, any other failed write to
+stdout with one error line on stderr.
 main() runs the command with the cyclic garbage collector paused and then
 restores the caller's setting; library calls leave it alone.
 """
@@ -27,7 +29,7 @@ import os
 import sys
 from contextlib import suppress
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .documents import parse_evidence, parse_network, serialize_network
 from .errors import (
@@ -85,30 +87,51 @@ def _mode_evidence(
     return evidence
 
 
-def _write_stdout(text: str) -> None:
-    """Write text to stdout whole. An unbuffered stdout's text layer drops
-    what a short write leaves out, so the bytes go to its binary layer until
-    all are written; a reader that closed the pipe then raises
-    BrokenPipeError. A stream with no binary layer takes the text."""
-    out = sys.stdout
-    binary = getattr(out, "buffer", None)
-    if binary is None:
-        out.write(text)
-        return
-    out.flush()
-    data = memoryview(text.encode(out.encoding, out.errors))
-    while data:
-        data = data[binary.write(data):]
+class _WriteFailed(Exception):
+    """A write to sys.stdout or sys.stderr, named by stream, failed with an
+    OSError other than a broken pipe."""
+
+    def __init__(self, stream: str, error: OSError):
+        super().__init__(stream, error)
+        self.stream, self.error = stream, error
+
+
+def _write(stream: str, text: str) -> None:
+    """Write text whole to sys.stdout or sys.stderr, named by stream, and
+    flush it. An unbuffered stream's text layer drops what a short write
+    leaves out, so the bytes go to its binary layer until all are written.
+    A reader that closed the pipe raises BrokenPipeError; any other failed
+    write raises _WriteFailed. A stream with no binary layer takes the text."""
+    out = getattr(sys, stream)
+    try:
+        binary = getattr(out, "buffer", None)
+        if binary is None:
+            out.write(text)
+            out.flush()
+            return
+        out.flush()
+        data = memoryview(text.encode(out.encoding, out.errors))
+        while data:
+            data = data[binary.write(data):]
+        binary.flush()
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise _WriteFailed(stream, exc) from exc
+
+
+def _write_lines(stream: str, lines: Iterable[str]) -> None:
+    """Write the lines, each ended by a newline, in one _write."""
+    _write(stream, "".join([f"{line}\n" for line in lines]))
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
     net = parse_network(_read(args.network, "network file"))
     report = net.validate()
     if report.ok:
-        print("ok")
+        _write_lines("stdout", ["ok"])
         return 0
-    for problem in report.problems:
-        print(f"invalid: {problem}")
+    _write_lines("stdout", [f"invalid: {problem}" for problem in report.problems])
     return 1
 
 
@@ -120,23 +143,24 @@ def cmd_query(args: argparse.Namespace) -> int:
     if args.marginal is not None:
         marg = net.marginal(args.marginal)
         domain = marg.space.variables[0].domain
-        print(" ".join(f"{v}:{r}" for v, r in zip(domain, marg.ranks)))
+        _write_lines("stdout", [" ".join(f"{v}:{r}" for v, r in zip(domain, marg.ranks))])
         return 0
     if args.joint:
         joint = net.joint()
-        for state, r in zip(joint.space.states(), _rank_texts(joint.ranks, "the joint ranking")):
-            print(f"{','.join(state)}:{r}")
+        ranks = _rank_texts(joint.ranks, "the joint ranking")
+        _write_lines("stdout", [f"{','.join(s)}:{r}" for s, r in zip(joint.space.states(), ranks)])
         return 0
     name, values = _parse_prop(args.believe if args.believe is not None else args.beta)
     marg = net.marginal(name)
     prop = Proposition.constrain(marg.space, {name: values})
     if args.believe is None:
-        print(marg.belief_strength(prop))
+        line = str(marg.belief_strength(prop))
     elif prop.is_full:  # every rank-0 state satisfies it
-        print("believed")
+        line = "believed"
     else:  # a proper proposition is believed when its strength is positive
         beta = marg.belief_strength(prop)
-        print(f"{'believed' if beta > 0 else 'not believed'} (beta={beta})")
+        line = f"{'believed' if beta > 0 else 'not believed'} (beta={beta})"
+    _write_lines("stdout", [line])
     return 0
 
 
@@ -147,9 +171,7 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     result = propagate(net, evidence, _schedule(args), trace)
     if trace is not None:
         # Every line first: a change too long to write leaves no partial trace.
-        lines = [entry.format() for entry in trace]
-        for line in lines:
-            print(line, file=sys.stderr)
+        _write_lines("stderr", [entry.format() for entry in trace])
     doc = serialize_network(result)
     if args.out:
         try:
@@ -157,7 +179,7 @@ def cmd_propagate(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise DocumentError(f"cannot write output file {args.out!r}: {exc}") from exc
     else:
-        _write_stdout(doc)
+        _write("stdout", doc)
     return 0
 
 
@@ -167,8 +189,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     _plan(net, evidence)  # refuse a joint, dummies included, before running anything
     engine = propagate(net, evidence, _schedule(args))
     report = oracle_compare(engine, oracle_posterior(net, evidence))
-    for line in report.to_lines():
-        print(line)
+    _write_lines("stdout", report.to_lines())
     return 0 if report.passed else 1
 
 
@@ -217,14 +238,24 @@ def _run(args: argparse.Namespace) -> int:
     try:
         return args.func(args)
     except ContradictoryEvidence as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _write_lines("stderr", [f"error: {exc}"])
         return 2
     except RankArithmeticError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        _write_lines("stderr", [f"internal error: {exc}"])
         return 3
     except SpohnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _write_lines("stderr", [f"error: {exc}"])
         return 1
+
+
+def _silence_streams() -> None:
+    """Point stdout and stderr at os.devnull, so that the flush at exit
+    writes what a failed write left buffered nowhere instead of failing
+    again."""
+    with open(os.devnull, "w") as devnull:
+        for stream in (sys.stdout, sys.stderr):
+            with suppress(OSError, ValueError):  # an in-process caller's stream may have no file
+                os.dup2(devnull.fileno(), stream.fileno())
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -234,17 +265,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        code = _run(args)
-        sys.stdout.flush()  # a closed stdout shows here, not in the flush at exit
-        return code
+        return _run(args)
     except BrokenPipeError:
         # A reader closed stdout, or stderr before the trace or an error line
-        # was written. Point both at os.devnull, so that the flush at exit
-        # writes nowhere instead of failing again.
-        with open(os.devnull, "w") as devnull:
-            for stream in (sys.stdout, sys.stderr):
-                with suppress(OSError, ValueError):  # an in-process caller's stream may have no file
-                    os.dup2(devnull.fileno(), stream.fileno())
+        # was written.
+        _silence_streams()
+        return 1
+    except _WriteFailed as exc:
+        if exc.stream == "stdout":
+            with suppress(OSError, _WriteFailed):  # a stderr that fails too stays silent
+                _write_lines("stderr", [f"error: cannot write to stdout: {exc.error}"])
+        _silence_streams()
         return 1
     finally:
         if enabled:

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 from typing import Mapping
 
 from .diagram import InfluenceDiagram, ValidationReport
 from .errors import InconsistentTables, SpaceMismatch
-from .ocf import OCF, _least_ranks
+from .ocf import OCF, StateSpace, _least_ranks
 from .ranks import INF, Rank
 
 
@@ -87,39 +88,65 @@ class SpohnianNetwork:
         """Assemble the full ranking: family tables minus shared marginals.
 
         Every table is added once; a node's own marginal, read off its own
-        table, is subtracted once per child. Tables that fail validate() can
-        sum to a negative rank or to no rank-0 state: InconsistentTables.
+        table, is subtracted once per child. The sum grows over the declared
+        variables one at a time, in the row-major layout: each step repeats
+        every cell once per value of the entering variable, and a family's
+        column is added at the step where its last-declared member enters,
+        over the prefix of the variables declared up to it. Tables that
+        fail validate() can sum to a negative rank or to no rank-0 state:
+        InconsistentTables.
         """
-        full = self.diagram.space
-        total: list[Rank] | None = None
-        for node in self.diagram.names:
-            table = self.tables[node]
-            cells = table.ranks
-            shared = len(self.diagram.children(node))
-            if shared:
-                own, marg = table.space.projection((node,)), self.marginal(node).ranks
-                cells = [t if t is INF else t - shared * marg[x] for t, x in zip(cells, own)]
-            proj = full.projection(table.space.names)
-            if total is None:  # the first family's column seeds the sum
-                total = [cells[j] for j in proj]
-            else:
-                total = [t + cells[j] for t, j in zip(total, proj)]
+        d = self.diagram
+        variables, names = d.variables, d.names
+        total: list[Rank] = [0]
+        for k, due in enumerate(_by_last_member(d)):
+            total = list(chain.from_iterable(zip(*[total] * len(variables[k].domain))))
+            if not due:
+                continue
+            prefix = StateSpace._trusted(variables[: k + 1], names[: k + 1])
+            for node in due:
+                table = self.tables[node]
+                cells = table.ranks
+                shared = len(d.children(node))
+                if shared:
+                    own, marg = table.space.projection((node,)), self.marginal(node).ranks
+                    cells = [t if t is INF else t - shared * marg[x] for t, x in zip(cells, own)]
+                total = [t + cells[j] for t, j in zip(total, prefix.projection(table.space.names))]
         try:
-            return OCF(full, tuple(total))
+            return OCF(d.space, tuple(total))
         except ValueError as exc:
             raise InconsistentTables(f"node tables do not compose: {exc}") from exc
 
     @classmethod
     def from_joint(cls, kappa: OCF, diagram: InfluenceDiagram) -> SpohnianNetwork:
-        """Project a joint ranking onto every family of the diagram."""
+        """Project a joint ranking onto every family of the diagram.
+
+        The joint sheds its declared variables last first, one least-rank
+        pass each. A family is projected just before its last-declared
+        member is shed, from the shortest prefix of the declared variables
+        that holds it, onto the diagram's own family tuple.
+        """
         if kappa.space.variables != diagram.variables:
             raise SpaceMismatch(
                 "joint ranking must be over the diagram's variables in declared order"
             )
-        tables = {
-            node: kappa.marginalize(diagram.family_variables(node))
-            for node in diagram.names
-        }
+        variables, names, families = diagram.variables, diagram.names, diagram._families
+        ranks = kappa.ranks
+        tables: dict[str, OCF] = {}
+        due = _by_last_member(diagram)
+        for k in range(len(names) - 1, -1, -1):
+            if due[k]:
+                prefix = StateSpace._trusted(variables[: k + 1], names[: k + 1])
+                for node in due[k]:
+                    fam, members = families[node]
+                    space = StateSpace._trusted(members, fam)
+                    # Valid: the least ranks of a valid joint, so one of them is 0.
+                    least = _least_ranks(ranks, prefix.projection(fam), space.size)
+                    tables[node] = OCF._trusted(space, tuple(least))
+            if k:  # drop variable k: its c cells of each shorter prefix state are adjacent
+                c = len(variables[k].domain)
+                size = len(ranks) // c
+                ranks = _least_ranks(ranks, list(chain.from_iterable(zip(*[range(size)] * c))), size)
         return cls(diagram, tables)
 
     def validate(self) -> ValidationReport:
@@ -214,3 +241,14 @@ class SpohnianNetwork:
         if "_rooting" in self.__dict__:
             out.__dict__["_rooting"] = self._rooting
         return out
+
+
+def _by_last_member(diagram: InfluenceDiagram) -> list[list[str]]:
+    """Per declared variable, the nodes whose family's last-declared member
+    it is, in declaration order: the step at which joint() adds a family and
+    from_joint() projects it."""
+    due: list[list[str]] = [[] for _ in diagram.variables]
+    position = diagram._position
+    for node, (fam, _) in diagram._families.items():
+        due[position[fam[-1]]].append(node)
+    return due

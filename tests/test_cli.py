@@ -829,3 +829,54 @@ class TestClosedStream:
     def test_an_error_line_to_a_closed_stderr_exits_1(self, tmp_path):
         done = self.into_closed_pipe("stderr", "validate", str(tmp_path / "missing.json"))
         assert (done.returncode, done.stdout) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestFullDevice:
+    """Every write to /dev/full fails with ENOSPC. A stdout there ends the
+    run with exit 1 and one error line on stderr naming the stream; a
+    stderr there ends it with exit 1 and nothing more. Neither leaves a
+    traceback or an "Exception ignored" from the flush at exit."""
+
+    FULL_STDOUT = b"error: cannot write to stdout: [Errno 28] No space left on device\n"
+    COMMANDS = [
+        ["validate", FIVE],
+        ["query", PENGUIN, "--marginal", "species"],
+        ["query", PENGUIN, "--joint"],
+        ["query", PENGUIN, "--believe", "species=PENGUIN"],
+        ["query", PENGUIN, "--beta", "species=PENGUIN"],
+        ["propagate", PENGUIN, EV_PENGUIN, "--mode", "single"],
+        ["compare", PENGUIN, EV_PENGUIN, "--mode", "single"],
+    ]
+
+    @staticmethod
+    def into_full(stream, argv, unbuffered=False):
+        with open("/dev/full", "wb") as full:
+            streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: full}
+            return subprocess.run(
+                [sys.executable, "-m", "spohn.cli", *argv],
+                **streams, env=TestClosedStream.env(unbuffered),
+            )
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: "-".join(argv[:1] + argv[2:3]))
+    def test_a_full_stdout_is_one_error_line(self, argv, unbuffered):
+        done = self.into_full("stdout", argv, unbuffered)
+        assert (done.returncode, done.stderr) == (1, self.FULL_STDOUT)
+
+    def test_a_full_stdout_and_stderr_exit_1_silently(self):
+        with open("/dev/full", "wb") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "spohn.cli", "validate", FIVE],
+                stdout=full, stderr=full, env=TestClosedStream.env(),
+            )
+        assert done.returncode == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "missing.json"],
+        ["propagate", PENGUIN, EV_PENGUIN, "--mode", "single", "--trace"],
+    ], ids=["error-line", "trace"])
+    def test_a_full_stderr_exits_1_silently(self, argv):
+        # The trace goes out before the document, so stdout stays empty too.
+        done = self.into_full("stderr", argv)
+        assert (done.returncode, done.stdout) == (1, b"")

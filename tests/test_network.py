@@ -257,16 +257,43 @@ def _joint_by_cells(net):
     return out
 
 
+MALFORMED = ("self-loop", "two-cycle", "chord")
+
+
+def _malformed_diagram(rng, shape):
+    """A chain of binary or ternary variables with one edge too many: a
+    self-loop, a two-cycle (one edge reversed), or a chord that makes the
+    skeleton multiply connected."""
+    d = random_diagram(rng, rng.randint(3, 6), shape="chain")
+    names, edges = d.names, list(d.edges)
+    if shape == "self-loop":
+        a = rng.choice(names)
+        edges.append((a, a))
+    elif shape == "two-cycle":
+        a, b = rng.choice(edges)
+        edges.append((b, a))
+    else:
+        i = rng.randrange(len(names) - 2)
+        chord = (names[i], names[rng.randrange(i + 2, len(names))])
+        edges.append(chord if rng.random() < 0.5 else chord[::-1])
+    return InfluenceDiagram(d.variables, tuple(edges))
+
+
 def test_joint_is_the_cell_by_cell_sum_less_shared_marginals():
     # Valid networks with INF cells, and tables drawn one by one, which
     # need not compose: then the error names what the checked constructor
-    # names for the summed cells.
+    # names for the summed cells. Drawn tables also go on malformed
+    # diagrams, whose families the declared-order walk adds all the same.
     rng = random.Random(71)
-    for trial in range(60):
-        if trial % 2:
+    for trial in range(90):
+        if trial % 3 == 1:
             net = random_instance(rng, rng.randint(1, 7), p_inf=0.2)
         else:
-            d = random_diagram(rng, rng.randint(1, 6))
+            if trial % 3 == 0:
+                d = random_diagram(rng, rng.randint(1, 6))
+            else:
+                d = _malformed_diagram(rng, MALFORMED[trial // 3 % 3])
+                assert not d.validate().ok
             net = SpohnianNetwork(
                 d, {n: random_ocf(rng, d.space.subspace(d.family_variables(n)), 3, 0.2) for n in d.names}
             )
@@ -278,6 +305,47 @@ def test_joint_is_the_cell_by_cell_sum_less_shared_marginals():
                 net.joint()
         else:
             assert net.joint() == expected
+
+
+def _families_by_cells(kappa, d):
+    """Each family's table read off the joint cell by cell: per family
+    state, the least rank of the joint states that agree with it."""
+    out = {}
+    for node in d.names:
+        space = d.space.subspace(d.family_variables(node))
+        least = [INF] * space.size
+        for i, r in enumerate(kappa.ranks):
+            j = space.index_of(dict(zip(d.names, d.space.state_at(i))))
+            if r is not INF and (least[j] is INF or r < least[j]):
+                least[j] = r
+        out[node] = OCF(space, tuple(least))
+    return out
+
+
+def test_from_joint_projects_any_joint_cell_by_cell():
+    # Random joints with INF cells, which need not factorize over the
+    # diagram: one-variable diagrams, forests of several components,
+    # parents declared after their children, and malformed shapes.
+    rng = random.Random(79)
+    seen = set()
+    for trial in range(60):
+        if trial % 4 == 3:
+            d = _malformed_diagram(rng, MALFORMED[trial % 3])
+        else:
+            d = random_diagram(rng, 1 if trial % 10 == 0 else rng.randint(2, 6), p_detach=0.4)
+        position = {n: i for i, n in enumerate(d.names)}
+        if len(d.names) == 1:
+            seen.add("one variable")
+        if len(d.names) - len(d.edges) > 1:
+            seen.add("several components")
+        if any(position[a] > position[b] for a, b in d.edges):
+            seen.add("parent declared after its child")
+        kappa = random_ocf(rng, d.space, 5, 0.3)
+        rebuilt = SpohnianNetwork.from_joint(kappa, d)
+        assert dict(rebuilt.tables) == _families_by_cells(kappa, d)
+        for node, table in rebuilt.tables.items():
+            assert table.space.names == d.family_variables(node)
+    assert seen == {"one variable", "several components", "parent declared after its child"}
 
 
 def test_from_joint_round_trips(five_node_net):
