@@ -193,8 +193,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose help, usage and error text go through
+    _write, so a stream that cannot take them fails as a command's output
+    does; argparse's own writer drops the OSError."""
+
+    def _print_message(self, message: str, file=None) -> None:
+        _write("stdout" if file is sys.stdout else "stderr", message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spohn",
         description="Exact belief revision on singly connected Spohnian networks.",
     )
@@ -259,16 +268,15 @@ def _silence_streams() -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     # A command leaves cyclic garbage that does not grow with its documents,
     # so full collections over every family's objects would free nothing.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _run(args)
+        return _run(build_parser().parse_args(argv))
     except BrokenPipeError:
-        # A reader closed stdout, or stderr before the trace or an error line
-        # was written.
+        # A reader closed stdout, or stderr before the help, the trace or an
+        # error line was written.
         _silence_streams()
         return 1
     except _WriteFailed as exc:

@@ -232,8 +232,9 @@ class SpohnianNetwork:
         """The message engine's output: this diagram, tables over the same
         spaces (so the constructor's space checks are skipped), and this
         network's gate, adjacency and, once computed, rooting. It validates
-        by construction: at quiescence every edge's two marginals agree, and
-        s-normalization shifts both by the same least rank."""
+        by construction: at quiescence every edge's two marginals agree up
+        to a constant per edge, and equal after normalization, since each
+        table's least rank is its marginal's least rank."""
         out = object.__new__(type(self))
         object.__setattr__(out, "diagram", self.diagram)
         object.__setattr__(out, "tables", MappingProxyType(tables))

@@ -8,6 +8,21 @@ cross traffic vanish in the single s-normalization performed per node at
 quiescence. Normalizing earlier would bake the constants in, so nothing is
 normalized mid-flight.
 
+A ranking matters only up to that normalization (conditioning is
+k(.|A) = k(.) - k(A), a uniform shift), so a change that it would undo is
+not sent: one that is the same finite number, 0 included, at every value
+the edge's snapshot leaves finite. The sender keeps the constant and the
+snapshot stays put, so the edge's two ends then differ on the shared
+marginal by a finite constant, in either direction. Each end's least rank
+is its marginal's least rank, so after s-normalization they agree: the
+absorption invariant of Jensen, Lauritzen & Olesen (1990), under which an
+absorption that would only add a constant can be left out. A change that
+is INF where the snapshot is finite is never such a shift, so values newly
+ruled out, and contradictions, travel as before; where the snapshot is
+already INF the change is 0 and could only touch INF cells. A family that
+only such shifts would reach, say one d-separated from the evidence, stays
+the input's own OCF. Injections are always delivered.
+
 One rule carries every observation: propagate takes any mix of them, and
 they differ only in the first message each injects at its own variable:
 
@@ -185,6 +200,22 @@ def _add_deltas(vector: list[Rank], deltas: Sequence[Rank], digit_of: Sequence[i
             vector[i] += dd
 
 
+def _message(marginal: Sequence[Rank], last: Sequence[Rank]) -> tuple[Rank, ...] | None:
+    """The change from an edge's snapshot last to the sender's marginal, or
+    None where s-normalization would undo it: where the change is one
+    finite number, 0 included, at every value last leaves finite (module
+    docstring). At a value last rules out the change is 0 (rank_delta), and
+    it could only add to cells that are already INF."""
+    change = tuple(map(rank_delta, marginal, last))
+    shift = None
+    for d, s in zip(change, last):
+        if s is not INF:
+            if d is INF or shift is not None and d != shift:
+                return change
+            shift = d
+    return None
+
+
 def _run(
     net: SpohnianNetwork,
     links: dict[str, list[tuple]],
@@ -201,13 +232,14 @@ def _run(
     node's other edges dirty: its edge toward the root (an up mark) and
     its edges away from it (one down mark). Popping a mark sends, on each
     of its edges, the change in the shared marginal since the edge's
-    snapshot, if there is one, and makes that marginal the snapshot, so
-    nothing a neighbor said is echoed back at it; pending changes on an
-    edge coalesce into that one message. Each distinct shared variable's
-    marginal is computed once per pop, and so is the change from each
-    distinct snapshot of the node's own marginal: edges to children that
-    hold the same snapshot share one change tuple. Edges toward parents
-    compute their own. A stored snapshot is never mutated.
+    snapshot, unless s-normalization would undo it (_message), and makes
+    that marginal the snapshot, so nothing a neighbor said is echoed back
+    at it; pending changes on an edge coalesce into that one message.
+    Each distinct shared variable's marginal is computed once per pop, and
+    so is the change from each distinct snapshot of the node's own
+    marginal: edges to children that hold the same snapshot share one
+    change tuple. Edges toward parents compute their own. A stored
+    snapshot is never mutated.
 
     Under FIFO (no seed) the injections go first, in order; then marks pop
     from one bucket store, up marks deepest sender first and down marks
@@ -219,10 +251,12 @@ def _run(
     reaches each node, so it sets only down marks and they pop breadth
     first.
 
-    Touched tables are s-normalized once, at quiescence; the first node in
-    declaration order whose vector has gone entirely infinite names the
-    contradiction. A traced delivery is numbered by its place in this
-    call's entries of trace, which may already hold earlier ones.
+    Touched tables are s-normalized once, at quiescence, when every edge's
+    two marginals agree up to a constant per edge, and equal after
+    normalization; the first node in declaration order whose vector has
+    gone entirely infinite names the contradiction. A traced delivery is
+    numbered by its place in this call's entries of trace, which may
+    already hold earlier ones.
     """
     tables = net.tables
     depth_of, up_of = net._rooting if len(injections) > 1 else ({}, {})
@@ -262,7 +296,7 @@ def _run(
         node_links, work, up = links[node], vec[node], up_of[node]
         # The node's own marginal now and in the input, shared by its edges
         # to children, and per snapshot of it (by id) the snapshot and its
-        # change: holding the snapshot keeps its id from being reused.
+        # message: holding the snapshot keeps its id from being reused.
         own = start = None
         changes: dict[int, tuple] = {}
         for k in (up,) if key < 0 else range(len(node_links)):
@@ -275,7 +309,7 @@ def _run(
                 if last is None:
                     # Valid tables agree with the shared node's own marginal.
                     last = net.marginal(shared).ranks
-                change = tuple(map(rank_delta, marginal, last))
+                change = _message(marginal, last)
             else:
                 if own is None:
                     own = _least_ranks(work, digit_s, card)
@@ -283,11 +317,10 @@ def _run(
                     if start is None:
                         start = net.marginal(node).ranks
                     last = start
-                known = changes.get(id(last))
-                if known is None:
-                    known = changes[id(last)] = (last, tuple(map(rank_delta, own, last)))
-                marginal, change = own, known[1]
-            if any(change):
+                if id(last) not in changes:
+                    changes[id(last)] = (last, _message(own, last))
+                marginal, change = own, changes[id(last)][1]
+            if change is not None:
                 snap[edge] = marginal
                 deliver(node, receiver, back, shared, change)
 

@@ -381,11 +381,8 @@ class TestPropagate:
                     "seq=2 edge=E->E var=E deltas=[inf,0]",
                     "seq=3 edge=E->C var=C deltas=[2,1]",
                     "seq=4 edge=C->D var=C deltas=[2,1]",
-                    "seq=5 edge=D->B var=B deltas=[2,2]",
-                    "seq=6 edge=B->A var=A deltas=[4,2]",
-                    "seq=7 edge=B->D var=B deltas=[inf,0]",
-                    "seq=8 edge=D->C var=C deltas=[1,1]",
-                    "seq=9 edge=C->E var=C deltas=[1,1]",
+                    "seq=5 edge=B->A var=A deltas=[2,0]",
+                    "seq=6 edge=B->D var=B deltas=[inf,0]",
                 ],
             ),
             (
@@ -395,12 +392,8 @@ class TestPropagate:
                     "seq=2 edge=B->D var=B deltas=[inf,0]",
                     "seq=3 edge=E->E var=E deltas=[inf,0]",
                     "seq=4 edge=B->A var=A deltas=[2,0]",
-                    "seq=5 edge=D->C var=C deltas=[1,1]",
-                    "seq=6 edge=C->E var=C deltas=[1,1]",
-                    "seq=7 edge=E->C var=C deltas=[2,1]",
-                    "seq=8 edge=C->D var=C deltas=[2,1]",
-                    "seq=9 edge=D->B var=B deltas=[0,2]",
-                    "seq=10 edge=B->A var=A deltas=[2,2]",
+                    "seq=5 edge=E->C var=C deltas=[2,1]",
+                    "seq=6 edge=C->D var=C deltas=[2,1]",
                 ],
             ),
         ],
@@ -749,7 +742,7 @@ class TestClosedStream:
             "edges": list(zip(names, names[1:])),
             "tables": {
                 "X0": {"order": ["X0"], "ranks": [0, 1]},
-                **{b: {"order": [a, b], "ranks": [0, 1, 1, 2]} for a, b in zip(names, names[1:])},
+                **{b: {"order": [a, b], "ranks": [0, 1, 2, 1]} for a, b in zip(names, names[1:])},
             },
         }))
         evidence = tmp_path / f"chain{n}_ev.json"
@@ -830,6 +823,26 @@ class TestClosedStream:
         done = self.into_closed_pipe("stderr", "validate", str(tmp_path / "missing.json"))
         assert (done.returncode, done.stdout) == (1, b"")
 
+    @pytest.mark.parametrize("argv", [["--help"], ["propagate", "--help"]], ids=" ".join)
+    def test_a_help_to_a_closed_pipe_exits_1(self, argv):
+        done = self.into_closed_pipe("stdout", *argv)
+        assert (done.returncode, done.stderr) == (1, b"")
+
+    def test_help_and_usage_errors_keep_their_streams_text_and_codes(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["propagate", "--help"])
+        out, err = capsys.readouterr()
+        assert caught.value.code == 0 and err == ""
+        assert out.startswith("usage: spohn propagate [-h] --mode {single,certain,uncertain}")
+        with pytest.raises(SystemExit) as caught:
+            main(["propagate", FIVE])
+        out, err = capsys.readouterr()
+        assert caught.value.code == 2 and out == ""
+        assert err.startswith("usage: spohn propagate [-h]")
+        assert err.endswith(
+            "spohn propagate: error: the following arguments are required: evidence, --mode\n"
+        )
+
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 class TestFullDevice:
@@ -847,6 +860,8 @@ class TestFullDevice:
         ["query", PENGUIN, "--beta", "species=PENGUIN"],
         ["propagate", PENGUIN, EV_PENGUIN, "--mode", "single"],
         ["compare", PENGUIN, EV_PENGUIN, "--mode", "single"],
+        ["--help"],
+        ["propagate", "--help"],
     ]
 
     @staticmethod

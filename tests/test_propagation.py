@@ -29,6 +29,7 @@ from spohn import (
 )
 from spohn.errors import (
     ContradictoryEvidence,
+    TooLargeForOracle,
     SpohnError,
     DuplicateTargetVariable,
     EmptyProposition,
@@ -814,6 +815,25 @@ class TestWarmCalls:
                 if name not in touched:
                     assert marg is before[name]
 
+    def test_a_shift_stays_with_its_sender(self):
+        # Observing the last node's surprising value adds 2 to its parent's
+        # marginal at every value, which s-normalization undoes: no message
+        # leaves the observed node, and every other table and its read
+        # marginal is the input's own.
+        net = _independent_chain(10)
+        first = {name: net.marginal(name) for name in net.diagram.names}
+        evidence = [EvidenceSpec("V9", values=("y",))]
+        expected = SpohnianNetwork.from_joint(oracle_revise(net.joint(), evidence), net.diagram)
+        for schedule in (Schedule.fifo(), Schedule.seeded(5)):
+            trace = []
+            out = propagate(net, evidence, schedule, trace)
+            assert [t.format() for t in trace] == ["seq=1 edge=V9->V9 var=V9 deltas=[inf,0]"]
+            for name in net.diagram.names[:-1]:
+                assert out.tables[name] is net.tables[name]
+                assert out.marginal(name) is first[name]
+            assert out.tables["V9"].ranks == (INF, 0, INF, 2)
+            assert out == expected
+
     def test_the_rooting_is_made_once_for_calls_with_several_observations(self):
         # A single observation roots its own wave; several share the
         # network's rooting, made on the first such call and handed on to
@@ -1046,7 +1066,9 @@ def _replayed_changes(net, trace):
     """Replay a trace on the input tables and check each message entry by
     entry: its deltas are rank_delta of the sender's marginal of the shared
     variable just before sending and of the edge's last sent marginal,
-    which starts as the input's. Returns the number of messages checked."""
+    which starts as the input's, and they are not one finite number at
+    every value that last sent marginal leaves finite, a shift that
+    s-normalization would undo. Returns the number of messages checked."""
     work = {name: list(table.ranks) for name, table in net.tables.items()}
     last = {}
     checked = 0
@@ -1069,6 +1091,8 @@ def _replayed_changes(net, trace):
             assert len(entry.deltas) == len(now)
             for d, c, b in zip(entry.deltas, now, before):
                 assert d == rank_delta(c, b), entry
+            shifts = {d for d, b in zip(entry.deltas, before) if b is not INF}
+            assert len(shifts) > 1 or INF in shifts, entry
             last[key] = now
             checked += 1
         digits = net.tables[receiver].space.projection((variable,))
@@ -1111,6 +1135,29 @@ class TestFanOut:
             assert _replayed_changes(net, trace) == leaves
             counts[leaves] = calls[0]
         assert counts[5] == counts[50] == counts[500] <= 2 * 3
+
+    def test_no_message_is_a_shift_that_normalization_undoes(self):
+        # Every kind of evidence, impossible cells, both schedules; a
+        # contradiction is checked on the messages it sent.
+        rng = random.Random(75)
+        for _ in range(80):
+            net = random_instance(rng, rng.randint(2, 8), p_inf=rng.choice((0.0, 0.2)))
+            evidence = random_mixed_evidence(rng, net, rng.randint(1, 4))
+            for schedule in (Schedule.fifo(), Schedule.seeded(rng.randrange(99))):
+                trace = []
+                try:
+                    out = propagate(net, evidence, schedule, trace)
+                except SpohnError:
+                    out = None
+                _replayed_changes(net, trace)
+                try:
+                    joint = oracle_posterior(net, evidence)
+                except TooLargeForOracle:
+                    continue
+                except SpohnError:
+                    joint = None
+                if out is not None and joint is not None:
+                    assert out == SpohnianNetwork.from_joint(joint, net.diagram)
 
     def test_fifo_seeded_and_oracle_agree_on_stars_and_polytrees(self):
         rng = random.Random(73)
