@@ -3,15 +3,19 @@ subprocess where a closed pipe must be the process's own stream."""
 
 import gc
 import io
+import itertools
 import json
 import os
 import random
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import spohn.cli
 from spohn import (
@@ -22,7 +26,9 @@ from spohn import (
     SpohnianNetwork,
     StateSpace,
     Variable,
+    parse_evidence,
     parse_network,
+    propagate,
     serialize_network,
 )
 from spohn.cli import main
@@ -92,6 +98,23 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", str(path))
         assert code == 1
         assert "invalid:" in out and "multiply-connected" in out
+
+    @pytest.mark.parametrize("names, edges, cycle, pair", [
+        ("A", [["A", "A"]], "A -> A", "A and A"),
+        ("AB", [["A", "B"], ["B", "A"]], "A -> B -> A", "B and A"),
+    ], ids=["self-loop", "two-cycle"])
+    def test_a_directed_cycle_is_named_before_its_clash(self, capsys, tmp_path, names, edges, cycle, pair):
+        table = {"order": list(names), "ranks": [0, 1, 1, 0][: 2 ** len(names)]}
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps({
+            "variables": [{"name": x, "domain": [x.lower() + "0", x.lower() + "1"]} for x in names],
+            "edges": edges,
+            "tables": {x: table for x in names},
+        }))
+        assert run(capsys, "validate", str(path)) == (1, (
+            f"invalid: directed cycle: {cycle}\n"
+            f"invalid: multiply-connected: more than one undirected path between {pair}\n"
+        ), "")
 
     def test_table_without_zero_names_the_node(self, capsys, tmp_path):
         doc = json.loads(Path(FIVE).read_text())
@@ -221,6 +244,12 @@ class TestQuery:
         code, out, _ = run(capsys, "query", str(t1), "--believe", "flight=FLYS")
         assert code == 0
         assert out == "believed (beta=1)\n"
+        # flight's table is not a root's: its marginal is read off the
+        # family table the engine wrote.
+        assert run(capsys, "query", str(t1), "--marginal", "flight") == (0, "FLYS:0 NOT-FLYS:1\n", "")
+        assert run(capsys, "query", str(t1), "--marginal", "species") == (
+            0, "PENGUIN:1 TYPICAL-BIRD:0 NOT-BIRD:1\n", ""
+        )
 
     def test_believe_full_proposition_has_no_beta(self, capsys):
         code, out, _ = run(
@@ -255,6 +284,36 @@ class TestQuery:
         code, out, _ = run(capsys, "query", PENGUIN, "--beta", "flight=FLYS")
         assert code == 0
         assert out == "0\n"
+        assert run(capsys, "query", PENGUIN, "--beta", "species=TYPICAL-BIRD,NOT-BIRD") == (0, "1\n", "")
+
+    @pytest.mark.parametrize("network", ["chain12", "five_node"])
+    def test_joint_is_the_per_state_sum_of_the_document_cells(self, capsys, tmp_path, network):
+        # Without spohn: each table's cell, less its node's own marginal once
+        # per child, summed per state, states in itertools.product order. A
+        # 12-variable chain fills the oracle's 4096 states; in the five-node
+        # network C has two children.
+        path = TestClosedStream.chain(tmp_path, 12)[0] if network == "chain12" else FIVE
+        doc = json.loads(Path(path).read_text())
+        domains = {v["name"]: v["domain"] for v in doc["variables"]}
+        orders = {n: doc["tables"][n]["order"] for n in domains}
+        cells = {
+            n: dict(zip(itertools.product(*(domains[x] for x in orders[n])), doc["tables"][n]["ranks"]))
+            for n in domains
+        }
+        own = {
+            n: {v: min(r for c, r in cells[n].items() if c[orders[n].index(n)] == v) for v in domains[n]}
+            for n in domains
+        }
+        children = {n: sum(parent == n for parent, _ in doc["edges"]) for n in domains}
+        lines = []
+        for values in itertools.product(*domains.values()):
+            state = dict(zip(domains, values))
+            rank = sum(
+                cells[n][tuple(state[x] for x in orders[n])] - children[n] * own[n][state[n]]
+                for n in domains
+            )
+            lines.append(f"{','.join(values)}:{rank}\n")
+        assert run(capsys, "query", path, "--joint") == (0, "".join(lines), "")
 
     @pytest.mark.parametrize(
         "flag, prop, message",
@@ -294,6 +353,8 @@ class TestPropagate:
         assert main(["propagate", PENGUIN, EV_BIRD, "--mode", "single", "--out", str(t1)]) == 0
         assert main(["propagate", str(t1), EV_PENGUIN, "--mode", "single", "--out", str(t2)]) == 0
         capsys.readouterr()
+        # The second lesson, a finite observation on a posterior, through the oracle.
+        assert run(capsys, "compare", str(t1), EV_PENGUIN, "--mode", "single") == (0, "match\n", "")
         net = parse_network(t2.read_text())
         assert net.tables["flight"].ranks == (1, 0, 1, 2, 2, 2)
         assert net.marginal("species").ranks == (0, 1, 2)
@@ -418,16 +479,42 @@ class TestPropagate:
             assert pat.match(line), line
 
     def test_seeds_do_not_change_the_answer(self, capsys, tmp_path):
-        outs = []
-        for seed in (1, 2):
-            path = tmp_path / f"s{seed}.json"
-            code = main(
-                ["propagate", FIVE, EV_CERTAIN, "--mode", "certain", "--seed", str(seed), "--out", str(path)]
-            )
-            assert code == 0
-            outs.append(path.read_bytes())
+        # Seed 1 delivers the certain evidence in another order than FIFO:
+        # see the pinned traces above.
+        for evidence, mode in ((EV_CERTAIN, "certain"), (EV_TARGET, "uncertain")):
+            outs = []
+            for seed in ([], ["--seed", "1"], ["--seed", "2"], ["--seed", "7"]):
+                path = tmp_path / "out.json"
+                code = main(["propagate", FIVE, evidence, "--mode", mode, *seed, "--out", str(path)])
+                assert code == 0
+                outs.append(path.read_bytes())
+            assert outs == outs[:1] * 4, mode
         capsys.readouterr()
-        assert outs[0] == outs[1]
+
+    def test_a_table_written_in_another_order_gives_the_same_bytes(self, capsys, tmp_path):
+        # D's table as (D, B, C) in place of (B, C, D).
+        doc = json.loads(Path(FIVE).read_text())
+        r = doc["tables"]["D"]["ranks"]
+        doc["tables"]["D"] = {
+            "order": ["D", "B", "C"],
+            "ranks": [r[b * 4 + c * 2 + x] for x in range(2) for b in range(2) for c in range(2)],
+        }
+        reordered = tmp_path / "reordered.json"
+        reordered.write_text(json.dumps(doc))
+        want = run(capsys, "propagate", FIVE, EV_CERTAIN, "--mode", "certain")
+        assert want[0] == 0
+        assert run(capsys, "propagate", str(reordered), EV_CERTAIN, "--mode", "certain") == want
+
+    def test_an_output_with_inf_cells_validates_and_the_same_evidence_changes_no_byte(
+        self, capsys, tmp_path
+    ):
+        posterior = tmp_path / "posterior.json"
+        assert main(["propagate", FIVE, EV_CERTAIN, "--mode", "certain", "--out", str(posterior)]) == 0
+        capsys.readouterr()
+        doc = posterior.read_text()
+        assert '"inf"' in doc
+        assert run(capsys, "validate", str(posterior)) == (0, "ok\n", "")
+        assert run(capsys, "propagate", str(posterior), EV_CERTAIN, "--mode", "certain") == (0, doc, "")
 
     def test_same_seed_is_byte_identical(self, capsys, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -507,6 +594,20 @@ class TestCompare:
             code, out, _ = run(capsys, "compare", net, ev, "--mode", mode)
             assert code == 0
             assert out == "match\n"
+
+    @pytest.mark.parametrize("mode, n, items", [
+        ("certain", 12, [{"variable": "X11", "values": ["1"], "strength": "inf"},
+                         {"variable": "X4", "values": ["0"], "strength": "inf"}]),
+        ("single", 12, [{"variable": "X11", "values": ["1"], "strength": 3}]),
+        ("uncertain", 11, [{"variable": "X10", "target": [2, 0]}]),  # and one dummy
+    ])
+    def test_each_mode_matches_at_exactly_the_oracle_limit(self, capsys, tmp_path, mode, n, items):
+        # Each child depends on its parent, so every observation's wave
+        # crosses the chain.
+        network, _ = TestClosedStream.chain(tmp_path, n)
+        ev = tmp_path / "ev.json"
+        ev.write_text(json.dumps({"evidence": items}))
+        assert run(capsys, "compare", network, str(ev), "--mode", mode) == (0, "match\n", "")
 
     def test_posterior_of_a_collider_observation_matches(self, capsys, tmp_path):
         # Observing the collider D couples its parents B and C in the
@@ -727,6 +828,30 @@ class TestCollector:
         for command, (small, large) in found.items():
             assert small == large, (command, small, large)
 
+    @pytest.mark.parametrize("pair", [(0, 1, 2, 1), (0, 1, 1, 2)], ids=["dependent", "independent"])
+    def test_the_command_writes_the_bytes_the_library_writes_with_the_collector_on(
+        self, capsys, tmp_path, pair
+    ):
+        # A 3000-variable chain observed at its last node. Under (0, 1, 2, 1)
+        # each child depends on its parent and the wave crosses the chain, one
+        # trace line per node; under (0, 1, 1, 2) the trace is the injection.
+        network, evidence = TestClosedStream.chain(tmp_path, 3000, pair)
+        assert main(["propagate", network, evidence, "--mode", "certain", "--trace"]) == 0
+        out, err = capsys.readouterr()
+        was = gc.isenabled()
+        gc.enable()
+        try:
+            net = parse_network(Path(network).read_text())
+            library = serialize_network(propagate(net, parse_evidence(Path(evidence).read_text(), net)))
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert out == library
+        lines = err.splitlines()
+        if pair == (0, 1, 2, 1):
+            assert len(lines) == 3000
+        else:
+            assert lines == ["seq=1 edge=X2999->X2999 var=X2999 deltas=[inf,0]"]
+
 
 class TestClosedStream:
     """A reader that closes the pipe early ends the run with exit 1 and no
@@ -734,15 +859,17 @@ class TestClosedStream:
     buffer (64 KiB), so the command is still writing when the pipe closes."""
 
     @staticmethod
-    def chain(tmp_path, n):
+    def chain(tmp_path, n, pair=(0, 1, 2, 1)):
+        """A binary chain X0 -> ... -> X(n-1), each child's table the pair,
+        and certain evidence that the last node is 1."""
         names = [f"X{i}" for i in range(n)]
-        network = tmp_path / f"chain{n}.json"
+        network = tmp_path / f"chain{n}_{''.join(map(str, pair))}.json"
         network.write_text(json.dumps({
             "variables": [{"name": x, "domain": ["0", "1"]} for x in names],
             "edges": list(zip(names, names[1:])),
             "tables": {
                 "X0": {"order": ["X0"], "ranks": [0, 1]},
-                **{b: {"order": [a, b], "ranks": [0, 1, 2, 1]} for a, b in zip(names, names[1:])},
+                **{b: {"order": [a, b], "ranks": list(pair)} for a, b in zip(names, names[1:])},
             },
         }))
         evidence = tmp_path / f"chain{n}_ev.json"
@@ -879,6 +1006,13 @@ class TestFullDevice:
         done = self.into_full("stdout", argv, unbuffered)
         assert (done.returncode, done.stderr) == (1, self.FULL_STDOUT)
 
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_an_output_larger_than_the_buffer_is_one_error_line(self, tmp_path, unbuffered):
+        # The 4096-line joint fails in its first write, not in main's flush.
+        argv = ["query", TestClosedStream.chain(tmp_path, 12)[0], "--joint"]
+        done = self.into_full("stdout", argv, unbuffered)
+        assert (done.returncode, done.stderr) == (1, self.FULL_STDOUT)
+
     def test_a_full_stdout_and_stderr_exit_1_silently(self):
         with open("/dev/full", "wb") as full:
             done = subprocess.run(
@@ -895,3 +1029,106 @@ class TestFullDevice:
         # The trace goes out before the document, so stdout stays empty too.
         done = self.into_full("stderr", argv)
         assert (done.returncode, done.stdout) == (1, b"")
+
+
+# Stands for an integer of 5000 digits, past the int-to-str limit, which
+# json.dumps cannot write.
+HUGE = "<5000 digits>"
+FUZZ_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 5),
+    st.sampled_from([2 ** 64, HUGE]),
+    st.sampled_from([0.5, 1e300]),
+    st.just("inf"),
+    st.sampled_from(["", "A", "b1", "species", "PENGUIN"]),
+    st.lists(st.sampled_from([0, 1, 2, "inf", "A"]), max_size=3),
+    st.dictionaries(st.sampled_from(["name", "order", "target", "x"]), st.integers(0, 2), max_size=2),
+)
+
+
+class TestEndToEndFuzz:
+    """Each command on a bundled document mutated at one JSON path (a value
+    swapped, a key or item deleted, an item appended or a key added) exits
+    0, 1 or 2 with no exception. A failure is told by an `error:` line on
+    stderr or by `invalid:` lines on stdout."""
+
+    # network, evidence, mode, a variable of the network and a proposition
+    CASES = [
+        ("penguin.json", "evidence_bird.json", "single", "species", "species=PENGUIN"),
+        ("penguin.json", "evidence_penguin.json", "single", "flight", "flight=FLYS"),
+        ("five_node.json", "evidence_certain.json", "certain", "C", "C=c0"),
+        ("five_node.json", "evidence_target.json", "uncertain", "D", "D=d0,d1"),
+    ]
+    COMMANDS = ["validate", "--marginal", "--joint", "--beta", "--believe", "propagate", "--trace", "compare"]
+
+    @staticmethod
+    def slots(parent, key, out):
+        """Every (container, key) below parent[key], that slot first."""
+        out.append((parent, key))
+        node = parent[key]
+        for child in node if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ():
+            TestEndToEndFuzz.slots(node, child, out)
+        return out
+
+    def mutated(self, data, name):
+        box = [json.loads((DOCS / name).read_text())]
+        op = data.draw(st.sampled_from(["swap", "delete", "append"]))
+        slots = self.slots(box, 0, [])
+        if op == "delete":
+            slots = slots[1:]
+        elif op == "append":
+            slots = [(parent, key) for parent, key in slots if isinstance(parent[key], (dict, list))]
+        # A field is drawn first, list items counting as one field, so the
+        # many rank cells and domain values do not crowd out the rest.
+        fields = {}
+        for parent, key in slots:
+            fields.setdefault(key if isinstance(key, str) else "", []).append((parent, key))
+        parent, key = data.draw(st.sampled_from(fields[data.draw(st.sampled_from(sorted(fields)))]))
+        value = data.draw(FUZZ_VALUES)
+        if op == "swap":
+            parent[key] = value
+        elif op == "delete":
+            del parent[key]
+        elif isinstance(parent[key], list):
+            parent[key].append(value)
+        else:
+            parent[key][data.draw(st.sampled_from(["name", "A", "ranks", "evidence", "extra"]))] = value
+        return json.dumps(box[0]).replace(json.dumps(HUGE), "1" * 5000)
+
+    @settings(
+        derandomize=True,
+        database=None,
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+    @given(st.data())
+    def test_every_command_exits_cleanly(self, tmp_path, data):
+        network, evidence, mode, name, prop = data.draw(st.sampled_from(self.CASES))
+        command = data.draw(st.sampled_from(self.COMMANDS))
+        paths = {doc: str(DOCS / doc) for doc in (network, evidence)}
+        with_evidence = command in ("propagate", "--trace", "compare")
+        mutate = data.draw(st.sampled_from([network, evidence])) if with_evidence else network
+        paths[mutate] = str(tmp_path / mutate)
+        Path(paths[mutate]).write_text(self.mutated(data, mutate))
+        net, ev = paths[network], paths[evidence]
+        argv = {
+            "validate": ["validate", net],
+            "--marginal": ["query", net, "--marginal", name],
+            "--joint": ["query", net, "--joint"],
+            "--beta": ["query", net, "--beta", prop],
+            "--believe": ["query", net, "--believe", prop],
+            "propagate": ["propagate", net, ev, "--mode", mode],
+            "--trace": ["propagate", net, ev, "--mode", mode, "--trace"],
+            "compare": ["compare", net, ev, "--mode", mode],
+        }[command]
+        out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True) for _ in range(2))
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        out, err = (stream.buffer.getvalue().decode() for stream in (out, err))
+        assert code in (0, 1, 2), (argv, code, err)
+        if code:
+            errors, lines = err.splitlines(), out.splitlines()
+            told = errors and errors[-1].startswith("error: ")
+            assert told or (lines and all(line.startswith("invalid: ") for line in lines)), (argv, out, err)
