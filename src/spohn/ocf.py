@@ -19,8 +19,9 @@ objects.
 The whole-table kernels (projections, the checked constructor, constrain,
 revise, and the joint in network.py) run on joints of up to 4096 cells in
 the oracle, so they keep their per-cell work in list operations that run
-in C: repetition, comprehensions, map, min and join. Cells are tested
-against INF by identity, never through its Python-level dunders.
+in C: repetition, comprehensions, compress, min and join. Comprehensions
+test cells against INF by identity; min over the selected cells compares
+each INF cell through _Infinity's Python-level __lt__ or __gt__.
 """
 
 from __future__ import annotations
@@ -277,15 +278,21 @@ class Proposition:
 
     @classmethod
     def constrain(cls, space: StateSpace, constraints: Mapping[str, Iterable[str]]) -> Proposition:
-        """States whose value for every constrained variable is among those allowed."""
+        """States whose value for every constrained variable is among those allowed.
+
+        A variable's mask is laid out from its stride: one run of stride
+        characters per digit, last digit first, and that block once per
+        value of the variables declared before it, read last cell first.
+        """
         mask = (1 << space.size) - 1
         for name, values in constraints.items():
             if isinstance(values, str):
                 raise ValueError(f"values of {name} must be a collection, not a string: {values!r}")
             digits = {space.value_digit(name, v) for v in values}
-            bit = ["1" if d in digits else "0" for d in range(len(space.variable(name).domain))]
-            # One character per cell, read through the projection, last cell first.
-            mask &= int("".join(map(bit.__getitem__, reversed(space.projection((name,))))), 2)
+            card = len(space.variable(name).domain)
+            stride = space.strides[space._position[name]]
+            block = "".join(("1" if d in digits else "0") * stride for d in range(card - 1, -1, -1))
+            mask &= int(block * (space.size // (card * stride)), 2)
         return cls(space, mask)
 
     def _check_space(self, other: Proposition) -> None:
@@ -339,24 +346,34 @@ def _cell_bits(mask: int, size: int) -> str:
     return bin(mask)[:1:-1].ljust(size, "0")
 
 
+_INSIDE = bytes.maketrans(b"01", b"\x00\x01")
+_OUTSIDE = bytes.maketrans(b"01", b"\x01\x00")
+
+
+def _selector(mask: int, size: int, side: bytes = _INSIDE) -> bytes:
+    """One 0/1 byte per cell, cell 0 first, as itertools.compress reads it:
+    1 for the cells inside the bitset, or with _OUTSIDE for the rest."""
+    return _cell_bits(mask, size).encode().translate(side)
+
+
+def _least(ranks: Sequence[Rank], selector: bytes) -> Rank:
+    """Least rank among the selected cells; INF when none is finite."""
+    return min(itertools.compress(ranks, selector), default=INF)
+
+
 def _least_in_out(ranks: Sequence[Rank], mask: int) -> tuple[Rank, Rank]:
     """Least rank among the cells in the bitset mask, and among the rest.
 
-    One walk over the cells; a side with no finite cell keeps INF. A mask
-    that fits a machine word is shifted as the walk goes, the cheapest walk
+    A side with no finite cell keeps INF. A table that fits a machine word
+    is walked once, shifting the mask as the walk goes, the cheapest walk
     for the one-variable marginals of belief reads; a wider one is read
-    once through _cell_bits, since each shift of a big int costs O(size).
+    through one selector per side, since each shift of a big int costs
+    O(size).
     """
+    size = len(ranks)
+    if size > 64:
+        return _least(ranks, _selector(mask, size)), _least(ranks, _selector(mask, size, _OUTSIDE))
     k_in = k_out = INF
-    if mask >> 64:
-        for r, bit in zip(ranks, _cell_bits(mask, len(ranks))):
-            if r is not INF:
-                if bit == "1":
-                    if k_in is INF or r < k_in:
-                        k_in = r
-                elif k_out is INF or r < k_out:
-                    k_out = r
-        return k_in, k_out
     for r in ranks:
         if r is not INF:
             if mask & 1:
@@ -419,14 +436,14 @@ class OCF:
             raise SpaceMismatch("proposition is over a different state space")
         if prop.is_empty:
             raise EmptyProposition("the empty proposition has no rank")
-        return _least_in_out(self.ranks, prop.mask)[0]
+        return _least(self.ranks, _selector(prop.mask, self.space.size))
 
     def is_believed(self, prop: Proposition) -> bool:
         """True when every rank-0 state satisfies the proposition, that is,
         when every state outside it has a positive rank."""
         if prop.space != self.space:
             raise SpaceMismatch("proposition is over a different state space")
-        k_out = _least_in_out(self.ranks, prop.mask)[1]
+        k_out = _least(self.ranks, _selector(prop.mask, self.space.size, _OUTSIDE))
         return k_out is INF or k_out > 0
 
     def belief_strength(self, prop: Proposition) -> BeliefStrength:
@@ -466,20 +483,22 @@ class OCF:
             return self.revise(~prop, -strength)
         if prop.is_full:
             return self
-        k_in, k_out = _least_in_out(self.ranks, prop.mask)
+        ranks = self.ranks
+        inside = _selector(prop.mask, self.space.size)
+        # Conditioning reads no k_out; it also covers a prop already certain,
+        # whose complement is INF.
+        if isinstance(strength, _Infinity):
+            k_in, k_out = _least(ranks, inside), strength
+        else:
+            k_in, k_out = _least_in_out(ranks, prop.mask)
         if isinstance(k_in, _Infinity):
             raise ImpossibleEvidence("the proposition is already ruled out")
-        bits = _cell_bits(prop.mask, self.space.size)
         # The identity tests spare INF's Python-level arithmetic on every cell.
-        # Conditioning also covers a prop already certain: its complement is INF.
-        if isinstance(strength, _Infinity) or isinstance(k_out, _Infinity):
-            out = [INF if bit == "0" or r is INF else r - k_in for r, bit in zip(self.ranks, bits)]
+        if isinstance(k_out, _Infinity):
+            out = [INF if not s or r is INF else r - k_in for r, s in zip(ranks, inside)]
         else:
             shift = strength - k_out
-            out = [
-                r if r is INF else r - k_in if bit == "1" else r + shift
-                for r, bit in zip(self.ranks, bits)
-            ]
+            out = [r if r is INF else r - k_in if s else r + shift for r, s in zip(ranks, inside)]
         if type(strength) is not int and strength is not INF:
             return OCF(self.space, tuple(out))  # no rank: the checks name the bad cell
         # Valid: k_in, the least rank in prop, is subtracted there, and outside

@@ -572,6 +572,74 @@ class TestLinearPasses:
             checked += 1
 
 
+def _least_by_walk(ranks, mask):
+    """Least rank inside the bitset and outside it, one cell at a time."""
+    inside = [r for i, r in enumerate(ranks) if mask >> i & 1 and r is not INF]
+    outside = [r for i, r in enumerate(ranks) if not mask >> i & 1 and r is not INF]
+    return min(inside, default=INF), min(outside, default=INF)
+
+
+class TestSelectorKernels:
+    @pytest.mark.parametrize("size", (63, 64, 65, 128, 4096))
+    def test_least_in_out_matches_a_plain_walk(self, size):
+        # Tables on both sides of the word-size switch; sides with no INF,
+        # about half INF and only INF; masks of random, low, high and single cells.
+        rng = random.Random(size)
+        space = StateSpace((Variable("X", tuple(f"x{i}" for i in range(size))),))
+        full = (1 << size) - 1
+        for p_inf in (0.0, 0.5, 1.0):
+            for _ in range(6):
+                ranks = [INF if rng.random() < p_inf else rng.randint(0, 9) for _ in range(size)]
+                masks = [
+                    rng.getrandbits(size),
+                    rng.getrandbits(min(size, 8)) | 1,  # low cells only
+                    full ^ (full >> 2),  # the top two cells
+                    1 << rng.randrange(size),
+                    0,
+                    full,
+                ]
+                for mask in masks:
+                    assert _least_in_out(ranks, mask) == _least_by_walk(ranks, mask)
+                # The queries on a valid table: one cell made 0.
+                ranks[rng.randrange(size)] = 0
+                kappa = OCF(space, ranks)
+                for mask in masks:
+                    k_in, k_out = _least_by_walk(ranks, mask)
+                    assert _least_in_out(ranks, mask) == (k_in, k_out)
+                    prop = Proposition(space, mask)
+                    if mask:
+                        assert kappa.rank_of(prop) == k_in
+                    assert kappa.is_believed(prop) == (k_out is INF or k_out > 0)
+
+    def test_constrain_matches_the_projection_built_mask(self):
+        # Spaces of up to 4096 cells over variables of 2 to 5 values; the
+        # first, a middle and the last variable constrained alone, then
+        # several at once.
+        rng = random.Random(43)
+        checked = 0
+        while checked < 60:
+            space = StateSpace(tuple(
+                Variable(f"V{k}", tuple(f"v{j}" for j in range(rng.randint(2, 5))))
+                for k in range(rng.randint(1, 7))
+            ))
+            if space.size > 4096:
+                continue
+            names = space.names
+            picks = [[names[0]], [names[len(names) // 2]], [names[-1]]]
+            picks.append(rng.sample(names, rng.randint(1, len(names))))
+            for chosen in picks:
+                constraints = {
+                    n: rng.sample(space.variable(n).domain, rng.randint(1, len(space.variable(n).domain)))
+                    for n in chosen
+                }
+                want = (1 << space.size) - 1
+                for n, values in constraints.items():
+                    digits = {space.value_digit(n, v) for v in values}
+                    want &= sum(1 << i for i, d in enumerate(space.projection((n,))) if d in digits)
+                assert Proposition.constrain(space, constraints).mask == want
+            checked += 1
+
+
 def _projection_by_prefix_expansion(space, keep):
     """The projection built from the first variable to the last: a kept
     variable with c values turns each entry p into p*c + d for every digit
