@@ -32,6 +32,9 @@ from .oracle import (
     oracle_posterior,
     oracle_revise,
 )
+# propagate_single, propagate_certain_multi and propagate_uncertain_multi
+# stay importable, outside __all__: the benchmark harness resolves them by
+# name (see the propagation module docstring).
 from .propagation import (
     EvidenceSpec,
     Schedule,
@@ -87,9 +90,6 @@ __all__ = [
     "parse_evidence",
     "parse_network",
     "propagate",
-    "propagate_certain_multi",
-    "propagate_single",
-    "propagate_uncertain_multi",
     "rank_delta",
     "s_normalize",
     "serialize_network",

@@ -78,6 +78,7 @@ def parse_network(text: str) -> SpohnianNetwork:
     if not isinstance(raw_vars, list) or not raw_vars:
         raise DocumentError("variables: expected a non-empty list")
     variables: list[Variable] = []
+    declared: set[str] = set()
     for i, item in enumerate(raw_vars):
         if not isinstance(item, dict):
             raise DocumentError(f"variables[{i}]: expected an object")
@@ -86,6 +87,9 @@ def parse_network(text: str) -> SpohnianNetwork:
         name, domain = item["name"], item["domain"]
         if not isinstance(name, str):
             raise DocumentError(f"variables[{i}].name: expected a string")
+        if name in declared:
+            raise DocumentError(f"variables[{i}]: duplicate variable name {name!r}")
+        declared.add(name)
         if not isinstance(domain, list) or not all(isinstance(v, str) for v in domain):
             raise DocumentError(f"variables[{i}].domain: expected a list of strings")
         try:

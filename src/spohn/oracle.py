@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, groupby
 from math import prod
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .diagram import InfluenceDiagram
 from .errors import SpohnError, TooLargeForOracle
@@ -140,10 +140,10 @@ def _plan(
     return finite[:1] + infinite, dummied
 
 
-def oracle_posterior(net: SpohnianNetwork, evidence: Sequence[EvidenceSpec]) -> OCF:
+def oracle_posterior(net: SpohnianNetwork, evidence: Iterable[EvidenceSpec]) -> OCF:
     """Posterior joint over the network's own variables after any mix of
-    evidence, the list propagate takes; propagate's tables must be its
-    family projections.
+    evidence, any iterable of EvidenceSpec as propagate takes, read once;
+    propagate's tables must be its family projections.
 
     Each item's target is read on the prior: a target as given, a value
     item (A, alpha) as prior.revise(A, alpha). An item of infinite strength
@@ -153,7 +153,7 @@ def oracle_posterior(net: SpohnianNetwork, evidence: Sequence[EvidenceSpec]) -> 
     (augment_with_dummy); the joint is conditioned on every dummy being
     observed, and the dummies are projected away.
     """
-    folded, dummied = _plan(net, evidence)
+    folded, dummied = _plan(net, list(evidence))
     augmented = net
     for ev in dummied:
         prior = net.marginal(ev.variable)

@@ -38,8 +38,10 @@ they differ only in the first message each injects at its own variable:
   the imposed marginals can land elsewhere, which is inherent to the
   construction and pinned by a regression test rather than "fixed".
 
-propagate_single, propagate_certain_multi and propagate_uncertain_multi
-are propagate under older names, and they check no evidence kinds: which
+propagate is the one entry. propagate_single, propagate_certain_multi
+and propagate_uncertain_multi are propagate under older names, left out of
+spohn.__all__ and kept only because the benchmark harness (perfbench/)
+resolves them by name to time them. They check no evidence kinds: which
 kinds a command-line mode takes is the CLI's rule (cli._mode_evidence).
 
 The engine's adjacency is computed once per network, together with its
@@ -93,7 +95,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .diagram import InfluenceDiagram
 from .errors import (
@@ -426,7 +428,7 @@ def _first_message(net: SpohnianNetwork, ev: EvidenceSpec) -> tuple[Rank, ...]:
 
 def propagate(
     net: SpohnianNetwork,
-    evidence: Sequence[EvidenceSpec],
+    evidence: Iterable[EvidenceSpec],
     schedule: Schedule = Schedule.fifo(),
     trace: list[TraceEntry] | None = None,
 ) -> SpohnianNetwork:
@@ -434,11 +436,13 @@ def propagate(
 
     The result is the family projection of oracle_posterior's joint: each
     item's target read on the prior, a target as given and a value item
-    (A, alpha) as prior.revise(A, alpha).
+    (A, alpha) as prior.revise(A, alpha). evidence may be any iterable of
+    EvidenceSpec, and is read once.
     Value items may repeat a variable; two targets on one may not. Every
     first message is computed, and every error raised, before any delivery.
     """
     links = _require_valid(net)
+    evidence = list(evidence)
     seen: set[str] = set()
     for name in (ev.variable for ev in evidence if ev.target is not None):
         if name in seen:

@@ -34,9 +34,6 @@ from spohn import (
     oracle_posterior,
     oracle_revise,
     propagate,
-    propagate_certain_multi,
-    propagate_single,
-    propagate_uncertain_multi,
     serialize_network,
 )
 
@@ -129,7 +126,7 @@ def test_criterion_3_single_evidence_matches_oracle():
     instances = _single_evidence_instances()
     assert len(instances) >= 200
     for net, ev, posterior_joint in instances:
-        engine = propagate_single(net, ev)
+        engine = propagate(net, [ev])
         expected = SpohnianNetwork.from_joint(posterior_joint, net.diagram)
         assert engine == expected
 
@@ -171,10 +168,10 @@ def test_criterion_5_every_schedule_lands_on_the_same_tables():
     for _ in range(50):
         net = random_instance(rng, rng.randint(2, 7), p_detach=0.0)
         evidence = random_certain_evidence(rng, net, rng.randint(1, min(3, len(net.diagram.names))))
-        first = propagate_certain_multi(net, evidence, Schedule.fifo())
+        first = propagate(net, evidence, Schedule.fifo())
         reference = serialize_network(first)
         for seed in range(50):
-            again = propagate_certain_multi(net, evidence, Schedule.seeded(seed))
+            again = propagate(net, evidence, Schedule.seeded(seed))
             assert serialize_network(again) == reference
         posterior_joint = oracle_revise(net.joint(), evidence)
         assert first == SpohnianNetwork.from_joint(posterior_joint, net.diagram)
@@ -183,16 +180,15 @@ def test_criterion_5_every_schedule_lands_on_the_same_tables():
     for _ in range(50):
         net = random_instance(rng, rng.randint(2, 5), p_detach=0.0)
         names = rng.sample(net.diagram.names, rng.randint(1, min(3, len(net.diagram.names))))
-        targets = []
-        for name in names:
-            var = net.diagram.variable(name)
-            targets.append((name, OCF(StateSpace((var,)), random_target(rng, var.domain))))
-        first = propagate_uncertain_multi(net, targets, Schedule.fifo())
+        evidence = [
+            EvidenceSpec(name, target=random_target(rng, net.diagram.variable(name).domain))
+            for name in names
+        ]
+        first = propagate(net, evidence, Schedule.fifo())
         reference = serialize_network(first)
         for seed in range(50):
-            again = propagate_uncertain_multi(net, targets, Schedule.seeded(seed))
+            again = propagate(net, evidence, Schedule.seeded(seed))
             assert serialize_network(again) == reference
-        evidence = [EvidenceSpec(n, target=t.ranks) for n, t in targets]
         assert first == SpohnianNetwork.from_joint(oracle_posterior(net, evidence), net.diagram)
 
     # finite evidence is the target its revision produces, under any schedule
@@ -201,10 +197,10 @@ def test_criterion_5_every_schedule_lands_on_the_same_tables():
         ev = random_value_evidence(rng, net)
         prior = net.marginal(ev.variable)
         prop = Proposition.constrain(prior.space, {ev.variable: ev.values})
-        target = [(ev.variable, prior.revise(prop, ev.strength))]
-        single = propagate_single(net, ev)
+        target = [EvidenceSpec(ev.variable, target=prior.revise(prop, ev.strength).ranks)]
+        single = propagate(net, [ev])
         for seed in range(50):
-            assert propagate_uncertain_multi(net, target, Schedule.seeded(seed)) == single
+            assert propagate(net, target, Schedule.seeded(seed)) == single
 
     # any mix of certain, finite, -inf and target items, value items free to
     # repeat a variable: one rule, and the oracle's one entry for any mix
@@ -338,9 +334,10 @@ def test_criterion_7_dummy_children_encode_uncertain_evidence():
         name = rng.choice(net.diagram.names)
         var = net.diagram.variable(name)
         target = OCF(StateSpace((var,)), random_target(rng, var.domain))
-        engine = propagate_uncertain_multi(net, [(name, target)])
+        evidence = [EvidenceSpec(name, target=target.ranks)]
+        engine = propagate(net, evidence)
         assert engine.marginal(name) == target
-        back = oracle_posterior(net, [EvidenceSpec(name, target=target.ranks)])
+        back = oracle_posterior(net, evidence)
         assert engine == SpohnianNetwork.from_joint(back, net.diagram)
 
     # pinned caveat: targets on dependent variables need not both hold
@@ -354,10 +351,7 @@ def test_criterion_7_dummy_children_encode_uncertain_evidence():
             "B": OCF(StateSpace((a, b)), (0, 2, 2, 0)),
         },
     )
-    targets = [
-        ("A", OCF(StateSpace((a,)), (0, 2))),
-        ("B", OCF(StateSpace((b,)), (0, 3))),
-    ]
-    post = propagate_uncertain_multi(net, targets, Schedule.fifo())
+    targets = [EvidenceSpec("A", target=(0, 2)), EvidenceSpec("B", target=(0, 3))]
+    post = propagate(net, targets, Schedule.fifo())
     assert post.marginal("A").ranks == (0, 4)
     assert post.marginal("B").ranks == (0, 5)

@@ -5,8 +5,12 @@ Each case runs spohn.cli.main(argv) on documents written to a temporary
 directory and records four fields: the exit code, stdout, stderr and the
 --out file. tests/corpus_manifest.json keeps, per group and per call, the
 exit code and the SHA-256 of each other field (null for no --out file).
-Paths are written as <tmp> and <docs> before hashing. A group fails on its
-first differing call, naming the call and the field.
+Paths are written as <tmp> and <docs> before hashing, and so is the text
+of a JSON syntax error: where stderr holds what the running interpreter's
+json.loads says of a document the call names, message and position, it
+reads <json error> (Python 3.13 words and places a trailing comma's error
+differently from 3.10-3.12). A group fails on its first differing call,
+naming the call and the field.
 
 The networks are seeded generator networks of 8 to 200 variables and the
 bundled docs/. A change to the manifest is a change of behaviour; rewrite
@@ -265,6 +269,23 @@ def _normal(text: str, root: Path) -> str:
     return text.replace(str(root), "<tmp>").replace(str(DOCS), "<docs>")
 
 
+def _json_errors(argv: list[str]) -> list[str]:
+    """The running interpreter's json.loads message and position for each
+    UTF-8 document the call names that is not valid JSON."""
+    errors = []
+    for arg in argv:
+        path = Path(arg)
+        if path.suffix != ".json" or not path.is_file():
+            continue
+        try:
+            json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            errors.append(f"{exc.msg} (line {exc.lineno}, column {exc.colno})")
+        except (RecursionError, ValueError):
+            pass  # not UTF-8, nested too deeply, or an integer past the digit limit
+    return errors
+
+
 def record(argv: list[str], root: Path) -> tuple[int, str, str, str | None]:
     """Run the call in process: exit code, stdout, stderr and --out file."""
     out, err = io.BytesIO(), io.BytesIO()
@@ -273,11 +294,14 @@ def record(argv: list[str], root: Path) -> tuple[int, str, str, str | None]:
     target = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
     if target is not None and target.is_file():
         target.unlink()
+    json_errors = _json_errors(argv)
     with redirect_stdout(stdout), redirect_stderr(stderr):
         code = main(argv)
     written = target.read_text(encoding="utf-8") if target is not None and target.is_file() else None
-    texts = [_normal(b.getvalue().decode("utf-8"), root) for b in (out, err)]
-    return code, *texts, written
+    stdout_text, stderr_text = (_normal(b.getvalue().decode("utf-8"), root) for b in (out, err))
+    for text in json_errors:
+        stderr_text = stderr_text.replace(text, "<json error>")
+    return code, stdout_text, stderr_text, written
 
 
 def _sha(text: str | None) -> str | None:

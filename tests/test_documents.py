@@ -37,6 +37,16 @@ def doc_dict(net):
     return json.loads(serialize_network(net))
 
 
+def json_error(text):
+    """The running interpreter's json.loads message for text, with its line
+    and column. From Python 3.13 a trailing comma is reported at the comma,
+    as "Illegal trailing comma before end of array" (or "of object")."""
+    with pytest.raises(json.JSONDecodeError) as caught:
+        json.loads(text)
+    exc = caught.value
+    return f"{exc.msg} (line {exc.lineno}, column {exc.colno})"
+
+
 def permuted_orders(doc, rng):
     """The document with every table of two or more variables rewritten in
     a random order of its variables."""
@@ -323,15 +333,11 @@ class TestNetworkParseErrors:
     def test_invalid_json_reports_location(self, penguin_net):
         with pytest.raises(DocumentError) as caught:
             parse_network("{")
-        assert str(caught.value) == (
-            "network document is not valid JSON: "
-            "Expecting property name enclosed in double quotes (line 1, column 2)"
-        )
+        assert str(caught.value) == f"network document is not valid JSON: {json_error('{')}"
+        trailing = '{"evidence": [\n  1,\n]}'
         with pytest.raises(DocumentError) as caught:
-            parse_evidence('{"evidence": [\n  1,\n]}', penguin_net)
-        assert str(caught.value) == (
-            "evidence document is not valid JSON: Expecting value (line 3, column 1)"
-        )
+            parse_evidence(trailing, penguin_net)
+        assert str(caught.value) == f"evidence document is not valid JSON: {json_error(trailing)}"
 
     def test_deeply_nested_json_is_a_document_error(self, penguin_net):
         deep = "[" * 100000
@@ -388,6 +394,14 @@ class TestNetworkParseErrors:
         doc = self.base(five_node_net)
         doc["variables"][0]["domain"] = ["a0", "a0"]
         with pytest.raises(DocumentError, match=r"variables\[0\]"):
+            parse_network(json.dumps(doc))
+
+    def test_repeated_variable_name(self, five_node_net):
+        # Reported at the repeated entry, not under "edges:", where the
+        # diagram's own check would put it.
+        doc = self.base(five_node_net)
+        doc["variables"].insert(1, {"name": "A", "domain": ["x", "y", "z"]})
+        with pytest.raises(DocumentError, match=r"^variables\[1\]: duplicate variable name 'A'$"):
             parse_network(json.dumps(doc))
 
     def test_edges_must_be_a_list(self, five_node_net):

@@ -18,9 +18,7 @@ from spohn import (
     compare,
     oracle_posterior,
     oracle_revise,
-    propagate_certain_multi,
-    propagate_single,
-    propagate_uncertain_multi,
+    propagate,
 )
 from spohn.errors import InconsistentTables, SpaceMismatch, UnknownVariable
 
@@ -66,7 +64,7 @@ def test_marginal_is_the_table_and_joint_projection():
         net = random_instance(rng, rng.randint(1, 6), p_inf=0.3)
         nets = [net]
         for ev in random_certain_evidence(rng, net, 1):
-            nets.append(propagate_certain_multi(net, [ev]))
+            nets.append(propagate(net, [ev]))
             assert INF in nets[-1].tables[ev.variable].ranks
         for m in nets:
             joint = m.joint()
@@ -167,7 +165,7 @@ class TestReadOnlyTables:
             net.marginal(name)
         name = net.diagram.names[-1]
         evidence = [EvidenceSpec(name, values=(net.diagram.variable(name).domain[0],))]
-        out = propagate_certain_multi(net, evidence)
+        out = propagate(net, evidence)
         assert len(pickle.dumps(net)) == fresh
         rebuilt = SpohnianNetwork(out.diagram, dict(out.tables))
         assert out == rebuilt
@@ -530,20 +528,19 @@ def _check_updates(rng, net):
     values = tuple(rng.sample(possible, rng.randint(1, len(possible))))
     if len(values) < len(var.domain):
         ev = EvidenceSpec(name, values=values, strength=rng.randint(0, 4))
-        post = propagate_single(net, ev)
+        post = propagate(net, [ev])
         report = compare(post, oracle_revise(joint, [ev]))
         assert report.passed, ("single", report.first_divergence)
     # certain: one or two jointly possible observations
     evidence = random_certain_evidence(rng, net, rng.randint(1, min(2, len(net.diagram.names))))
-    post = propagate_certain_multi(net, evidence, Schedule.seeded(rng.randrange(99)))
+    post = propagate(net, evidence, Schedule.seeded(rng.randrange(99)))
     report = compare(post, oracle_revise(joint, evidence))
     assert report.passed, ("certain", report.first_divergence)
     # uncertain: a target that leaves impossible values impossible
     target = [INF if r is INF else rng.randint(0, 4) for r in marg]
     target[var.domain.index(rng.choice(possible))] = 0
-    targets = [(name, OCF(StateSpace((var,)), tuple(target)))]
-    post = propagate_uncertain_multi(net, targets, Schedule.fifo())
-    evidence = [EvidenceSpec(n, target=t.ranks) for n, t in targets]
+    evidence = [EvidenceSpec(name, target=target)]
+    post = propagate(net, evidence, Schedule.fifo())
     report = compare(post, oracle_posterior(net, evidence))
     assert report.passed, ("uncertain", report.first_divergence)
 
@@ -580,7 +577,7 @@ class TestValidImpliesExact:
         for name in net.diagram.names:
             for value in net.diagram.variable(name).domain:
                 evidence = [EvidenceSpec(name, values=(value,))]
-                post = propagate_certain_multi(net, evidence)
+                post = propagate(net, evidence)
                 report = compare(post, oracle_revise(net.joint(), evidence))
                 assert report.passed, report.first_divergence
 
@@ -589,7 +586,7 @@ class TestValidImpliesExact:
         # them dependent, and the engine's output must still compose.
         net = _collider((0, 3, 2, 3, 1, 1, 3, 5))
         assert _parent_block(net, "C") == (0, 2, 1, 3)
-        post = propagate_certain_multi(net, [EvidenceSpec("C", values=("c1",))])
+        post = propagate(net, [EvidenceSpec("C", values=("c1",))])
         assert _parent_block(post, "C") == (2, 2, 0, 4)
         sums = [a + b for a in post.marginal("A").ranks for b in post.marginal("B").ranks]
         assert sums == [2, 4, 0, 2]
@@ -606,7 +603,7 @@ class TestValidImpliesExact:
         for _ in range(100):
             net = random_instance(rng, rng.randint(3, 6), p_inf=0.1)
             evidence = random_certain_evidence(rng, net, rng.randint(1, 2))
-            post = propagate_certain_multi(net, evidence, Schedule.seeded(rng.randrange(99)))
+            post = propagate(net, evidence, Schedule.seeded(rng.randrange(99)))
             _valid_implies_exact(rng, post)
 
     def test_one_cell_perturbations_that_still_validate(self):
@@ -616,7 +613,7 @@ class TestValidImpliesExact:
             net = random_instance(rng, rng.randint(2, 5), p_inf=0.1)
             if rng.random() < 0.5:
                 evidence = random_certain_evidence(rng, net, 1)
-                net = propagate_certain_multi(net, evidence)
+                net = propagate(net, evidence)
             bent = _perturbed(rng, net)
             if bent is None or bent == net or not bent.validate().ok:
                 continue

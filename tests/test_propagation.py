@@ -40,6 +40,7 @@ from spohn.errors import (
     UnknownVariable,
 )
 
+import spohn
 import spohn.network
 import spohn.ocf
 import spohn.propagation
@@ -109,7 +110,7 @@ class TestSingleEvidence:
         ev = EvidenceSpec(
             "species", values=("PENGUIN", "TYPICAL-BIRD"), strength=1
         )
-        post = propagate_single(penguin_net, ev)
+        post = propagate(penguin_net, [ev])
         assert post.tables["flight"].ranks == (2, 1, 0, 1, 1, 1)
         assert post.marginal("species").ranks == (1, 0, 1)
         oracle_matches(penguin_net, [ev], post)
@@ -119,7 +120,7 @@ class TestSingleEvidence:
         for _ in range(30):
             net = random_instance(rng, rng.randint(2, 7))
             ev = random_value_evidence(rng, net)
-            oracle_matches(net, [ev], propagate_single(net, ev))
+            oracle_matches(net, [ev], propagate(net, [ev]))
 
     def test_instances_with_impossible_cells_match_too(self):
         rng = random.Random(32)
@@ -131,25 +132,25 @@ class TestSingleEvidence:
             prop = Proposition.constrain(prior.space, {ev.variable: ev.values})
             if prior.rank_of(prop) is INF:
                 continue  # evidence itself ruled out; different contract
-            oracle_matches(net, [ev], propagate_single(net, ev))
+            oracle_matches(net, [ev], propagate(net, [ev]))
             done += 1
 
     def test_zero_strength_still_normalizes_toward_the_evidence(self, penguin_net):
         ev = EvidenceSpec("species", values=("PENGUIN",), strength=0)
-        post = propagate_single(penguin_net, ev)
+        post = propagate(penguin_net, [ev])
         oracle_matches(penguin_net, [ev], post)
         assert post.marginal("species").ranks[0] == 0
 
     def test_certain_strength_conditions(self, penguin_net):
         ev = EvidenceSpec("species", values=("PENGUIN",), strength=INF)
-        post = propagate_single(penguin_net, ev)
+        post = propagate(penguin_net, [ev])
         assert post.marginal("species").ranks == (0, INF, INF)
         assert post.marginal("flight").ranks == (1, 0)
         oracle_matches(penguin_net, [ev], post)
 
     def test_negative_infinite_strength_excludes_the_values(self, penguin_net):
         ev = EvidenceSpec("species", values=("PENGUIN",), strength=NEG_INF)
-        post = propagate_single(penguin_net, ev)
+        post = propagate(penguin_net, [ev])
         assert post.marginal("species").ranks[0] is INF
 
     @pytest.mark.parametrize(
@@ -159,9 +160,9 @@ class TestSingleEvidence:
         everything = penguin_net.diagram.variable("species").domain
         trace = []
         with pytest.raises(error):
-            propagate_single(
+            propagate(
                 penguin_net,
-                EvidenceSpec("species", values=everything, strength=strength),
+                [EvidenceSpec("species", values=everything, strength=strength)],
                 trace=trace,
             )
         assert trace == []
@@ -170,9 +171,9 @@ class TestSingleEvidence:
     def test_unknown_value_raises_before_any_message(self, penguin_net, strength):
         trace = []
         with pytest.raises(UnknownValue):
-            propagate_single(
+            propagate(
                 penguin_net,
-                EvidenceSpec("species", values=("DODO",), strength=strength),
+                [EvidenceSpec("species", values=("DODO",), strength=strength)],
                 trace=trace,
             )
         assert trace == []
@@ -185,8 +186,8 @@ class TestSingleEvidence:
         )
         trace = []
         with pytest.raises(ImpossibleEvidence):
-            propagate_single(
-                net, EvidenceSpec("A", values=("a1",), strength=strength), trace=trace
+            propagate(
+                net, [EvidenceSpec("A", values=("a1",), strength=strength)], trace=trace
             )
         assert trace == []
 
@@ -201,7 +202,7 @@ class TestSingleEvidence:
                 "C": OCF(StateSpace((c,)), (0, 4)),
             },
         )
-        post = propagate_single(net, EvidenceSpec("A", values=("a1",), strength=2))
+        post = propagate(net, [EvidenceSpec("A", values=("a1",), strength=2)])
         assert post.tables["C"] == net.tables["C"]
         assert post.tables["B"] != net.tables["B"]
 
@@ -217,17 +218,17 @@ class TestSingleEvidence:
             },
         )
         with pytest.raises(InvalidNetwork):
-            propagate_single(net, EvidenceSpec("A", values=("a0",), strength=1))
+            propagate(net, [EvidenceSpec("A", values=("a0",), strength=1)])
 
     def test_unknown_variable_raises(self, penguin_net):
         with pytest.raises(UnknownVariable):
-            propagate_single(penguin_net, EvidenceSpec("beak", values=("x",), strength=1))
+            propagate(penguin_net, [EvidenceSpec("beak", values=("x",), strength=1)])
 
     def test_trace_is_sequential_and_parseable(self, five_node_net):
         trace = []
-        propagate_single(
+        propagate(
             five_node_net,
-            EvidenceSpec("A", values=("a1",), strength=2),
+            [EvidenceSpec("A", values=("a1",), strength=2)],
             trace=trace,
         )
         assert [t.seq for t in trace] == list(range(1, len(trace) + 1))
@@ -264,7 +265,7 @@ class TestCertainMulti:
             net = random_instance(rng, rng.randint(2, 7), p_detach=0.0)
             k = rng.randint(1, min(3, len(net.diagram.names)))
             evidence = random_certain_evidence(rng, net, k)
-            result = propagate_certain_multi(net, evidence, Schedule.fifo())
+            result = propagate(net, evidence, Schedule.fifo())
             oracle_matches(net, evidence, result)
 
     def test_every_schedule_lands_on_the_same_tables(self):
@@ -272,17 +273,17 @@ class TestCertainMulti:
         for _ in range(5):
             net = random_instance(rng, 6, p_detach=0.0)
             evidence = random_certain_evidence(rng, net, 2)
-            baseline = propagate_certain_multi(net, evidence, Schedule.fifo())
+            baseline = propagate(net, evidence, Schedule.fifo())
             for seed in range(12):
-                again = propagate_certain_multi(net, evidence, Schedule.seeded(seed))
+                again = propagate(net, evidence, Schedule.seeded(seed))
                 assert again == baseline
 
     def test_evidence_order_in_the_list_does_not_matter(self):
         rng = random.Random(43)
         net = random_instance(rng, 6, p_detach=0.0)
         evidence = random_certain_evidence(rng, net, 3)
-        forward = propagate_certain_multi(net, evidence, Schedule.fifo())
-        backward = propagate_certain_multi(net, evidence[::-1], Schedule.fifo())
+        forward = propagate(net, evidence, Schedule.fifo())
+        backward = propagate(net, evidence[::-1], Schedule.fifo())
         assert forward == backward
 
     def test_diagram_queries_stay_local(self, monkeypatch):
@@ -300,7 +301,7 @@ class TestCertainMulti:
 
             monkeypatch.setattr(InfluenceDiagram, name, counted)
         trace = []
-        propagate_certain_multi(net, evidence, Schedule.fifo(), trace)
+        propagate(net, evidence, Schedule.fifo(), trace)
         assert {entry.edge[1] for entry in trace} == set(net.diagram.names)
         assert calls["incident_edges"] == 0
         assert calls["family_variables"] <= 2 * len(net.diagram.names)
@@ -314,7 +315,7 @@ class TestCertainMulti:
         net, _ = _copying_chain(200)
         evidence = [EvidenceSpec("V100", values=("y",), strength=INF)]
         trace = []
-        expected = propagate_certain_multi(net, evidence, Schedule.fifo(), trace)
+        expected = propagate(net, evidence, Schedule.fifo(), trace)
         assert {entry.edge[1] for entry in trace} == set(net.diagram.names)
         net = SpohnianNetwork(net.diagram, dict(net.tables))
         calls = {"validate": 0, "projection": 0}
@@ -326,7 +327,7 @@ class TestCertainMulti:
                 return _real(self, *args)
 
             monkeypatch.setattr(owner, name, counted)
-        assert propagate_certain_multi(net, evidence, Schedule.fifo()) == expected
+        assert propagate(net, evidence, Schedule.fifo()) == expected
         assert calls["validate"] == 0
         assert calls["projection"] <= 2 * len(net.diagram.edges) + 2
 
@@ -359,7 +360,7 @@ class TestCertainMulti:
             EvidenceSpec("B", values=("b0", "b1"), strength=INF),
             EvidenceSpec("B", values=("b1",), strength=INF),
         ]
-        result = propagate_certain_multi(five_node_net, evidence, Schedule.fifo())
+        result = propagate(five_node_net, evidence, Schedule.fifo())
         oracle_matches(five_node_net, evidence, result)
         assert result.marginal("B").ranks == (INF, 0)
 
@@ -369,7 +370,7 @@ class TestCertainMulti:
             EvidenceSpec("B", values=("b1",), strength=INF),
         ]
         with pytest.raises(ContradictoryEvidence):
-            propagate_certain_multi(five_node_net, evidence, Schedule.fifo())
+            propagate(five_node_net, evidence, Schedule.fifo())
 
     def test_indirect_contradiction_travels_the_network(self):
         # B's table rules out b1 under a0; making both certain is contradictory
@@ -388,14 +389,14 @@ class TestCertainMulti:
             EvidenceSpec("B", values=("b1",), strength=INF),
         ]
         with pytest.raises(ContradictoryEvidence):
-            propagate_certain_multi(net, evidence, Schedule.fifo())
+            propagate(net, evidence, Schedule.fifo())
 
     def test_evidence_already_ruled_out_raises(self):
         a = Variable("A", ("a0", "a1"))
         dia = InfluenceDiagram((a,), ())
         net = SpohnianNetwork(dia, {"A": OCF(StateSpace((a,)), (0, INF))})
         with pytest.raises(ImpossibleEvidence):
-            propagate_certain_multi(
+            propagate(
                 net, [EvidenceSpec("A", values=("a1",), strength=INF)], Schedule.fifo()
             )
 
@@ -476,10 +477,8 @@ class TestDummyNodes:
 
 class TestUncertainMulti:
     def test_single_target_imposes_the_marginal(self, five_node_net):
-        b = five_node_net.diagram.variable("B")
-        target = OCF(StateSpace((b,)), (3, 0))
-        post = propagate_uncertain_multi(
-            five_node_net, [("B", target)], Schedule.fifo()
+        post = propagate(
+            five_node_net, [EvidenceSpec("B", target=(3, 0))], Schedule.fifo()
         )
         assert post.marginal("B").ranks == (3, 0)
         assert set(post.diagram.names) == set(five_node_net.diagram.names)
@@ -490,32 +489,28 @@ class TestUncertainMulti:
             net = random_instance(rng, rng.randint(2, 6), p_detach=0.0)
             name = rng.choice(net.diagram.names)
             var = net.diagram.variable(name)
-            target = OCF(StateSpace((var,)), random_target(rng, var.domain))
-            post = propagate_uncertain_multi(net, [(name, target)], Schedule.fifo())
-            report = compare(post, oracle_posterior(net, [EvidenceSpec(name, target=target.ranks)]))
+            evidence = [EvidenceSpec(name, target=random_target(rng, var.domain))]
+            post = propagate(net, evidence, Schedule.fifo())
+            report = compare(post, oracle_posterior(net, evidence))
             assert report.passed, report.first_divergence
-            assert post.marginal(name).ranks == target.ranks
+            assert post.marginal(name).ranks == evidence[0].target
 
     def test_multi_target_matches_the_oracle_pipeline(self):
         rng = random.Random(53)
         for _ in range(25):
             net = random_instance(rng, rng.randint(2, 6), max_domain=2, p_detach=0.1)
             names = rng.sample(net.diagram.names, rng.randint(2, len(net.diagram.names)))
-            targets = []
-            for name in names:
-                var = net.diagram.variable(name)
-                targets.append((name, OCF(StateSpace((var,)), random_target(rng, var.domain))))
-            post = propagate_uncertain_multi(net, targets, Schedule.seeded(rng.randrange(99)))
-            evidence = [EvidenceSpec(n, target=t.ranks) for n, t in targets]
+            evidence = [
+                EvidenceSpec(name, target=random_target(rng, net.diagram.variable(name).domain))
+                for name in names
+            ]
+            post = propagate(net, evidence, Schedule.seeded(rng.randrange(99)))
             report = compare(post, oracle_posterior(net, evidence))
             assert report.passed, report.first_divergence
 
     def test_target_is_the_first_message(self, five_node_net):
-        c = five_node_net.diagram.variable("C")
         trace = []
-        propagate_uncertain_multi(
-            five_node_net, [("C", OCF(StateSpace((c,)), (2, 0)))], trace=trace
-        )
+        propagate(five_node_net, [EvidenceSpec("C", target=(2, 0))], trace=trace)
         # target (2, 0) minus the current marginal (0, 3)
         assert (trace[0].edge, trace[0].variable, trace[0].deltas) == (
             ("C", "C"),
@@ -525,35 +520,36 @@ class TestUncertainMulti:
         assert {t.edge[1] for t in trace} <= set(five_node_net.diagram.names)
 
     @pytest.mark.parametrize(
-        "over, ranks, error",
-        [("B", (0, 1), SpaceMismatch), ("A", (1, 0), ImpossibleEvidence)],
+        "variable, ranks, error",
+        [("B", (0, 1, 2), SpaceMismatch), ("A", (1, 0), ImpossibleEvidence)],
     )
-    def test_bad_targets_raise_before_any_message(self, over, ranks, error):
+    def test_bad_targets_raise_before_any_message(self, variable, ranks, error):
+        # A target of the wrong length, or one that gives a ruled-out value a
+        # finite rank, after an item that alone would send messages.
         a = Variable("A", ("a0", "a1"))
         b = Variable("B", ("b0", "b1"))
         net = SpohnianNetwork(
             InfluenceDiagram((a, b), ()),
             {"A": OCF(StateSpace((a,)), (0, INF)), "B": OCF(StateSpace((b,)), (0, 1))},
         )
-        bad = OCF(StateSpace((net.diagram.variable(over),)), ranks)
         trace = []
         with pytest.raises(error):
-            propagate_uncertain_multi(
-                net, [("B", OCF(StateSpace((b,)), (1, 0))), ("A", bad)], trace=trace
+            propagate(
+                net,
+                [EvidenceSpec("B", values=("b1",), strength=2), EvidenceSpec(variable, target=ranks)],
+                trace=trace,
             )
         assert trace == []
 
     def test_target_equal_to_the_current_marginal_changes_nothing(self, five_node_net):
-        c = five_node_net.diagram.variable("C")
-        target = OCF(StateSpace((c,)), five_node_net.marginal("C").ranks)
-        post = propagate_uncertain_multi(five_node_net, [("C", target)], Schedule.fifo())
+        target = EvidenceSpec("C", target=five_node_net.marginal("C").ranks)
+        post = propagate(five_node_net, [target], Schedule.fifo())
         assert post == five_node_net
 
     def test_duplicate_targets_are_rejected(self, five_node_net):
-        b = five_node_net.diagram.variable("B")
-        t = OCF(StateSpace((b,)), (0, 1))
+        t = EvidenceSpec("B", target=(0, 1))
         with pytest.raises(DuplicateTargetVariable):
-            propagate_uncertain_multi(five_node_net, [("B", t), ("B", t)], Schedule.fifo())
+            propagate(five_node_net, [t, t], Schedule.fifo())
 
     def test_no_targets_is_the_identity(self, five_node_net):
         assert propagate_uncertain_multi(five_node_net, [], Schedule.fifo()) is five_node_net
@@ -571,25 +567,21 @@ class TestUncertainMulti:
                 "B": OCF(StateSpace((a, b)), (0, 2, 2, 0)),
             },
         )
-        targets = [
-            ("A", OCF(StateSpace((a,)), (0, 2))),
-            ("B", OCF(StateSpace((b,)), (0, 3))),
-        ]
-        post = propagate_uncertain_multi(net, targets, Schedule.fifo())
+        evidence = [EvidenceSpec("A", target=(0, 2)), EvidenceSpec("B", target=(0, 3))]
+        post = propagate(net, evidence, Schedule.fifo())
         # frozen drift: each source also shifts the other variable, so both
         # marginals land past their stipulated targets
         assert post.marginal("A").ranks == (0, 4)
         assert post.marginal("B").ranks == (0, 5)
         # the engine still agrees with brute force on the combined update
-        evidence = [EvidenceSpec(n, target=t.ranks) for n, t in targets]
         report = compare(post, oracle_posterior(net, evidence))
         assert report.passed, report.first_divergence
 
 
 class TestPropagate:
     def test_no_evidence_is_the_identity(self, five_node_net):
-        assert propagate(five_node_net, []) is five_node_net
-        assert propagate_certain_multi(five_node_net, []) is five_node_net
+        for schedule in (Schedule.fifo(), Schedule.seeded(3)):
+            assert propagate(five_node_net, [], schedule) is five_node_net
 
     def test_two_targets_on_one_variable_are_refused(self, five_node_net):
         trace = []
@@ -632,7 +624,10 @@ class TestPropagate:
         rng = random.Random(62)
         for _ in range(30):
             net = random_instance(rng, rng.randint(2, 5), max_domain=2, p_detach=0.2)
-            unit = net.diagram._unit_space
+
+            def unit(variable):
+                return StateSpace((net.diagram.variable(variable),))
+
             name = rng.choice(net.diagram.names)
             target = OCF(unit(name), random_target(rng, net.diagram.variable(name).domain))
             evidence = [
@@ -655,6 +650,49 @@ class TestPropagate:
                 assert got == want
                 report = compare(post, oracle_posterior(net, items))
                 assert report.passed, report.first_divergence
+
+    def test_the_older_names_are_outside_all_and_still_resolve(self):
+        older = ("propagate_single", "propagate_certain_multi", "propagate_uncertain_multi")
+        assert not set(older) & set(spohn.__all__)
+        assert all(hasattr(spohn, name) for name in spohn.__all__)
+        for name in older:
+            assert getattr(spohn, name) is getattr(spohn.propagation, name)
+
+    def test_a_generator_is_read_as_its_list(self, five_node_net):
+        # propagate and oracle_posterior each read their evidence once, so a
+        # generator gives the list's tables, FIFO trace and oracle joint,
+        # or the same error. The first case is docs/evidence_certain.json.
+        rng = random.Random(66)
+        cases = [("certain", five_node_net, [EvidenceSpec("B", values=("b1",)), EvidenceSpec("E", values=("e1",))])]
+        for _ in range(20):
+            net = random_instance(rng, rng.randint(2, 5), max_domain=2, p_detach=0.2)
+            name = rng.choice(net.diagram.names)
+            target = EvidenceSpec(name, target=random_target(rng, net.diagram.variable(name).domain))
+            cases += [
+                ("value", net, [random_value_evidence(rng, net)]),
+                ("certain", net, random_certain_evidence(rng, net, rng.randint(1, 2))),
+                ("target", net, [target]),
+                ("mixed", net, random_mixed_evidence(rng, net, rng.randint(2, 4))),
+            ]
+
+        def caught(call):
+            try:
+                return call()
+            except SpohnError as exc:
+                return type(exc), str(exc)
+
+        def outcome(net, read):
+            trace = []
+            post = caught(lambda: propagate(net, read(), trace=trace))
+            return post, trace, caught(lambda: oracle_posterior(net, read()))
+
+        updated = set()
+        for kind, net, evidence in cases:
+            listed = outcome(net, lambda: list(evidence))
+            assert outcome(net, lambda: (ev for ev in evidence)) == listed
+            if isinstance(listed[0], SpohnianNetwork) and listed[1]:
+                updated.add(kind)
+        assert updated == {"value", "certain", "target", "mixed"}
 
     def test_mixed_evidence_is_oracle_impose_on_targets_read_on_the_prior(self):
         rng = random.Random(61)
@@ -709,12 +747,12 @@ class TestWarmCalls:
     def test_a_warm_call_touches_only_the_families_its_messages_reach(self, monkeypatch):
         n = 2000
         net = _independent_chain(n)
-        propagate_certain_multi(net, [EvidenceSpec("V10", values=("y",))])
+        propagate(net, [EvidenceSpec("V10", values=("y",))])
         calls = {"_check": 0, "__post_init__": 0}
         _counting(monkeypatch, SpohnianNetwork, "_check", calls)
         _counting(monkeypatch, OCF, "__post_init__", calls)
         trace = []
-        out = propagate_certain_multi(net, [EvidenceSpec("V1000", values=("x",))], trace=trace)
+        out = propagate(net, [EvidenceSpec("V1000", values=("x",))], trace=trace)
         monkeypatch.undo()
         touched = {t.edge[1] for t in trace}
         assert touched == {"V1000", "V1001"}
@@ -737,7 +775,7 @@ class TestWarmCalls:
         # table's marginal is built unchecked.
         n = 2000
         net = _independent_chain(n)
-        out = propagate_certain_multi(net, [EvidenceSpec("V1000", values=("x",))])
+        out = propagate(net, [EvidenceSpec("V1000", values=("x",))])
         first = [net.marginal(name) for name in net.diagram.names]
         for m in (net, out):
             spaces, ocfs = {"__post_init__": 0}, {"__post_init__": 0}
@@ -781,7 +819,7 @@ class TestWarmCalls:
         net = _independent_chain(300)
         first = {name: net.marginal(name) for name in net.diagram.names}
         trace = []
-        out = propagate_certain_multi(net, [EvidenceSpec("V150", values=("x",))], trace=trace)
+        out = propagate(net, [EvidenceSpec("V150", values=("x",))], trace=trace)
         touched = {t.edge[1] for t in trace}
         assert touched == {"V150", "V151"}
         for name in net.diagram.names:
@@ -840,13 +878,13 @@ class TestWarmCalls:
         # results like the gate, so no warm call walks the whole network.
         net = _independent_chain(50)
         one = [EvidenceSpec("V10", values=("y",))]
-        single = propagate_certain_multi(net, one)
+        single = propagate(net, one)
         assert "_rooting" not in net.__dict__ and "_rooting" not in single.__dict__
         two = one + [EvidenceSpec("V30", values=("y",))]
-        out = propagate_certain_multi(net, two)
+        out = propagate(net, two)
         rooting = net.__dict__["_rooting"]
         assert out.__dict__["_rooting"] is rooting
-        assert propagate_certain_multi(out, two).__dict__["_rooting"] is rooting
+        assert propagate(out, two).__dict__["_rooting"] is rooting
         depth, up = rooting
         assert depth["V0"] == 0 and up["V0"] == -1 and depth["V49"] == 49
 
@@ -855,19 +893,16 @@ class TestWarmCalls:
         for _ in range(30):
             net = random_instance(rng, rng.randint(2, 7), p_inf=0.1)
             name = rng.choice(net.diagram.names)
-            var = net.diagram.variable(name)
-            target = OCF(StateSpace((var,)), random_target(rng, var.domain))
-            single = random_value_evidence(rng, net)
+            target = [EvidenceSpec(name, target=random_target(rng, net.diagram.variable(name).domain))]
+            single = [random_value_evidence(rng, net)]
             certain = [
                 EvidenceSpec(n, values=(rng.choice(net.diagram.variable(n).domain),))
                 for n in rng.sample(net.diagram.names, 2)
             ]
-            calls = [lambda m, tr: propagate_single(m, single, tr)]
+            calls = [lambda m, tr: propagate(m, single, trace=tr)]
             for schedule in (Schedule.fifo(), Schedule.seeded(rng.randrange(99))):
-                calls.append(lambda m, tr, s=schedule: propagate_certain_multi(m, certain, s, tr))
-                calls.append(
-                    lambda m, tr, s=schedule: propagate_uncertain_multi(m, [(name, target)], s, tr)
-                )
+                for evidence in (certain, target):
+                    calls.append(lambda m, tr, s=schedule, ev=evidence: propagate(m, ev, s, tr))
             for call in calls:
                 first = SpohnianNetwork(net.diagram, dict(net.tables))
                 runs = [_outcome(call, first), _outcome(call, first)]
@@ -901,13 +936,13 @@ class TestWarmCalls:
             evidence = [EvidenceSpec(node, values=(table.space.variable(node).domain[0],))]
             for _ in range(2):
                 with pytest.raises(InvalidNetwork) as err:
-                    propagate_certain_multi(bent, evidence)
+                    propagate(bent, evidence)
                 assert str(err.value) == "; ".join(problems)
             seen += 1
 
     def test_validate_repeats_its_edge_pass_on_every_call(self, monkeypatch):
         net = random_instance(random.Random(63), 8, p_detach=0.0)
-        propagate_single(net, random_value_evidence(random.Random(64), net))
+        propagate(net, [random_value_evidence(random.Random(64), net)])
         calls = {"_check": 0}
         _counting(monkeypatch, SpohnianNetwork, "_check", calls)
         for k in range(1, 4):
@@ -926,7 +961,7 @@ class TestWarmCalls:
         ]
         for schedule in (Schedule.fifo(), Schedule.seeded(3)):
             with pytest.raises(ContradictoryEvidence, match="every cell of C's table"):
-                propagate_certain_multi(net, evidence, schedule)
+                propagate(net, evidence, schedule)
 
 
 # Derandomized, so every run replays the same examples.
@@ -985,27 +1020,23 @@ class TestBoundedDeliveries:
             for name in rng.sample(names, rng.randint(1, min(8, len(names))))
         ]
         targets = [
-            (name, OCF(net.diagram._unit_space(name),
-                       random_target(rng, net.diagram.variable(name).domain)))
+            EvidenceSpec(name, target=random_target(rng, net.diagram.variable(name).domain))
             for name in rng.sample(names, rng.randint(1, min(4, len(names))))
         ]
         calls = [
-            (lambda s, tr: propagate_certain_multi(net, certain, s, tr),
-             lambda: oracle_revise(net.joint(), certain), 0),
-            (lambda s, tr: propagate_uncertain_multi(net, targets, s, tr),
-             lambda: oracle_posterior(net, [EvidenceSpec(n, target=t.ranks) for n, t in targets]),
-             len(targets)),
+            (certain, lambda: oracle_revise(net.joint(), certain), 0),
+            (targets, lambda: oracle_posterior(net, targets), len(targets)),
         ]
-        for call, oracle, dummies in calls:
+        for evidence, oracle, dummies in calls:
             trace = []
             try:
-                out = call(Schedule.fifo(), trace)
+                out = propagate(net, evidence, Schedule.fifo(), trace)
             except SpohnError as exc:
                 out = (type(exc), str(exc))
             edges = [t.edge for t in trace]
             assert len(edges) == len(set(edges)), edges
             try:
-                again = call(Schedule.seeded(seed), None)
+                again = propagate(net, evidence, Schedule.seeded(seed))
             except SpohnError as exc:
                 again = (type(exc), str(exc))
             assert again == out
@@ -1021,21 +1052,15 @@ class TestBoundedDeliveries:
         net = _shaped_network(rng, shape, rng.randint(2, 14))
         name = rng.choice(net.diagram.names)
         value = _observed_value(rng, net, name)
-        target = OCF(net.diagram._unit_space(name),
-                     random_target(rng, net.diagram.variable(name).domain))
+        target = EvidenceSpec(name, target=random_target(rng, net.diagram.variable(name).domain))
         hops = _hops(net.diagram, name)
         observations = [
             EvidenceSpec(name, values=(value,), strength=s) for s in (rng.randint(0, 4), INF, NEG_INF)
         ]
-        calls = [
-            *(lambda tr, ev=ev: propagate_single(net, ev, tr) for ev in observations),
-            lambda tr: propagate_certain_multi(net, observations[1:2], trace=tr),
-            lambda tr: propagate_uncertain_multi(net, [(name, target)], trace=tr),
-        ]
-        for call in calls:
+        for ev in observations + [target]:
             trace = []
             try:
-                call(trace)
+                propagate(net, [ev], trace=trace)
             except SpohnError:
                 pass  # refused evidence sends nothing; a contradiction shows after the wave
             edges = [t.edge for t in trace]
@@ -1124,7 +1149,7 @@ class TestFanOut:
 
             monkeypatch.setattr(spohn.propagation, "rank_delta", counted)
             trace = []
-            out = propagate_single(net, EvidenceSpec("L1", values=("l1",)), trace)
+            out = propagate(net, [EvidenceSpec("L1", values=("l1",))], trace=trace)
             monkeypatch.undo()
             assert len(trace) == 1 + leaves
             fan = [t for t in trace if t.edge[0] == "H"]
@@ -1172,25 +1197,20 @@ class TestFanOut:
                 for name in rng.sample(names, rng.randint(1, 4))
             ]
             targets = [
-                (name, OCF(net.diagram._unit_space(name),
-                           random_target(rng, net.diagram.variable(name).domain)))
+                EvidenceSpec(name, target=random_target(rng, net.diagram.variable(name).domain))
                 for name in rng.sample(names, 2)
             ]
-            single = EvidenceSpec(names[0], values=(_observed_value(rng, net, names[0]),),
-                                  strength=rng.randint(0, 3))
+            single = [EvidenceSpec(names[0], values=(_observed_value(rng, net, names[0]),),
+                                   strength=rng.randint(0, 3))]
             calls = [
-                (lambda s, tr: propagate_certain_multi(net, certain, s, tr),
-                 lambda: oracle_revise(net.joint(), certain), 0),
-                (lambda s, tr: propagate_uncertain_multi(net, targets, s, tr),
-                 lambda: oracle_posterior(net, [EvidenceSpec(n, target=t.ranks) for n, t in targets]),
-                 len(targets)),
-                (lambda s, tr: propagate(net, [single], s, tr),
-                 lambda: oracle_revise(net.joint(), [single]), 0),
+                (certain, lambda: oracle_revise(net.joint(), certain), 0),
+                (targets, lambda: oracle_posterior(net, targets), len(targets)),
+                (single, lambda: oracle_revise(net.joint(), single), 0),
             ]
-            for call, oracle, dummies in calls:
+            for evidence, oracle, dummies in calls:
                 trace = []
                 try:
-                    out = call(Schedule.fifo(), trace)
+                    out = propagate(net, evidence, Schedule.fifo(), trace)
                 except SpohnError as exc:
                     out = (type(exc), str(exc))
                 if isinstance(out, SpohnianNetwork):
@@ -1200,7 +1220,7 @@ class TestFanOut:
                 for seed in (1, 2):
                     seeded_trace = []
                     try:
-                        again = call(Schedule.seeded(seed), seeded_trace)
+                        again = propagate(net, evidence, Schedule.seeded(seed), seeded_trace)
                     except SpohnError as exc:
                         again = (type(exc), str(exc))
                     assert again == out
