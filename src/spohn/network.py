@@ -23,7 +23,7 @@ from typing import Mapping
 
 from .diagram import InfluenceDiagram, ValidationReport
 from .errors import InconsistentTables, SpaceMismatch
-from .ocf import OCF, StateSpace, _least_ranks
+from .ocf import OCF, StateSpace, _least_ranks, _set_marginal
 from .ranks import INF, Rank
 
 
@@ -81,7 +81,7 @@ class SpohnianNetwork:
         ranks = _least_ranks(table.ranks, table.space.projection((name,)), space.size)
         # Valid: the least ranks of a valid table, so one of them is 0.
         marg = OCF._trusted(space, tuple(ranks))
-        object.__setattr__(table, "_marginal", marg)
+        _set_marginal(table, marg)
         return marg
 
     def joint(self) -> OCF:

@@ -16,6 +16,14 @@ digit maps and projections are built on first use. Propositions are
 bitsets over state indices. Everything is immutable; operations return new
 objects.
 
+StateSpace, Proposition and OCF are slotted frozen dataclasses: they are
+built by the thousand (a proposition per belief read, an OCF per marginal
+or revision), and a slot is a member descriptor. The trusted constructors,
+for callers that have made the checks (parsing, revision, marginals,
+belief reads), write fields through those descriptors' __set__, bound
+once at import, at about half the cost of the object.__setattr__ that a
+frozen class otherwise needs.
+
 The whole-table kernels (projections, the checked constructor, constrain,
 revise, and the joint in network.py) run on joints of up to 4096 cells in
 the oracle, so they keep their per-cell work in list operations that run
@@ -60,11 +68,21 @@ class Variable:
     def __post_init__(self):
         if not self.name:
             raise ValueError("variable name must be non-empty")
-        object.__setattr__(self, "domain", tuple(self.domain))
+        if type(self.domain) is not tuple:
+            object.__setattr__(self, "domain", tuple(self.domain))
         if len(self.domain) < 2:
             raise ValueError(f"variable {self.name!r} needs at least two values")
         if len(set(self.domain)) != len(self.domain):
             raise ValueError(f"variable {self.name!r} has duplicate values")
+
+
+_new = object.__new__
+
+
+def _slot_setters(cls: type, *names: str) -> tuple:
+    """The named slots' member-descriptor __set__ methods, bound once: the
+    trusted constructors write a frozen instance's fields through them."""
+    return tuple(vars(cls)[name].__set__ for name in names)
 
 
 def _lay_out(space: StateSpace, variables: tuple[Variable, ...], names: tuple[str, ...]) -> None:
@@ -74,14 +92,14 @@ def _lay_out(space: StateSpace, variables: tuple[Variable, ...], names: tuple[st
     for v in variables[::-1]:
         strides.append(size)
         size *= len(v.domain)
-    put = object.__setattr__
-    put(space, "variables", variables)
-    put(space, "names", names)
-    put(space, "_positions", None)
-    put(space, "size", size)
-    put(space, "strides", tuple(strides[::-1]))
-    put(space, "_proj_cache", {})
-    put(space, "_digit_maps", None)
+    set_variables, set_names, set_positions, set_size, set_strides, set_cache, set_maps = _SPACE_SLOTS
+    set_variables(space, variables)
+    set_names(space, names)
+    set_positions(space, None)
+    set_size(space, size)
+    set_strides(space, tuple(strides[::-1]))
+    set_cache(space, {})
+    set_maps(space, None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,7 +133,7 @@ class StateSpace:
     def _trusted(cls, variables: tuple[Variable, ...], names: tuple[str, ...]) -> StateSpace:
         """A space without __post_init__'s checks, for a caller that has made
         them: variables is a non-empty tuple, names their distinct names."""
-        out = object.__new__(cls)
+        out = _new(cls)
         _lay_out(out, variables, names)
         return out
 
@@ -271,9 +289,19 @@ class Proposition:
                 raise ValueError(f"state index {i} out of range")
             mask |= 1 << i
         # Every bit is a state of the space: __post_init__'s check holds.
-        out = object.__new__(cls)
-        object.__setattr__(out, "space", space)
-        object.__setattr__(out, "mask", mask)
+        # _trusted's body, inlined: belief reads build one proposition each.
+        out = _new(cls)
+        _set_prop_space(out, space)
+        _set_mask(out, mask)
+        return out
+
+    @classmethod
+    def _trusted(cls, space: StateSpace, mask: int) -> Proposition:
+        """A proposition without __post_init__'s check, for a caller whose
+        mask lies in the space by construction."""
+        out = _new(cls)
+        _set_prop_space(out, space)
+        _set_mask(out, mask)
         return out
 
     @classmethod
@@ -301,14 +329,14 @@ class Proposition:
 
     def __and__(self, other: Proposition) -> Proposition:
         self._check_space(other)
-        return Proposition(self.space, self.mask & other.mask)
+        return Proposition._trusted(self.space, self.mask & other.mask)
 
     def __or__(self, other: Proposition) -> Proposition:
         self._check_space(other)
-        return Proposition(self.space, self.mask | other.mask)
+        return Proposition._trusted(self.space, self.mask | other.mask)
 
     def __invert__(self) -> Proposition:
-        return Proposition(self.space, self.mask ^ ((1 << self.space.size) - 1))
+        return Proposition._trusted(self.space, self.mask ^ ((1 << self.space.size) - 1))
 
     @property
     def is_empty(self) -> bool:
@@ -392,6 +420,10 @@ _RANK_TYPES = frozenset((int, _Infinity))
 class OCF:
     """A ranking of all states: dense, min 0, possibly infinite entries."""
 
+    # _marginal is SpohnianNetwork.marginal's memo, set on a table's
+    # instance on first read: a slot, not a field.
+    __slots__ = ("space", "ranks", "_marginal")
+
     space: StateSpace
     ranks: tuple[Rank, ...]
 
@@ -412,9 +444,7 @@ class OCF:
             raise ValueError(f"invalid rank {bad!r}")
         if low:
             raise ValueError("no state has rank 0")
-
-    # SpohnianNetwork.marginal's memo, set on a table's instance on first read.
-    _marginal = None
+        _set_marginal(self, None)
 
     def __reduce__(self):
         # Rebuild through the constructor, so the memo is neither pickled nor copied.
@@ -423,11 +453,11 @@ class OCF:
     @classmethod
     def _trusted(cls, space: StateSpace, ranks: tuple[Rank, ...]) -> OCF:
         """An OCF without __post_init__'s checks, for a caller that has made
-        them: ranks is a tuple of space.size ranks, one of them 0. Setting
-        the fields one by one keeps the instance's compact layout."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "space", space)
-        object.__setattr__(out, "ranks", ranks)
+        them: ranks is a tuple of space.size ranks, one of them 0."""
+        out = _new(cls)
+        _set_space(out, space)
+        _set_ranks(out, ranks)
+        _set_marginal(out, None)
         return out
 
     def rank_of(self, prop: Proposition) -> Rank:
@@ -560,3 +590,10 @@ class OCF:
             if left != right:
                 return False
         return True
+
+
+_SPACE_SLOTS = _slot_setters(
+    StateSpace, "variables", "names", "_positions", "size", "strides", "_proj_cache", "_digit_maps"
+)
+_set_prop_space, _set_mask = _slot_setters(Proposition, "space", "mask")
+_set_space, _set_ranks, _set_marginal = _slot_setters(OCF, "space", "ranks", "_marginal")

@@ -60,6 +60,17 @@ class TestStateSpace:
         with pytest.raises(ValueError):
             Variable("X", ("a", "a"))
 
+    def test_a_domain_is_stored_as_a_tuple(self):
+        values = ("a", "b")
+        assert Variable("X", values).domain is values
+        for given in (["a", "b"], iter(values), {"a": 0, "b": 1}):
+            x = Variable("X", given)
+            assert type(x.domain) is tuple and x == Variable("X", values)
+        with pytest.raises(ValueError, match="^variable 'X' needs at least two values$"):
+            Variable("X", iter(["only"]))
+        with pytest.raises(ValueError, match="^variable 'X' has duplicate values$"):
+            Variable("X", ["a", "a"])
+
     def test_projection_maps_onto_the_subspace(self, penguin_space):
         proj = penguin_space.projection(("flight",))
         sub = penguin_space.subspace(("flight",))
@@ -260,6 +271,69 @@ class TestProposition:
         for bad in (6, -1):
             with pytest.raises(ValueError, match=f"^state index {bad} out of range$"):
                 Proposition.of_states(penguin_space, (0, bad))
+
+    def test_set_operations_equal_the_checked_constructor(self):
+        rng = random.Random(67)
+        for _ in range(40):
+            space = _random_space(rng)
+            full = (1 << space.size) - 1
+            a = Proposition(space, rng.randint(0, full))
+            b = Proposition(StateSpace(space.variables), rng.randint(0, full))
+            for got, want in (
+                (a & b, Proposition(space, a.mask & b.mask)),
+                (a | b, Proposition(space, a.mask | b.mask)),
+                (~a, Proposition(space, full ^ a.mask)),
+            ):
+                assert type(got) is Proposition and got.space is space
+                assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        other = Proposition.full(StateSpace((Variable("W", ("w0", "w1")),)))
+        for op in (lambda p, q: p & q, lambda p, q: p | q):
+            with pytest.raises(SpaceMismatch, match="^propositions live in different state spaces$"):
+                op(a, other)
+
+
+class TestOCFValue:
+    def test_an_ocf_is_a_frozen_slotted_value(self, prior):
+        assert [f.name for f in dataclasses.fields(OCF)] == ["space", "ranks"]
+        for table in (OCF(prior.space, list(prior.ranks)), OCF._trusted(prior.space, prior.ranks)):
+            assert not hasattr(table, "__dict__")
+            assert table._marginal is None
+            for name in ("space", "ranks", "_marginal"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(table, name, None)
+            assert table == prior and hash(table) == hash(prior) == hash((prior.space, prior.ranks))
+            assert repr(table) == f"OCF(space={prior.space!r}, ranks={prior.ranks!r})"
+            assert table.__reduce__() == (OCF, (prior.space, prior.ranks))
+            for twin in (pickle.loads(pickle.dumps(table)), copy.copy(table), copy.deepcopy(table)):
+                assert type(twin) is OCF and twin == table and hash(twin) == hash(table)
+                assert twin._marginal is None
+
+
+class TestTrustedConstructors:
+    """Each trusted constructor builds the value its checked one builds."""
+
+    def test_each_equals_the_checked_constructor(self):
+        rng = random.Random(73)
+        for _ in range(40):
+            checked = _random_space(rng)
+            variables = checked.variables
+            space = StateSpace._trusted(variables, tuple(v.name for v in variables))
+            assert type(space) is StateSpace
+            assert space == checked and hash(space) == hash(checked) and repr(space) == repr(checked)
+            assert (space.names, space.size, space.strides) == (checked.names, checked.size, checked.strides)
+            assert space._positions is None and space._digit_maps is None
+            assert space._proj_cache == {} and space._proj_cache is not checked._proj_cache
+
+            indices = rng.sample(range(space.size), rng.randint(0, space.size))
+            prop = Proposition.of_states(space, indices)
+            want = Proposition(checked, sum(1 << i for i in indices))
+            assert type(prop) is Proposition and prop.space is space
+            assert prop == want and hash(prop) == hash(want) and repr(prop) == repr(want)
+
+            table = random_ocf(rng, checked, p_inf=0.2)
+            fast = OCF._trusted(space, table.ranks)
+            assert type(fast) is OCF and fast._marginal is None
+            assert fast == table and hash(fast) == hash(table) and repr(fast) == repr(table)
 
 
 class TestWorkedExample:
