@@ -14,7 +14,8 @@ order in certain and uncertain mode; it has no effect with --mode single,
 whose one observation always spreads breadth first. The updated network
 document goes to stdout (or --out); trace lines go to stderr. Exit codes:
 0 ok, 1 validation or parse failure, 2 contradictory evidence, 3 internal
-invariant breach. An output stream that cannot be written also exits 1,
+invariant breach. A usage error also exits 2, through argparse, with its
+usage line on stderr. An output stream that cannot be written also exits 1,
 with no traceback: a closed pipe silently, any other failed write to
 stdout with one error line on stderr.
 main() runs the command with the cyclic garbage collector paused and then

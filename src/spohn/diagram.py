@@ -86,14 +86,6 @@ class InfluenceDiagram:
         return _adjacency(self.edges, self.names, self._position)
 
     @cached_property
-    def _neighbors(self) -> dict[str, tuple[str, ...]]:
-        parents, children, order = self._parents, self._children, self._position
-        return {
-            n: tuple(sorted({*parents[n], *children[n]}, key=order.__getitem__))
-            for n in self.names
-        }
-
-    @cached_property
     def _unit_spaces(self) -> dict[str, StateSpace]:
         return {}
 
@@ -132,7 +124,8 @@ class InfluenceDiagram:
 
     def neighbors(self, name: str) -> tuple[str, ...]:
         self.variable(name)
-        return self._neighbors[name]
+        both = {*self._parents[name], *self._children[name]}
+        return tuple(sorted(both, key=self._position.__getitem__))
 
     def incident_edges(self, name: str) -> tuple[tuple[str, str], ...]:
         """Edges touching the node, in declaration order."""
@@ -213,7 +206,7 @@ class InfluenceDiagram:
                 if len(path) > 1 or x == y:
                     yield path
                 continue
-            for m in self._neighbors[node]:
+            for m in self.neighbors(node):
                 if m not in path:
                     stack.append((m, path + [m]))
 
@@ -257,7 +250,7 @@ class InfluenceDiagram:
             n = queue.popleft()
             if n in members:
                 return n
-            for m in self._neighbors[n]:
+            for m in self.neighbors(n):
                 if m not in seen:
                     seen.add(m)
                     queue.append(m)

@@ -158,9 +158,14 @@ def parse_network(text: str) -> SpohnianNetwork:
             ranks = [_rank_from_json(v, f"tables.{node}.ranks[{i}]") for i, v in enumerate(raw_ranks)]
             least = min(ranks)
         if not canonical:
-            doc_space = StateSpace(tuple(diagram.variable(n) for n in order))
-            at = [family.index(n) for n in order]
-            ranks = [ranks[doc_space.index_of([s[p] for p in at])] for s in space.states()]
+            # Each canonical cell's index in the document's layout, built as
+            # StateSpace.projection builds its list, the last member first.
+            doc_strides = dict(zip(order, StateSpace(tuple(map(diagram.variable, order))).strides))
+            at = [0]
+            for v in reversed(members):
+                stride = doc_strides[v.name]
+                at = [i + d for d in range(0, len(v.domain) * stride, stride) for i in at]
+            ranks = [ranks[i] for i in at]
         if least != 0:
             raise DocumentError(f"tables.{node}: table has no rank-0 entry")
         # Every cell is a checked rank, there are space.size of them and one

@@ -9,12 +9,12 @@ best non-A-state rank alpha. That shift is exactly reversible, which is the
 point of using ranks instead of probabilities here.
 
 States are value tuples in declared variable order; tables are dense,
-row-major with the last variable varying fastest. A state space lays out
-its names, size and strides once, at construction, in slots: every family
-table has one, so it is built on every parse. Its name positions, per-value
-digit maps and projections are built on first use. Propositions are
-bitsets over state indices. Everything is immutable; operations return new
-objects.
+row-major with the last variable varying fastest. A state space keeps
+only its layout: its names, size and strides, laid out once, at
+construction, in slots (every family table has one, so one is built on
+every parse), and a cache of projections per subset. A lookup by name or
+value reads the names and the domains. Propositions are bitsets over state
+indices. Everything is immutable; operations return new objects.
 
 StateSpace, Proposition and OCF are slotted frozen dataclasses: they are
 built by the thousand (a proposition per belief read, an OCF per marginal
@@ -92,14 +92,19 @@ def _lay_out(space: StateSpace, variables: tuple[Variable, ...], names: tuple[st
     for v in variables[::-1]:
         strides.append(size)
         size *= len(v.domain)
-    set_variables, set_names, set_positions, set_size, set_strides, set_cache, set_maps = _SPACE_SLOTS
+    set_variables, set_names, set_size, set_strides, set_cache = _SPACE_SLOTS
     set_variables(space, variables)
     set_names(space, names)
-    set_positions(space, None)
     set_size(space, size)
     set_strides(space, tuple(strides[::-1]))
     set_cache(space, {})
-    set_maps(space, None)
+
+
+def _digit(var: Variable, value: str) -> int:
+    """The value's position in the variable's domain."""
+    if value not in var.domain:
+        raise UnknownValue(f"variable {var.name!r} has no value {value!r}")
+    return var.domain.index(value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,18 +112,15 @@ class StateSpace:
     """Cartesian product of variable domains, with mixed-radix indexing.
 
     Only the variables are compared. The layout (names, size, strides) is
-    computed once at construction, into slots; the name positions and the
-    per-value digit maps, which parsing never reads, are built on first
-    use, and projections are cached per subset.
+    computed once at construction, into slots; lookups read the names and
+    the domains, and projections are cached per subset.
     """
 
     variables: tuple[Variable, ...]
     names: tuple[str, ...] = field(init=False, compare=False, repr=False)
-    _positions: dict[str, int] | None = field(init=False, compare=False, repr=False)
     size: int = field(init=False, compare=False, repr=False)
     strides: tuple[int, ...] = field(init=False, compare=False, repr=False)
     _proj_cache: dict = field(init=False, compare=False, repr=False)
-    _digit_maps: tuple | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         variables = tuple(self.variables)
@@ -138,60 +140,29 @@ class StateSpace:
         return out
 
     def __reduce__(self):
-        # Rebuild through the constructor, so the layout, the digit maps and
-        # the projection cache are neither pickled nor copied.
+        # Rebuild through the constructor, so the layout and the projection
+        # cache are neither pickled nor copied.
         return type(self), (self.variables,)
 
-    @property
-    def _position(self) -> dict[str, int]:
-        """Per name, its position in variables; built on first use."""
-        position = self._positions
-        if position is None:
-            position = dict(zip(self.names, range(len(self.names))))
-            object.__setattr__(self, "_positions", position)
-        return position
-
-    @property
-    def _value_index(self) -> tuple[dict[str, int], ...]:
-        """Per variable, its value -> digit map; built on first use."""
-        maps = self._digit_maps
-        if maps is None:
-            maps = tuple({val: i for i, val in enumerate(v.domain)} for v in self.variables)
-            object.__setattr__(self, "_digit_maps", maps)
-        return maps
-
     def variable(self, name: str) -> Variable:
-        pos = self._position.get(name)
-        if pos is None:
+        if name not in self.names:
             raise UnknownVariable(f"unknown variable {name!r}")
-        return self.variables[pos]
+        return self.variables[self.names.index(name)]
 
     def value_digit(self, name: str, value: str) -> int:
-        pos = self._position.get(name)
-        if pos is None:
-            raise UnknownVariable(f"unknown variable {name!r}")
-        digit = self._value_index[pos].get(value)
-        if digit is None:
-            raise UnknownValue(f"variable {name!r} has no value {value!r}")
-        return digit
+        return _digit(self.variable(name), value)
 
     def index_of(self, assignment: Sequence[str] | Mapping[str, str]) -> int:
         if isinstance(assignment, Mapping):
             missing = set(self.names) - set(assignment)
             if missing:
                 raise UnknownVariable(f"assignment missing variables {sorted(missing)}")
+            self.canonical_subset(assignment)  # names the first key the space lacks
             assignment = [assignment[n] for n in self.names]
         if len(assignment) != len(self.variables):
             raise ValueError("assignment length does not match variable count")
-        maps, strides = self._value_index, self.strides
-        idx = 0
-        for pos, value in enumerate(assignment):
-            digit = maps[pos].get(value)
-            if digit is None:
-                name = self.variables[pos].name
-                raise UnknownValue(f"variable {name!r} has no value {value!r}")
-            idx += digit * strides[pos]
-        return idx
+        cells = zip(self.variables, assignment, self.strides)
+        return sum(_digit(v, value) * stride for v, value, stride in cells)
 
     def state_at(self, index: int) -> tuple[str, ...]:
         if not 0 <= index < self.size:
@@ -216,10 +187,10 @@ class StateSpace:
         if isinstance(names, str):
             raise ValueError(f"expected a collection of variable names, not a string: {names!r}")
         names = tuple(names)
-        wanted, position = set(names), self._position
         for n in names:
-            if n not in position:
+            if n not in self.names:
                 raise UnknownVariable(f"unknown variable {n!r}")
+        wanted = set(names)
         return tuple(n for n in self.names if n in wanted)
 
     def subspace(self, names: Iterable[str]) -> StateSpace:
@@ -316,11 +287,13 @@ class Proposition:
         for name, values in constraints.items():
             if isinstance(values, str):
                 raise ValueError(f"values of {name} must be a collection, not a string: {values!r}")
-            digits = {space.value_digit(name, v) for v in values}
-            card = len(space.variable(name).domain)
-            stride = space.strides[space._position[name]]
-            block = "".join(("1" if d in digits else "0") * stride for d in range(card - 1, -1, -1))
-            mask &= int(block * (space.size // (card * stride)), 2)
+            var, values = space.variable(name), tuple(values)
+            allowed, known = set(values), set(var.domain)
+            if not allowed <= known:
+                _digit(var, next(v for v in values if v not in known))
+            stride = space.strides[space.names.index(name)]
+            block = "".join(("1" if v in allowed else "0") * stride for v in reversed(var.domain))
+            mask &= int(block * (space.size // (len(var.domain) * stride)), 2)
         return cls(space, mask)
 
     def _check_space(self, other: Proposition) -> None:
@@ -592,8 +565,6 @@ class OCF:
         return True
 
 
-_SPACE_SLOTS = _slot_setters(
-    StateSpace, "variables", "names", "_positions", "size", "strides", "_proj_cache", "_digit_maps"
-)
+_SPACE_SLOTS = _slot_setters(StateSpace, "variables", "names", "size", "strides", "_proj_cache")
 _set_prop_space, _set_mask = _slot_setters(Proposition, "space", "mask")
 _set_space, _set_ranks, _set_marginal = _slot_setters(OCF, "space", "ranks", "_marginal")

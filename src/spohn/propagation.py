@@ -174,6 +174,10 @@ class Schedule:
 
     seed: int | None = None
 
+    def __post_init__(self):
+        if self.seed is not None and (type(self.seed) is bool or not isinstance(self.seed, int)):
+            raise ValueError(f"schedule seed must be an int, got {self.seed!r}")
+
     @classmethod
     def fifo(cls) -> Schedule:
         return cls()

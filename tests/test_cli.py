@@ -34,6 +34,7 @@ from spohn import (
 from spohn.cli import main
 
 from generators import random_instance, random_value_evidence
+from mutations import mutated
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 PENGUIN = str(DOCS / "penguin.json")
@@ -1031,26 +1032,10 @@ class TestFullDevice:
         assert (done.returncode, done.stdout) == (1, b"")
 
 
-# Stands for an integer of 5000 digits, past the int-to-str limit, which
-# json.dumps cannot write.
-HUGE = "<5000 digits>"
-FUZZ_VALUES = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(-2, 5),
-    st.sampled_from([2 ** 64, HUGE]),
-    st.sampled_from([0.5, 1e300]),
-    st.just("inf"),
-    st.sampled_from(["", "A", "b1", "species", "PENGUIN"]),
-    st.lists(st.sampled_from([0, 1, 2, "inf", "A"]), max_size=3),
-    st.dictionaries(st.sampled_from(["name", "order", "target", "x"]), st.integers(0, 2), max_size=2),
-)
-
-
 class TestEndToEndFuzz:
-    """Each command on a bundled document mutated at one JSON path (a value
-    swapped, a key or item deleted, an item appended or a key added) exits
-    0, 1 or 2 with no exception. A failure is told by an `error:` line on
+    """Each command on a bundled document with one edit (mutations.mutated:
+    at one JSON path, or the text cut short) exits 0, 1 or 2 with no
+    exception. A failure is told by an `error:` line on
     stderr or by `invalid:` lines on stdout."""
 
     # network, evidence, mode, a variable of the network and a proposition
@@ -1061,40 +1046,6 @@ class TestEndToEndFuzz:
         ("five_node.json", "evidence_target.json", "uncertain", "D", "D=d0,d1"),
     ]
     COMMANDS = ["validate", "--marginal", "--joint", "--beta", "--believe", "propagate", "--trace", "compare"]
-
-    @staticmethod
-    def slots(parent, key, out):
-        """Every (container, key) below parent[key], that slot first."""
-        out.append((parent, key))
-        node = parent[key]
-        for child in node if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ():
-            TestEndToEndFuzz.slots(node, child, out)
-        return out
-
-    def mutated(self, data, name):
-        box = [json.loads((DOCS / name).read_text())]
-        op = data.draw(st.sampled_from(["swap", "delete", "append"]))
-        slots = self.slots(box, 0, [])
-        if op == "delete":
-            slots = slots[1:]
-        elif op == "append":
-            slots = [(parent, key) for parent, key in slots if isinstance(parent[key], (dict, list))]
-        # A field is drawn first, list items counting as one field, so the
-        # many rank cells and domain values do not crowd out the rest.
-        fields = {}
-        for parent, key in slots:
-            fields.setdefault(key if isinstance(key, str) else "", []).append((parent, key))
-        parent, key = data.draw(st.sampled_from(fields[data.draw(st.sampled_from(sorted(fields)))]))
-        value = data.draw(FUZZ_VALUES)
-        if op == "swap":
-            parent[key] = value
-        elif op == "delete":
-            del parent[key]
-        elif isinstance(parent[key], list):
-            parent[key].append(value)
-        else:
-            parent[key][data.draw(st.sampled_from(["name", "A", "ranks", "evidence", "extra"]))] = value
-        return json.dumps(box[0]).replace(json.dumps(HUGE), "1" * 5000)
 
     @settings(
         derandomize=True,
@@ -1111,7 +1062,7 @@ class TestEndToEndFuzz:
         with_evidence = command in ("propagate", "--trace", "compare")
         mutate = data.draw(st.sampled_from([network, evidence])) if with_evidence else network
         paths[mutate] = str(tmp_path / mutate)
-        Path(paths[mutate]).write_text(self.mutated(data, mutate))
+        Path(paths[mutate]).write_text(mutated(data, DOCS / mutate))
         net, ev = paths[network], paths[evidence]
         argv = {
             "validate": ["validate", net],

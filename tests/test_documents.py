@@ -1,7 +1,10 @@
 """Document layer: round trips, canonical layout, and parse failures."""
 
 import copy
+import itertools
 import json
+import math
+import operator
 import random
 import sys
 import tracemalloc
@@ -29,6 +32,7 @@ from spohn import (
 )
 
 from generators import random_instance, random_value_evidence
+from mutations import mutated
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -87,24 +91,19 @@ class TestRoundTrip:
 
     def test_the_cold_path_builds_no_digit_map_and_no_joint_space(self):
         # Parse, validate, propagate and serialize: each family space keeps
-        # its layout in slots, no instance dict, and the parse builds no
-        # name positions. Only the observed family's space builds its
-        # per-value digit maps, to read the evidence's values; nothing
-        # builds the diagram's joint space.
+        # its layout in slots, no instance dict, and nothing builds the
+        # diagram's joint space.
         rng = random.Random(71)
         for n in (1, 4, 12, 40):
             net = parse_network(serialize_network(random_instance(rng, n)))
             spaces = [table.space for table in net.tables.values()]
-            assert all(space._positions is None for space in spaces)
             assert net.validate().ok
-            assert all(space._digit_maps is None for space in spaces)
             evidence = random_value_evidence(rng, net)
             out = propagate(net, [evidence])
             serialize_network(out)
             spaces += [table.space for table in out.tables.values()]
             for space in spaces:
                 assert not hasattr(space, "__dict__")
-                assert space._digit_maps is None or space.names == (evidence.variable,)
             assert "space" not in net.diagram.__dict__
             assert "_children" not in net.diagram.__dict__
 
@@ -121,17 +120,44 @@ class TestRoundTrip:
                 families = parsed.diagram._families
                 for node, table in parsed.tables.items():
                     space, want = table.space, StateSpace(families[node][1])
-                    assert space._positions is None
-                    for slot in ("variables", "names", "_position", "size", "strides"):
+                    for slot in ("variables", "names", "size", "strides"):
                         assert getattr(space, slot) == getattr(want, slot)
-                    # Built on first use, to its definition, and kept.
-                    assert space._position == {v.name: i for i, v in enumerate(space.variables)}
-                    assert space._positions is space._position
-                    assert space._proj_cache == {} and space._digit_maps is None
+                    assert space._proj_cache == {}
                     assert not hasattr(space, "__dict__")
                 assert parsed == built_by_hand(d)
                 assert serialize_network(parsed) == text
         assert '"inf"' in texts[-1] and texts[-1] != texts[-2]
+
+    @pytest.mark.parametrize("cards", [(300, 300), (2, 3, 4)])
+    def test_a_reordered_table_parses_to_its_canonical_twin(self, cards):
+        # The last variable's table written in every order of its family:
+        # 2 orders of a 300 x 300 family, 6 of a three-variable one. Each
+        # cell is found by its values, not through the library's indexing.
+        rng = random.Random(sum(cards))
+        names = [f"V{k}" for k in range(len(cards))]
+        domains = {n: [f"{n}_{j}" for j in range(c)] for n, c in zip(names, cards)}
+        child = names[-1]
+        doc = {
+            "variables": [{"name": n, "domain": domains[n]} for n in names],
+            "edges": [[n, child] for n in names[:-1]],
+            "tables": {n: {"order": [n], "ranks": [0] * cards[k]} for k, n in enumerate(names)},
+        }
+        ranks = [rng.choice((0, 1, 5, "inf")) for _ in range(math.prod(cards))]
+        doc["tables"][child] = {"order": names, "ranks": ranks}
+        want = parse_network(json.dumps(doc))
+        canonical = serialize_network(want)
+        cells = dict(zip(itertools.product(*domains.values()), ranks))
+        for order in itertools.permutations(names):
+            canonical_of = operator.itemgetter(*[order.index(n) for n in names])
+            twin = copy.deepcopy(doc)
+            twin["tables"][child] = {"order": list(order), "ranks": [
+                cells[canonical_of(state)] for state in itertools.product(*(domains[n] for n in order))
+            ]}
+            parsed = parse_network(json.dumps(twin))
+            # The cells first: a failing comparison of the whole texts would
+            # spend minutes on its line diff.
+            assert parsed.tables[child].ranks == want.tables[child].ranks, order
+            assert serialize_network(parsed) == canonical
 
     def test_a_table_over_another_space_is_still_refused(self):
         rng = random.Random(89)
@@ -667,10 +693,9 @@ class TestEvidenceParsing:
             parse_evidence("[]", five_node_net)
 
 
-# Mutation fuzz of the shipped five-node documents. Each example applies up
-# to three edits (replace, delete, duplicate or insert a node of the JSON
-# tree) and may truncate the text; derandomized, so every run replays the
-# same examples.
+# Mutation fuzz of the shipped five-node documents, one edit per example
+# (see mutations.mutated); derandomized, so every run replays the same
+# examples.
 FUZZ = settings(
     derandomize=True,
     database=None,
@@ -678,63 +703,13 @@ FUZZ = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-FUZZ_NAMES = [
-    "A", "B", "C", "D", "E", "Z", "", "inf", "a0", "b1", "c0", "c1", "e1",
-    "variables", "edges", "tables", "name", "domain", "order", "ranks",
-    "evidence", "variable", "values", "target", "strength",
-]
-FUZZ_VALUES = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers(-3, 8)
-    | st.sampled_from([1.5, 1e300, -0.0])
-    | st.sampled_from(FUZZ_NAMES),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.sampled_from(FUZZ_NAMES), inner, max_size=3),
-    max_leaves=8,
-)
-
-
-def _slots(node, out):
-    if isinstance(node, dict):
-        for key, value in node.items():
-            out.append((node, key))
-            _slots(value, out)
-    elif isinstance(node, list):
-        for i, value in enumerate(node):
-            out.append((node, i))
-            _slots(value, out)
-    return out
-
-
-def _mutated_text(data, path):
-    doc = json.loads(path.read_text())
-    for _ in range(data.draw(st.integers(1, 3))):
-        slots = _slots(doc, [])
-        if not slots:
-            break
-        parent, key = data.draw(st.sampled_from(slots))
-        op = data.draw(st.sampled_from(["replace", "delete", "duplicate", "insert"]))
-        if op == "replace":
-            parent[key] = data.draw(FUZZ_VALUES)
-        elif op == "delete":
-            del parent[key]
-        elif isinstance(parent, list):
-            item = copy.deepcopy(parent[key]) if op == "duplicate" else data.draw(FUZZ_VALUES)
-            parent.insert(key, item)
-        else:
-            item = copy.deepcopy(parent[key]) if op == "duplicate" else data.draw(FUZZ_VALUES)
-            parent[data.draw(st.sampled_from(FUZZ_NAMES))] = item
-    text = json.dumps(doc)
-    cut = data.draw(st.none() | st.integers(0, len(text)))
-    return text if cut is None else text[:cut]
 
 
 class TestMutationFuzz:
     @FUZZ
     @given(st.data())
     def test_network_parses_or_fails_cleanly(self, data):
-        text = _mutated_text(data, DOCS / "five_node.json")
+        text = mutated(data, DOCS / "five_node.json")
         try:
             net = parse_network(text)
         except DocumentError:
@@ -745,7 +720,7 @@ class TestMutationFuzz:
     @given(st.data(), st.sampled_from(["evidence_certain.json", "evidence_target.json"]))
     def test_evidence_parses_or_fails_cleanly(self, data, name):
         net = parse_network((DOCS / "five_node.json").read_text())
-        text = _mutated_text(data, DOCS / name)
+        text = mutated(data, DOCS / name)
         try:
             evidence = parse_evidence(text, net)
         except (DocumentError, InvalidTarget):

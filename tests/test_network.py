@@ -244,13 +244,15 @@ def _joint_by_cells(net):
     out = []
     for i in range(d.space.size):
         state = dict(zip(d.space.names, d.space.state_at(i)))
-        cells = [net.tables[n].ranks[net.tables[n].space.index_of(state)] for n in d.names]
+
+        def cell(table):
+            return table.ranks[table.space.index_of([state[n] for n in table.space.names])]
+
+        cells = [cell(net.tables[n]) for n in d.names]
         if any(c is INF for c in cells):
             out.append(INF)
             continue
-        shared = [
-            len(d.children(n)) * margs[n].ranks[margs[n].space.index_of(state)] for n in d.names
-        ]
+        shared = [len(d.children(n)) * cell(margs[n]) for n in d.names]
         out.append(sum(cells) - sum(shared))
     return out
 
@@ -313,7 +315,8 @@ def _families_by_cells(kappa, d):
         space = d.space.subspace(d.family_variables(node))
         least = [INF] * space.size
         for i, r in enumerate(kappa.ranks):
-            j = space.index_of(dict(zip(d.names, d.space.state_at(i))))
+            state = dict(zip(d.names, d.space.state_at(i)))
+            j = space.index_of([state[n] for n in space.names])
             if r is not INF and (least[j] is INF or r < least[j]):
                 least[j] = r
         out[node] = OCF(space, tuple(least))

@@ -130,10 +130,8 @@ class TestStateSpaceLayout:
             assert space.size == math.prod(cards)
             assert space.strides == tuple(math.prod(cards[i + 1:]) for i in range(len(cards)))
             assert space.names == tuple(v.name for v in space.variables)
-            for i, v in enumerate(space.variables):
-                assert space._position[v.name] == i
+            for v in space.variables:
                 assert space.variable(v.name) is v
-            assert len(space._position) == len(space.variables)
 
     def test_index_of_and_state_at_round_trip(self):
         rng = random.Random(59)
@@ -169,7 +167,7 @@ class TestStateSpaceLayout:
                 assert other == space and hash(other) == hash(space)
                 assert (other.names, other.size, other.strides) == (space.names, space.size, space.strides)
                 # Rebuilt through the constructor: no cache comes along.
-                assert other._proj_cache == {} and other._digit_maps is None
+                assert other._proj_cache == {}
             with pytest.raises(dataclasses.FrozenInstanceError):
                 space.size = 0
             assert not hasattr(space, "__dict__")
@@ -205,16 +203,33 @@ class TestStateSpaceLayout:
         with pytest.raises(ValueError, match="^must keep at least one variable$"):
             prior.marginalize([])
 
-    def test_digit_maps_are_built_on_first_use(self):
+    def test_a_space_keeps_only_its_layout(self):
+        assert StateSpace.__slots__ == ("variables", "names", "size", "strides", "_proj_cache")
+        assert [f.name for f in dataclasses.fields(StateSpace)] == list(StateSpace.__slots__)
+
+    def test_a_lookup_leaves_the_slots_as_they_were(self):
         a, b = Variable("A", ("y", "n")), Variable("B", ("x", "y", "z"))
         space = StateSpace((a, b))
-        space.projection(("B",))
-        space.state_at(5)
-        assert space._digit_maps is None
+        before = [getattr(space, slot) for slot in StateSpace.__slots__]
+        assert space.variable("B") is b
         assert space.value_digit("B", "z") == 2
-        maps = space._digit_maps
-        assert maps == ({"y": 0, "n": 1}, {"x": 0, "y": 1, "z": 2})
-        assert space.index_of(("n", "y")) == 4 and space._digit_maps is maps
+        assert space.index_of(("n", "y")) == 4
+        assert space.index_of({"B": "y", "A": "n"}) == 4
+        assert space.canonical_subset(("B", "A", "B")) == ("A", "B")
+        assert Proposition.constrain(space, {"B": ("x", "z")}).mask == 0b101101
+        with pytest.raises(UnknownValue):
+            space.value_digit("A", "z")
+        after = [getattr(space, slot) for slot in StateSpace.__slots__]
+        assert all(x is y for x, y in zip(before, after)) and space._proj_cache == {}
+
+    def test_an_assignment_naming_a_variable_the_space_lacks_is_refused(self):
+        space = StateSpace((Variable("A", ("a0", "a1")), Variable("B", ("b0", "b1", "b2"))))
+        assert space.index_of({"A": "a1", "B": "b2"}) == 5
+        for extra in ({"Z": "anything"}, {"Z": "anything", "Y": "y"}):
+            with pytest.raises(UnknownVariable, match="^unknown variable 'Z'$"):
+                space.index_of({"A": "a1", **extra, "B": "b2"})
+        with pytest.raises(UnknownVariable, match=r"^assignment missing variables \['B'\]$"):
+            space.index_of({"A": "a1", "Z": "anything"})
 
 
 class TestProposition:
@@ -321,7 +336,6 @@ class TestTrustedConstructors:
             assert type(space) is StateSpace
             assert space == checked and hash(space) == hash(checked) and repr(space) == repr(checked)
             assert (space.names, space.size, space.strides) == (checked.names, checked.size, checked.strides)
-            assert space._positions is None and space._digit_maps is None
             assert space._proj_cache == {} and space._proj_cache is not checked._proj_cache
 
             indices = rng.sample(range(space.size), rng.randint(0, space.size))
@@ -712,6 +726,22 @@ class TestSelectorKernels:
                     want &= sum(1 << i for i, d in enumerate(space.projection((n,))) if d in digits)
                 assert Proposition.constrain(space, constraints).mask == want
             checked += 1
+
+    def test_constrain_on_a_wide_domain_matches_the_per_state_definition(self):
+        # Thousands of values: the mask is laid out in one pass over the
+        # domain, and still equals the per-state definition.
+        rng = random.Random(47)
+        wide = Variable("W", tuple(f"w{j}" for j in range(3000)))
+        space = StateSpace((Variable("A", ("y", "n")), wide, Variable("C", ("p", "q", "r"))))
+        for count in (1, 1500, 2999):
+            values = rng.sample(wide.domain, count)
+            allowed, chosen = {"W": values, "C": ("r", "p")}, set(values)
+            want = sum(
+                1 << i for i, (_, w, c) in enumerate(space.states()) if w in chosen and c != "q"
+            )
+            assert Proposition.constrain(space, allowed).mask == want
+        with pytest.raises(UnknownValue, match="^variable 'W' has no value 'w3000'$"):
+            Proposition.constrain(space, {"W": ("w0", "w3000", "w3001")})
 
 
 def _projection_by_prefix_expansion(space, keep):

@@ -104,6 +104,14 @@ class TestEvidenceSpec:
         with pytest.raises(ValueError, match="random schedule needs a seed"):
             Schedule.seeded(None)
 
+    def test_a_seed_that_is_not_an_int_is_refused_at_construction(self):
+        # Refused before the engine builds a message, not by random's TypeError.
+        for seed in ("abc", 2.5, True, False, [1], 3.0):
+            for make in (lambda: Schedule(seed=seed), lambda: Schedule.seeded(seed)):
+                with pytest.raises(ValueError, match=r"^schedule seed must be an int, got "):
+                    make()
+        assert Schedule(seed=2**80).seed == 2**80 and Schedule.seeded(-5).seed == -5
+
 
 class TestSingleEvidence:
     def test_bird_lesson_updates_the_chain(self, penguin_net):
