@@ -42,7 +42,7 @@ class InfluenceDiagram:
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(
-            self, "edges", tuple((str(a), str(b)) for a, b in self.edges)
+            self, "edges", tuple([(str(a), str(b)) for a, b in self.edges])
         )
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names):

@@ -90,7 +90,7 @@ def parse_network(text: str) -> SpohnianNetwork:
         if name in declared:
             raise DocumentError(f"variables[{i}]: duplicate variable name {name!r}")
         declared.add(name)
-        if not isinstance(domain, list) or not all(isinstance(v, str) for v in domain):
+        if not isinstance(domain, list) or not set(map(type, domain)) <= {str}:
             raise DocumentError(f"variables[{i}].domain: expected a list of strings")
         try:
             variables.append(Variable(name, tuple(domain)))
@@ -102,7 +102,9 @@ def parse_network(text: str) -> SpohnianNetwork:
         raise DocumentError("edges: expected a list")
     edges: list[tuple[str, str]] = []
     for i, item in enumerate(raw_edges):
-        if not isinstance(item, list) or len(item) != 2 or not all(isinstance(e, str) for e in item):
+        if not isinstance(item, list) or len(item) != 2 or not (
+            isinstance(item[0], str) and isinstance(item[1], str)
+        ):
             raise DocumentError(f"edges[{i}]: expected a [parent, child] pair of names")
         edges.append((item[0], item[1]))
     try:
@@ -202,11 +204,23 @@ def serialize_network(net: SpohnianNetwork) -> str:
         for v in d.variables
     ]
     edges = [_EDGE % (quoted[a], quoted[b]) for a, b in d.edges]
+    # One text per distinct rank in the call, made the first time a table
+    # holds it; _rank_texts only names a table whose rank str() refuses.
+    texts: dict[Rank, str] = {INF: '"inf"'}
+    text_of = texts.__getitem__
     tables = []
     for node in d.names:
         table = net.tables[node]
         order = _SEP.join([quoted[n] for n in table.space.names])
-        ranks = _SEP.join(_rank_texts(table.ranks, f"table for {node}", '"inf"'))
+        try:
+            ranks = _SEP.join(map(text_of, table.ranks))
+        except KeyError:
+            new = set(table.ranks).difference(texts)
+            try:
+                texts.update(zip(new, map(str, new)))
+            except ValueError:
+                _rank_texts(table.ranks, f"table for {node}")
+            ranks = _SEP.join(map(text_of, table.ranks))
         tables.append(_TABLE % (quoted[node], order, ranks))
     blocks = (_block(variables, "[]"), _block(edges, "[]"), _block(tables, "{}"))
     return '{\n  "variables": %s,\n  "edges": %s,\n  "tables": %s\n}\n' % blocks

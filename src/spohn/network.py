@@ -184,9 +184,10 @@ class SpohnianNetwork:
 
         def digit_map(space, name: str, card: int) -> list[int]:
             key = (space.size, space.strides[space.names.index(name)], card)
-            if key not in maps:
-                maps[key] = space.projection((name,))
-            return maps[key]
+            digit_of = maps.get(key)
+            if digit_of is None:
+                digit_of = maps[key] = space.projection((name,))
+            return digit_of
 
         for edge in d.edges:
             a, b = edge

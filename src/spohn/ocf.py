@@ -288,9 +288,12 @@ class Proposition:
             if isinstance(values, str):
                 raise ValueError(f"values of {name} must be a collection, not a string: {values!r}")
             var, values = space.variable(name), tuple(values)
-            allowed, known = set(values), set(var.domain)
-            if not allowed <= known:
-                _digit(var, next(v for v in values if v not in known))
+            try:
+                allowed = set(values)
+            except TypeError:  # an unhashable value, which no domain holds
+                allowed = None
+            if allowed is None or not allowed <= set(var.domain):
+                _digit(var, next(v for v in values if v not in var.domain))
             stride = space.strides[space.names.index(name)]
             block = "".join(("1" if v in allowed else "0") * stride for v in reversed(var.domain))
             mask &= int(block * (space.size // (len(var.domain) * stride)), 2)

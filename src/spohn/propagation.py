@@ -66,10 +66,13 @@ coalesce into one message. A pop computes each marginal it sends once, and
 the change from each distinct snapshot of the node's own marginal once:
 its edges to children that hold the same snapshot (on a first send, all
 of them) get one immutable change, so a hub's fan-out costs one change,
-not one per child. Under the default schedule marks pop in the
-collect-then-distribute order of Jensen, Lauritzen & Olesen (1990) over a
-rooting of each component: edges toward the root deepest sender first,
-then edges away from it shallowest sender first. Each node then sends
+not one per child. A delivery adds the change spread over the receiver's
+cells, one list(map(add)) with INF absorbing through its own addition,
+and a call spreads each change once per digit map, so a fan-out spreads
+its change once per table shape. Under the default schedule marks pop in
+the collect-then-distribute order of Jensen, Lauritzen & Olesen (1990)
+over a rooting of each component: edges toward the root deepest sender
+first, then edges away from it shallowest sender first. Each node then sends
 toward the root once, after its whole subtree has reported, and away
 from it once, after hearing from every side, so a call delivers at most
 one message per directed edge, whatever the number of observations.
@@ -95,6 +98,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import add
 from typing import Iterable, Sequence
 
 from .diagram import InfluenceDiagram
@@ -196,16 +200,6 @@ def _require_valid(net: SpohnianNetwork) -> dict[str, list[tuple]]:
     return links
 
 
-def _add_deltas(vector: list[Rank], deltas: Sequence[Rank], digit_of: Sequence[int]) -> None:
-    """Add deltas[digit_of[i]] into vector[i] in place; INF absorbs."""
-    for i, j in enumerate(digit_of):
-        dd = deltas[j]
-        if dd is INF:
-            vector[i] = INF
-        elif dd != 0 and vector[i] is not INF:
-            vector[i] += dd
-
-
 def _message(marginal: Sequence[Rank], last: Sequence[Rank]) -> tuple[Rank, ...] | None:
     """The change from an edge's snapshot last to the sender's marginal, or
     None where s-normalization would undo it: where the change is one
@@ -231,16 +225,18 @@ def _run(
 ) -> SpohnianNetwork:
     """Deliver each (variable, deltas) injection and every message it sets off.
 
-    A family's first delivery copies its table into a working vector; an
-    edge's snapshot starts as the input's marginal of the shared variable,
-    read through marginal() (module docstring). Every delivery adds the
-    message's per-value deltas into the working vector and marks the
-    node's other edges dirty: its edge toward the root (an up mark) and
-    its edges away from it (one down mark). Popping a mark sends, on each
-    of its edges, the change in the shared marginal since the edge's
-    snapshot, unless s-normalization would undo it (_message), and makes
-    that marginal the snapshot, so nothing a neighbor said is echoed back
-    at it; pending changes on an edge coalesce into that one message.
+    An edge's snapshot starts as the input's marginal of the shared
+    variable, read through marginal() (module docstring). Every delivery
+    adds the message's per-value deltas, spread over the node's cells
+    through the edge's digit map, to the node's working vector (on its
+    first delivery, to its table) as a new vector; the spread is made once
+    per (change, digit map) in the call. It then marks the node's other
+    edges dirty: its edge toward the root (an up mark) and its edges away
+    from it (one down mark). Popping a mark sends, on each of its edges,
+    the change in the shared marginal since the edge's snapshot, unless
+    s-normalization would undo it (_message), and makes that marginal the
+    snapshot, so nothing a neighbor said is echoed back at it; pending
+    changes on an edge coalesce into that one message.
     Each distinct shared variable's marginal is computed once per pop, and
     so is the change from each distinct snapshot of the node's own
     marginal: edges to children that hold the same snapshot share one
@@ -268,6 +264,9 @@ def _run(
     depth_of, up_of = net._rooting if len(injections) > 1 else ({}, {})
     vec: dict[str, list[Rank]] = {}
     snap: dict[tuple[str, str], list[Rank]] = {}
+    # Per (change, digit map), by ids, the two and the change spread over the
+    # map's cells: holding both keeps their ids from being reused.
+    spreads: dict[tuple[int, int], tuple] = {}
     before = len(trace) if trace is not None else 0
 
     def deliver(sender: str, node: str, arrival: int, variable: str, deltas) -> None:
@@ -275,13 +274,13 @@ def _run(
         if trace is not None:
             trace.append(TraceEntry(len(trace) - before + 1, (sender, node), variable, deltas))
         node_links = links[node]
+        digit_of = node_links[arrival][2] if arrival >= 0 else tables[node].space.projection((variable,))
+        held = spreads.get((id(deltas), id(digit_of)))
+        if held is None:
+            held = spreads[id(deltas), id(digit_of)] = (deltas, digit_of, [deltas[j] for j in digit_of])
         work = vec.get(node)
-        if work is None:
-            work = vec[node] = list(tables[node].ranks)
-        if arrival >= 0:
-            _add_deltas(work, deltas, node_links[arrival][2])
-        else:
-            _add_deltas(work, deltas, tables[node].space.projection((variable,)))
+        # INF absorbs through its own __add__ and __radd__.
+        vec[node] = list(map(add, tables[node].ranks if work is None else work, held[2]))
         depth = depth_of.get(node)
         if depth is None:
             # One injection: the tree is rooted at it and grows with the wave.

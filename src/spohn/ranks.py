@@ -119,13 +119,13 @@ def is_rank(value: object) -> bool:
     return type(value) is int and value >= 0
 
 
-def _rank_texts(ranks: Sequence[Rank], holder: str, inf: str = "inf") -> list[str]:
+def _rank_texts(ranks: Sequence[Rank], holder: str) -> list[str]:
     """Each rank, or signed change, in decimal and INF as inf. The engine
     can add ranks past sys.get_int_max_str_digits(), the limit str() has
     for an int, from inputs within it: that is a DocumentError naming the
     holder, raised before any text of the sequence is written."""
     try:
-        return [inf if r is INF else str(r) for r in ranks]
+        return ["inf" if r is INF else str(r) for r in ranks]
     except ValueError as exc:
         raise DocumentError(
             f"{holder} holds a rank of more than {sys.get_int_max_str_digits()} digits, too long to write"

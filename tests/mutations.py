@@ -2,7 +2,9 @@
 
 mutated(data, path) reads a bundled document and changes it in one place,
 drawing every choice from hypothesis's data, so a derandomized suite
-replays the same documents on every run.
+replays the same documents on every run. evidence_edit(data, path,
+network) changes an evidence document so that it still parses against its
+network, so the call goes on to the engine.
 """
 
 from __future__ import annotations
@@ -76,3 +78,26 @@ def mutated(data, path) -> str:
     else:
         parent[key][data.draw(st.sampled_from(NAMES))] = data.draw(VALUES)
     return json.dumps(box[0]).replace(json.dumps(HUGE), "1" * 5000)
+
+
+RANKS = [*range(9), "inf"]
+
+
+def evidence_edit(data, path, network) -> str:
+    """The evidence document at path with one edit that keeps it parseable
+    against the network document at network: an observed value becomes
+    another value of its own variable, or a strength, or a target cell
+    other than the first 0, becomes one of 0..8 or "inf"."""
+    doc = json.loads(path.read_text())
+    domains = {v["name"]: v["domain"] for v in json.loads(network.read_text())["variables"]}
+    slots = []
+    for item in doc["evidence"]:
+        domain = domains[item["variable"]]
+        slots += [(item["values"], i, domain) for i in range(len(item.get("values", ())))]
+        if "strength" in item:
+            slots.append((item, "strength", RANKS))
+        target = item.get("target", [])
+        slots += [(target, j, RANKS) for j in range(len(target)) if j != target.index(0)]
+    parent, key, choices = data.draw(st.sampled_from(slots))
+    parent[key] = data.draw(st.sampled_from([c for c in choices if c != parent[key]]))
+    return json.dumps(doc)

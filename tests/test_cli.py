@@ -34,7 +34,7 @@ from spohn import (
 from spohn.cli import main
 
 from generators import random_instance, random_value_evidence
-from mutations import mutated
+from mutations import evidence_edit, mutated
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 PENGUIN = str(DOCS / "penguin.json")
@@ -1034,9 +1034,10 @@ class TestFullDevice:
 
 class TestEndToEndFuzz:
     """Each command on a bundled document with one edit (mutations.mutated:
-    at one JSON path, or the text cut short) exits 0, 1 or 2 with no
-    exception. A failure is told by an `error:` line on
-    stderr or by `invalid:` lines on stdout."""
+    at one JSON path, or the text cut short; or, for a command that reads
+    evidence, mutations.evidence_edit, which keeps the evidence parseable)
+    exits 0, 1 or 2 with no exception. A failure is told by an `error:`
+    line on stderr or by `invalid:` lines on stdout."""
 
     # network, evidence, mode, a variable of the network and a proposition
     CASES = [
@@ -1060,9 +1061,13 @@ class TestEndToEndFuzz:
         command = data.draw(st.sampled_from(self.COMMANDS))
         paths = {doc: str(DOCS / doc) for doc in (network, evidence)}
         with_evidence = command in ("propagate", "--trace", "compare")
-        mutate = data.draw(st.sampled_from([network, evidence])) if with_evidence else network
+        # None, drawn two times in four, edits the evidence so that it still
+        # parses, and the call reaches the engine.
+        edit = data.draw(st.sampled_from([None, None, network, evidence])) if with_evidence else network
+        mutate = edit or evidence
         paths[mutate] = str(tmp_path / mutate)
-        Path(paths[mutate]).write_text(mutated(data, DOCS / mutate))
+        text = mutated(data, DOCS / mutate) if edit else evidence_edit(data, DOCS / evidence, DOCS / network)
+        Path(paths[mutate]).write_text(text)
         net, ev = paths[network], paths[evidence]
         argv = {
             "validate": ["validate", net],

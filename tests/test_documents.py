@@ -30,6 +30,7 @@ from spohn import (
     propagate,
     serialize_network,
 )
+from spohn.ranks import _rank_texts
 
 from generators import random_instance, random_value_evidence
 from mutations import mutated
@@ -350,6 +351,50 @@ class TestSerializerLayout:
         with pytest.raises(DocumentError, match=message) as err:
             serialize_network(out)
         assert isinstance(err.value.__cause__, ValueError)
+
+    @staticmethod
+    def _unlinked(*rows):
+        """One binary-or-wider variable per row, no edges, the row its table."""
+        variables = [
+            Variable(f"V{i}", tuple(f"v{j}" for j in range(len(row)))) for i, row in enumerate(rows)
+        ]
+        tables = {v.name: OCF(StateSpace((v,)), tuple(row)) for v, row in zip(variables, rows)}
+        return SpohnianNetwork(InfluenceDiagram(tuple(variables), ()), tables)
+
+    def test_rank_texts_are_shared_across_tables_and_match_rank_texts(self):
+        # 0, INF, ranks past the small-int cache and ints of about 4000
+        # digits, repeated across tables and new in later ones: each table's
+        # ranks are written as _rank_texts renders them.
+        big, bigger = 7 * 10**3999, 10**4100 + 1
+        net = self._unlinked(
+            (0, INF, 256, big),
+            (256, 0, big, INF, 257),
+            (bigger, 0, 0, 999),
+            (INF, 0),
+            (0, big, bigger, 256),
+        )
+        text = serialize_network(net)
+        assert text == json_module_layout(net)
+        at = 0
+        for node in net.diagram.names:
+            rendered = ['"inf"' if t == "inf" else t for t in _rank_texts(net.tables[node].ranks, node)]
+            block = '"ranks": [\n        ' + ",\n        ".join(rendered) + "\n      ]"
+            at = text.index(block, at) + len(block)
+        assert parse_network(text) == net
+
+    def test_the_first_table_past_the_digit_limit_is_named(self):
+        # Earlier tables fill the texts first; a later one repeats their
+        # ranks next to one str() refuses, and so does the table after it.
+        limit = sys.get_int_max_str_digits()
+        long, longer = 10**limit, 3 * 10**(limit + 5)
+        net = self._unlinked((0, 300, INF), (300, 0, 10**3990), (0, 300, long, INF), (longer, 0), (long, 0))
+        message = f"^table for V2 holds a rank of more than {limit} digits, too long to write$"
+        with pytest.raises(DocumentError, match=message) as err:
+            serialize_network(net)
+        assert isinstance(err.value.__cause__, ValueError)
+        earlier = self._unlinked((0, 300, INF), (0, longer), (INF, 0, long), (300, 0))
+        with pytest.raises(DocumentError, match=message.replace("V2", "V1")):
+            serialize_network(earlier)
 
 
 class TestNetworkParseErrors:

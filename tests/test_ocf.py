@@ -254,6 +254,15 @@ class TestProposition:
             Proposition.constrain(space, {"A": "yn"})
         assert Proposition.constrain(space, {"A": ("y",)}).mask == 1
 
+    @pytest.mark.parametrize("value", [["y"], {"y"}, {"y": 1}, []])
+    def test_constrain_names_an_unhashable_value_as_unknown(self, value):
+        # The same error, and text, as a string outside the domain.
+        space = StateSpace((Variable("A", ("y", "n")),))
+        with pytest.raises(UnknownValue, match=re.escape(f"variable 'A' has no value {value!r}")):
+            Proposition.constrain(space, {"A": ("n", value)})
+        with pytest.raises(UnknownValue, match=re.escape("variable 'A' has no value 'x'")):
+            Proposition.constrain(space, {"A": ("y", "x", value)})
+
     def test_mixed_space_operations_raise(self, penguin_space):
         other = StateSpace((SPECIES,))
         with pytest.raises(SpaceMismatch):

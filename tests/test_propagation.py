@@ -1,4 +1,5 @@
 import copy
+import operator
 import pickle
 import random
 import re
@@ -45,7 +46,7 @@ import spohn.network
 import spohn.ocf
 import spohn.propagation
 from spohn.oracle import ORACLE_STATE_LIMIT
-from spohn.ranks import rank_delta
+from spohn.ranks import rank_delta, s_normalize
 
 from generators import (
     random_certain_evidence,
@@ -1128,15 +1129,73 @@ def _replayed_changes(net, trace):
             assert len(shifts) > 1 or INF in shifts, entry
             last[key] = now
             checked += 1
-        digits = net.tables[receiver].space.projection((variable,))
-        cells = work[receiver]
-        for i, j in enumerate(digits):
-            d = entry.deltas[j]
-            if d is INF:
-                cells[i] = INF
-            elif cells[i] is not INF:
-                cells[i] += d
+        _add_deltas(work[receiver], entry.deltas, net.tables[receiver].space.projection((variable,)))
     return checked
+
+
+def _add_deltas(vector, deltas, digit_of):
+    """The engine's delivery as a cell loop, kept as the reference: add
+    deltas[digit_of[i]] into vector[i] in place; INF absorbs."""
+    for i, j in enumerate(digit_of):
+        dd = deltas[j]
+        if dd is INF:
+            vector[i] = INF
+        elif dd != 0 and vector[i] is not INF:
+            vector[i] += dd
+
+
+SIGNED = st.one_of(st.integers(-(2**70), 2**70), st.integers(-5, 5), st.just(INF))
+
+
+class TestSpreadDelivery:
+    """A delivery adds its change spread over the receiver's cells,
+    list(map(add, work, spread)), and leaves INF to absorb through its own
+    __add__ and __radd__; the cell loop above is the reference."""
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.data())
+    def test_spread_addition_is_the_cell_loop(self, data):
+        card = data.draw(st.integers(1, 4))
+        deltas = tuple(data.draw(st.lists(SIGNED, min_size=card, max_size=card)))
+        digit_of = data.draw(st.lists(st.integers(0, card - 1), min_size=1, max_size=12))
+        work = data.draw(st.lists(SIGNED, min_size=len(digit_of), max_size=len(digit_of)))
+        want = list(work)
+        _add_deltas(want, deltas, digit_of)
+        got = list(map(operator.add, work, [deltas[j] for j in digit_of]))
+        assert got == want
+        assert [r is INF for r in got] == [r is INF for r in want]
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.3]))
+    def test_the_engine_delivers_as_the_cell_loop(self, seed, p_inf):
+        # Finite strengths and targets send signed changes; impossible
+        # cells put INF in the working vectors. Replaying the trace through
+        # the cell loop and s-normalizing gives every output table.
+        rng = random.Random(seed)
+        net = random_instance(rng, rng.randint(2, 9), p_inf=p_inf)
+        evidence = random_mixed_evidence(rng, net, rng.randint(1, 4))
+        for schedule in (Schedule.fifo(), Schedule.seeded(seed)):
+            trace = []
+            try:
+                out = propagate(net, evidence, schedule, trace)
+            except ContradictoryEvidence:
+                out = None
+            except SpohnError:  # refused before any delivery
+                assert trace == []
+                continue
+            work = {}
+            for entry in trace:
+                node = entry.edge[1]
+                cells = work.setdefault(node, list(net.tables[node].ranks))
+                _add_deltas(cells, entry.deltas, net.tables[node].space.projection((entry.variable,)))
+            if out is None:
+                assert any(all(r is INF for r in cells) for cells in work.values())
+                continue
+            for node, table in out.tables.items():
+                if node in work:
+                    assert table.ranks == s_normalize(work[node]), node
+                else:
+                    assert table is net.tables[node]
 
 
 class TestFanOut:
