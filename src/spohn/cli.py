@@ -17,7 +17,8 @@ document goes to stdout (or --out); trace lines go to stderr. Exit codes:
 invariant breach. A usage error also exits 2, through argparse, with its
 usage line on stderr. An output stream that cannot be written also exits 1,
 with no traceback: a closed pipe silently, any other failed write to
-stdout with one error line on stderr.
+stdout, text that its encoding cannot take too, with one error line on
+stderr.
 main() runs the command with the cyclic garbage collector paused and then
 restores the caller's setting; library calls leave it alone.
 """
@@ -90,9 +91,10 @@ def _mode_evidence(
 
 class _WriteFailed(Exception):
     """A write to sys.stdout or sys.stderr, named by stream, failed with an
-    OSError other than a broken pipe."""
+    OSError other than a broken pipe, or with text that the stream's
+    encoding cannot take."""
 
-    def __init__(self, stream: str, error: OSError):
+    def __init__(self, stream: str, error: OSError | UnicodeEncodeError):
         super().__init__(stream, error)
         self.stream, self.error = stream, error
 
@@ -102,7 +104,8 @@ def _write(stream: str, text: str) -> None:
     flush it. An unbuffered stream's text layer drops what a short write
     leaves out, so the bytes go to its binary layer until all are written.
     A reader that closed the pipe raises BrokenPipeError; any other failed
-    write raises _WriteFailed. A stream with no binary layer takes the text."""
+    write, an encoding error too, raises _WriteFailed. A stream with no
+    binary layer takes the text."""
     out = getattr(sys, stream)
     try:
         binary = getattr(out, "buffer", None)
@@ -117,7 +120,7 @@ def _write(stream: str, text: str) -> None:
         binary.flush()
     except BrokenPipeError:
         raise
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         raise _WriteFailed(stream, exc) from exc
 
 

@@ -30,6 +30,11 @@ the oracle, so they keep their per-cell work in list operations that run
 in C: repetition, comprehensions, compress, min and join. Comprehensions
 test cells against INF by identity; min over the selected cells compares
 each INF cell through _Infinity's Python-level __lt__ or __gt__.
+
+A belief read's least-rank walk lives in OCF.belief_strength and nowhere
+else: a marginal of up to 64 cells is walked once, in place, and a wider
+table is read through the byte selectors of _least, as revise reads both
+sides of its proposition.
 """
 
 from __future__ import annotations
@@ -252,16 +257,18 @@ class Proposition:
     def full(cls, space: StateSpace) -> Proposition:
         return cls(space, (1 << space.size) - 1)
 
-    @classmethod
-    def of_states(cls, space: StateSpace, indices: Iterable[int]) -> Proposition:
+    @staticmethod
+    def of_states(space: StateSpace, indices: Iterable[int]) -> Proposition:
+        # A staticmethod, not a classmethod: belief reads build one
+        # proposition each, and a classmethod binds its class on every call.
         size, mask = space.size, 0
         for i in indices:
             if not 0 <= i < size:
                 raise ValueError(f"state index {i} out of range")
             mask |= 1 << i
         # Every bit is a state of the space: __post_init__'s check holds.
-        # _trusted's body, inlined: belief reads build one proposition each.
-        out = _new(cls)
+        # _trusted's body, inlined, for the same reason.
+        out = _new(Proposition)
         _set_prop_space(out, space)
         _set_mask(out, mask)
         return out
@@ -365,30 +372,6 @@ def _least(ranks: Sequence[Rank], selector: bytes) -> Rank:
     return min(itertools.compress(ranks, selector), default=INF)
 
 
-def _least_in_out(ranks: Sequence[Rank], mask: int) -> tuple[Rank, Rank]:
-    """Least rank among the cells in the bitset mask, and among the rest.
-
-    A side with no finite cell keeps INF. A table that fits a machine word
-    is walked once, shifting the mask as the walk goes, the cheapest walk
-    for the one-variable marginals of belief reads; a wider one is read
-    through one selector per side, since each shift of a big int costs
-    O(size).
-    """
-    size = len(ranks)
-    if size > 64:
-        return _least(ranks, _selector(mask, size)), _least(ranks, _selector(mask, size, _OUTSIDE))
-    k_in = k_out = INF
-    for r in ranks:
-        if r is not INF:
-            if mask & 1:
-                if k_in is INF or r < k_in:
-                    k_in = r
-            elif k_out is INF or r < k_out:
-                k_out = r
-        mask >>= 1
-    return k_in, k_out
-
-
 _RANK_TYPES = frozenset((int, _Infinity))
 
 
@@ -466,7 +449,25 @@ class OCF:
             raise EmptyProposition("belief strength of the empty proposition is undefined")
         if mask == (1 << space.size) - 1:
             raise FullProposition("belief strength of the full space is undefined")
-        k_in, k_out = _least_in_out(self.ranks, mask)
+        # The least rank inside the mask and outside it; a side with no finite
+        # cell keeps INF. A table that fits a machine word (a one-variable
+        # marginal, as a belief read takes) is walked once, shifting the mask
+        # as the walk goes; a wider one is read through one selector per
+        # side, since each shift of a big int costs O(size).
+        ranks = self.ranks
+        if len(ranks) > 64:
+            k_in = _least(ranks, _selector(mask, space.size))
+            k_out = _least(ranks, _selector(mask, space.size, _OUTSIDE))
+        else:
+            k_in = k_out = INF
+            for r in ranks:
+                if r is not INF:
+                    if mask & 1:
+                        if k_in is INF or r < k_in:
+                            k_in = r
+                    elif k_out is INF or r < k_out:
+                        k_out = r
+                mask >>= 1
         if k_in is INF:
             return NEG_INF
         if k_in > 0:
@@ -491,12 +492,13 @@ class OCF:
             return self
         ranks = self.ranks
         inside = _selector(prop.mask, self.space.size)
+        k_in = _least(ranks, inside)
         # Conditioning reads no k_out; it also covers a prop already certain,
         # whose complement is INF.
         if isinstance(strength, _Infinity):
-            k_in, k_out = _least(ranks, inside), strength
+            k_out = strength
         else:
-            k_in, k_out = _least_in_out(ranks, prop.mask)
+            k_out = _least(ranks, _selector(prop.mask, self.space.size, _OUTSIDE))
         if isinstance(k_in, _Infinity):
             raise ImpossibleEvidence("the proposition is already ruled out")
         # The identity tests spare INF's Python-level arithmetic on every cell.

@@ -1032,19 +1032,97 @@ class TestFullDevice:
         assert (done.returncode, done.stdout) == (1, b"")
 
 
-class TestEndToEndFuzz:
-    """Each command on a bundled document with one edit (mutations.mutated:
-    at one JSON path, or the text cut short; or, for a command that reads
-    evidence, mutations.evidence_edit, which keeps the evidence parseable)
-    exits 0, 1 or 2 with no exception. A failure is told by an `error:`
-    line on stderr or by `invalid:` lines on stdout."""
+class TestUnencodableOutput:
+    """Output that stdout's encoding cannot take is a failed write: exit 1
+    and one error line on stderr, or nothing more when stderr fails too."""
 
+    @staticmethod
+    def network(tmp_path, name="A", valid=True):
+        """name -> B, name's values "jä" and "nein"; invalid, B's table holds
+        the marginal [0, 0] of name against name's own [0, 1]."""
+        path = tmp_path / f"{'valid' if valid else 'invalid'}.json"
+        path.write_text(json.dumps({
+            "variables": [{"name": name, "domain": ["jä", "nein"]}, {"name": "B", "domain": ["b0", "b1"]}],
+            "edges": [[name, "B"]],
+            "tables": {
+                name: {"order": [name], "ranks": [0, 1]},
+                "B": {"order": [name, "B"], "ranks": [0, 1, 1, 2] if valid else [0, 1, 0, 0]},
+            },
+        }), encoding="utf-8")
+        return str(path)
+
+    @staticmethod
+    def in_ascii(*argv, stderr=subprocess.PIPE):
+        env = dict(TestClosedStream.env(), PYTHONIOENCODING="ascii")
+        return subprocess.run(
+            [sys.executable, "-m", "spohn.cli", *argv], stdout=subprocess.PIPE, stderr=stderr, env=env
+        )
+
+    @pytest.mark.parametrize("argv, char, position", [
+        (["query", "--marginal", "A"], "\\xe4", 1),  # jä:0 nein:1
+        (["query", "--joint"], "\\xe4", 1),  # jä,b0:0 and on
+        (["validate"], "\\xc4", 14),  # invalid: edge Ä->B: ...
+    ], ids=["marginal", "joint", "validate"])
+    def test_an_unencodable_output_is_one_error_line(self, tmp_path, argv, char, position):
+        if argv[0] == "query":
+            network = self.network(tmp_path)
+        else:
+            network = self.network(tmp_path, name="Ä", valid=False)
+        done = self.in_ascii(argv[0], network, *argv[1:])
+        assert done.returncode == 1 and done.stdout == b""
+        assert done.stderr == (
+            f"error: cannot write to stdout: 'ascii' codec can't encode character '{char}'"
+            f" in position {position}: ordinal not in range(128)\n"
+        ).encode()
+
+    def test_ascii_outputs_are_unaffected(self, tmp_path):
+        network = self.network(tmp_path)
+        done = self.in_ascii("query", network, "--beta", "A=jä")
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"1\n", b"")
+        evidence = tmp_path / "ev.json"
+        evidence.write_text(json.dumps({"evidence": [{"variable": "B", "values": ["b1"], "strength": 3}]}))
+        done = self.in_ascii("propagate", network, str(evidence), "--mode", "single")
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert parse_network(done.stdout.decode("ascii")).diagram.variable("A").domain == ("jä", "nein")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_a_stderr_that_fails_too_exits_1_silently(self, tmp_path):
+        with open("/dev/full", "wb") as full:
+            done = self.in_ascii("query", self.network(tmp_path), "--marginal", "A", stderr=full)
+        assert (done.returncode, done.stdout) == (1, b"")
+
+
+class TestEndToEndFuzz:
+    """Each command on a bundled or a written document with one edit
+    (mutations.mutated: at one JSON path, or the text cut short; or, for a
+    command that reads evidence, mutations.evidence_edit, which keeps the
+    evidence parseable) exits 0, 1 or 2 with no exception. A failure is
+    told by an `error:` line on stderr or by `invalid:` lines on stdout."""
+
+    # A network whose impossible cells tie B to A, and certain evidence that
+    # an edit can contradict (exit 2). They are written into the test's
+    # directory, since tests/test_corpus.py reads every docs/*.json.
+    WRITTEN = {
+        "clash.json": {
+            "variables": [{"name": "A", "domain": ["a0", "a1"]}, {"name": "B", "domain": ["b0", "b1"]}],
+            "edges": [["A", "B"]],
+            "tables": {
+                "A": {"order": ["A"], "ranks": [0, 1]},
+                "B": {"order": ["A", "B"], "ranks": [0, "inf", "inf", 1]},
+            },
+        },
+        "evidence_clash.json": {"evidence": [
+            {"variable": "A", "values": ["a0"], "strength": "inf"},
+            {"variable": "B", "values": ["b0"], "strength": "inf"},
+        ]},
+    }
     # network, evidence, mode, a variable of the network and a proposition
     CASES = [
         ("penguin.json", "evidence_bird.json", "single", "species", "species=PENGUIN"),
         ("penguin.json", "evidence_penguin.json", "single", "flight", "flight=FLYS"),
         ("five_node.json", "evidence_certain.json", "certain", "C", "C=c0"),
         ("five_node.json", "evidence_target.json", "uncertain", "D", "D=d0,d1"),
+        ("clash.json", "evidence_clash.json", "certain", "B", "B=b1"),
     ]
     COMMANDS = ["validate", "--marginal", "--joint", "--beta", "--believe", "propagate", "--trace", "compare"]
 
@@ -1059,14 +1137,19 @@ class TestEndToEndFuzz:
     def test_every_command_exits_cleanly(self, tmp_path, data):
         network, evidence, mode, name, prop = data.draw(st.sampled_from(self.CASES))
         command = data.draw(st.sampled_from(self.COMMANDS))
-        paths = {doc: str(DOCS / doc) for doc in (network, evidence)}
+        written = tmp_path / "written"
+        written.mkdir(exist_ok=True)
+        for doc, content in self.WRITTEN.items():
+            (written / doc).write_text(json.dumps(content))
+        source = {doc: (written if doc in self.WRITTEN else DOCS) / doc for doc in (network, evidence)}
+        paths = {doc: str(path) for doc, path in source.items()}
         with_evidence = command in ("propagate", "--trace", "compare")
         # None, drawn two times in four, edits the evidence so that it still
         # parses, and the call reaches the engine.
         edit = data.draw(st.sampled_from([None, None, network, evidence])) if with_evidence else network
         mutate = edit or evidence
         paths[mutate] = str(tmp_path / mutate)
-        text = mutated(data, DOCS / mutate) if edit else evidence_edit(data, DOCS / evidence, DOCS / network)
+        text = mutated(data, source[mutate]) if edit else evidence_edit(data, source[evidence], source[network])
         Path(paths[mutate]).write_text(text)
         net, ev = paths[network], paths[evidence]
         argv = {

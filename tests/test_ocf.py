@@ -19,7 +19,7 @@ from spohn.errors import (
     UnknownValue,
     UnknownVariable,
 )
-from spohn.ocf import _cell_bits, _least_in_out, _least_ranks
+from spohn.ocf import _cell_bits, _least_ranks
 from spohn.ranks import is_rank
 
 from conftest import AFTER_BIRD, AFTER_PENGUIN, FLIGHT, PRIOR, SPECIES
@@ -295,6 +295,18 @@ class TestProposition:
         for bad in (6, -1):
             with pytest.raises(ValueError, match=f"^state index {bad} out of range$"):
                 Proposition.of_states(penguin_space, (0, bad))
+
+    def test_of_states_is_the_same_through_an_instance(self, penguin_space):
+        other = Proposition.full(StateSpace((FLIGHT, SPECIES)))
+        for indices in ((), (0,), (5, 1, 1), range(6)):
+            through_class = Proposition.of_states(penguin_space, indices)
+            through_instance = other.of_states(penguin_space, indices)
+            assert type(through_instance) is Proposition
+            assert through_instance == through_class
+            assert (through_instance.space, through_instance.mask) == (penguin_space, through_class.mask)
+        for bad in (6, -1):
+            with pytest.raises(ValueError, match=f"^state index {bad} out of range$"):
+                other.of_states(penguin_space, (bad,))
 
     def test_set_operations_equal_the_checked_constructor(self):
         rng = random.Random(67)
@@ -625,7 +637,7 @@ class TestLinearPasses:
             ]
             assert prop == Proposition.of_states(space, (i for i, x in enumerate(inside) if x))
             assert _cell_bits(prop.mask, space.size) == "".join("1" if x else "0" for x in inside)
-            assert _least_in_out(kappa.ranks, prop.mask) == (
+            assert kappa.belief_strength(prop) == _beta_by_definition(
                 min((r for r, x in zip(kappa.ranks, inside) if x), default=INF),
                 min((r for r, x in zip(kappa.ranks, inside) if not x), default=INF),
             )
@@ -676,11 +688,20 @@ def _least_by_walk(ranks, mask):
     return min(inside, default=INF), min(outside, default=INF)
 
 
+def _beta_by_definition(k_in, k_out):
+    """β from the least ranks inside and outside: -k_in when the proposition
+    is disbelieved (NEG_INF when it is ruled out), else k_out."""
+    if k_in is INF:
+        return NEG_INF
+    return -k_in if k_in > 0 else k_out
+
+
 class TestSelectorKernels:
     @pytest.mark.parametrize("size", (63, 64, 65, 128, 4096))
-    def test_least_in_out_matches_a_plain_walk(self, size):
+    def test_belief_strength_and_revise_match_a_plain_walk(self, size):
         # Tables on both sides of the word-size switch; sides with no INF,
-        # about half INF and only INF; masks of random, low, high and single cells.
+        # about half INF and only INF; masks of random, low, high and single
+        # cells, and the empty and the full mask.
         rng = random.Random(size)
         space = StateSpace((Variable("X", tuple(f"x{i}" for i in range(size))),))
         full = (1 << size) - 1
@@ -695,18 +716,45 @@ class TestSelectorKernels:
                     0,
                     full,
                 ]
-                for mask in masks:
-                    assert _least_in_out(ranks, mask) == _least_by_walk(ranks, mask)
+                # The walk reads any table, one with no 0 or no finite cell too.
+                self.check_belief_strength(OCF._trusted(space, tuple(ranks)), masks, full)
                 # The queries on a valid table: one cell made 0.
                 ranks[rng.randrange(size)] = 0
                 kappa = OCF(space, ranks)
+                self.check_belief_strength(kappa, masks, full)
                 for mask in masks:
                     k_in, k_out = _least_by_walk(ranks, mask)
-                    assert _least_in_out(ranks, mask) == (k_in, k_out)
                     prop = Proposition(space, mask)
                     if mask:
                         assert kappa.rank_of(prop) == k_in
                     assert kappa.is_believed(prop) == (k_out is INF or k_out > 0)
+                    inside = [bool(mask >> i & 1) for i in range(size)]
+                    for strength in (0, 3, INF):
+                        if not mask:
+                            with pytest.raises(EmptyProposition):
+                                kappa.revise(prop, strength)
+                        elif mask == full:
+                            assert kappa.revise(prop, strength) is kappa
+                        elif k_in is INF:
+                            with pytest.raises(ImpossibleEvidence):
+                                kappa.revise(prop, strength)
+                        else:
+                            want = _revised_by_definition(ranks, inside, strength)
+                            assert kappa.revise(prop, strength).ranks == want
+
+    @staticmethod
+    def check_belief_strength(kappa, masks, full):
+        for mask in masks:
+            prop = Proposition(kappa.space, mask)
+            if mask == 0:
+                with pytest.raises(EmptyProposition):
+                    kappa.belief_strength(prop)
+            elif mask == full:
+                with pytest.raises(FullProposition):
+                    kappa.belief_strength(prop)
+            else:
+                want = _beta_by_definition(*_least_by_walk(kappa.ranks, mask))
+                assert kappa.belief_strength(prop) == want
 
     def test_constrain_matches_the_projection_built_mask(self):
         # Spaces of up to 4096 cells over variables of 2 to 5 values; the
