@@ -368,8 +368,10 @@ def _selector(mask: int, size: int, side: bytes = _INSIDE) -> bytes:
 
 
 def _least(ranks: Sequence[Rank], selector: bytes) -> Rank:
-    """Least rank among the selected cells; INF when none is finite."""
-    return min(itertools.compress(ranks, selector), default=INF)
+    """Least rank among the selected cells; INF when none is finite. The
+    selection must not be empty: min's default= keyword would cost more
+    than the walk on a small table."""
+    return min(itertools.compress(ranks, selector))
 
 
 _RANK_TYPES = frozenset((int, _Infinity))
@@ -432,6 +434,8 @@ class OCF:
         when every state outside it has a positive rank."""
         if prop.space != self.space:
             raise SpaceMismatch("proposition is over a different state space")
+        if prop.is_full:
+            return True  # no state lies outside
         k_out = _least(self.ranks, _selector(prop.mask, self.space.size, _OUTSIDE))
         return k_out is INF or k_out > 0
 

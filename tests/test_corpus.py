@@ -103,6 +103,7 @@ def _malformed_networks() -> list[str]:
             node[last] = value
         return json.dumps(doc)
 
+    two_cycle = json.loads(edited(("tables", "A"), {"order": ["A", "B"], "ranks": [0, 1, 1, 2]}))
     return [
         "", "[]", "{", '{"variables": [}', "null", "{\n  \"variables\": 1,\n}",
         "[" * 100_000, '{"a": 1e400}',
@@ -130,6 +131,9 @@ def _malformed_networks() -> list[str]:
         edited(("tables", "A", "ranks"), [0, 1.5]),
         edited(("surplus",), 1),
         edited(("edges",), KeyError),
+        # A self-loop and a two-cycle: both parse, and validate() names the cycle.
+        edited(("edges",), five["edges"] + [["A", "A"]]),
+        json.dumps({**two_cycle, "edges": five["edges"] + [["B", "A"]]}),
     ]
 
 

@@ -5,8 +5,9 @@ import pytest
 from spohn import InfluenceDiagram, Variable, parse_network, serialize_network
 from spohn.diagram import ValidationReport
 from spohn.errors import UnknownVariable
+from spohn.oracle import independence_audit
 
-from generators import random_diagram, random_instance, topological
+from generators import random_diagram, random_instance, random_ocf, topological
 
 
 def v(name):
@@ -281,32 +282,105 @@ class TestSeparation:
         with pytest.raises(ValueError):
             polytree.separated("A", "A", ())
 
+    def test_a_bare_string_gamma_is_refused(self):
+        d = InfluenceDiagram((v("A"), v("B1"), v("C")), (("A", "B1"), ("B1", "C")))
+        assert d.separated("A", "C", ("B1",))
+        with pytest.raises(ValueError, match="^expected a collection of variable names, not a string: 'B1'$"):
+            d.separated("A", "C", "B1")
+        # Refused before any other check.
+        with pytest.raises(ValueError, match="not a string: 'Z'$"):
+            d.separated("A", "A", "Z")
+
     def test_blocking_agrees_with_per_path_enumeration(self):
-        # on random polytrees, separated() must equal "every path blocked"
-        # with blocking checked by brute force over the path's interior
+        # separated() must equal "every simple path blocked", with blocking
+        # checked by brute force over the path's interior, on seeded random
+        # digraphs: polytrees, and shapes with self-loops, two-cycles and
+        # more than one path between two nodes. Gamma is random, empty or
+        # every node but the endpoints.
         rng = random.Random(5)
-        for _ in range(40):
-            d = random_diagram(rng, rng.randint(3, 7))
+        answers = set()
+        for trial in range(1200):
+            if trial % 4 == 0:
+                d = random_diagram(rng, rng.randint(3, 7))
+            else:
+                d = random_digraph(rng, rng.randint(2, 7), rng.choice((0.15, 0.3, 0.5)))
             names = list(d.names)
             x, y = rng.sample(names, 2)
             rest = [n for n in names if n not in (x, y)]
-            gamma = rng.sample(rest, rng.randint(0, len(rest)))
-            expect = True
-            for path in d.undirected_paths(x, y):
-                blocked = False
-                for i in range(1, len(path) - 1):
-                    m = path[i]
-                    head_to_head = (path[i - 1], m) in set(d.edges) and (
-                        path[i + 1],
-                        m,
-                    ) in set(d.edges)
-                    if m in gamma and not head_to_head:
-                        blocked = True
-                        break
-                if not blocked:
-                    expect = False
-                    break
-            assert d.separated(x, y, gamma) == expect
+            for gamma in (rng.sample(rest, rng.randint(0, len(rest))), [], rest):
+                expect = separated_by_paths(d, x, y, gamma)
+                assert d.separated(x, y, gamma) == expect, (d.edges, x, y, gamma)
+                answers.add(expect)
+        assert answers == {True, False}
+
+    def test_the_walk_expands_each_node_at_most_twice(self, monkeypatch):
+        # A dense 10-node DAG (every edge Vi -> Vj, i < j, but V0 -> V9) with
+        # every middle node in gamma: V0 and V9 are separated, and listing
+        # the paths would expand nodes 109,601 times.
+        names = [f"V{i}" for i in range(10)]
+        edges = [(a, b) for i, a in enumerate(names) for b in names[i + 1:] if (a, b) != ("V0", "V9")]
+        d = InfluenceDiagram(tuple(v(n) for n in names), tuple(edges))
+        expansions = []
+        neighbors = InfluenceDiagram.neighbors
+
+        def counted(self, name):
+            expansions.append(name)
+            assert len(expansions) <= 2 * len(names), "separated() expands too many nodes"
+            return neighbors(self, name)
+
+        monkeypatch.setattr(InfluenceDiagram, "neighbors", counted)
+        for x, y in (("V0", "V9"), ("V9", "V0")):
+            expansions.clear()
+            assert d.separated(x, y, names[1:-1])
+        expansions.clear()
+        assert not d.separated("V0", "V9", ())
+
+    def test_the_audit_gives_the_path_definition_on_a_dense_network(self):
+        # Every separated entry of independence_audit on a dense, multiply
+        # connected 8-variable diagram, with every conditioning set, equals
+        # the brute-force answer.
+        rng = random.Random(11)
+        names = [f"V{i}" for i in range(8)]
+        edges = [(a, b) for i, a in enumerate(names) for b in names[i + 1:] if rng.random() < 0.7]
+        d = InfluenceDiagram(tuple(v(n) for n in names), tuple(edges))
+        report = independence_audit(random_ocf(rng, d.space), d, max_given=6)
+        assert len(report.independence_audit) == 28 * 2**6
+        for e in report.independence_audit:
+            assert e.separated == separated_by_paths(d, e.x, e.y, e.given), (e.x, e.y, e.given)
+        assert {e.separated for e in report.independence_audit} == {True, False}
+
+
+def random_digraph(rng, n, p):
+    """Any ordered pair of n nodes, a node with itself too, is an edge with
+    probability p: self-loops, two-cycles and multiply connected shapes."""
+    names = [f"V{i}" for i in range(n)]
+    edges = [(a, b) for a in names for b in names if rng.random() < p]
+    return InfluenceDiagram(tuple(v(name) for name in names), tuple(edges))
+
+
+def simple_paths(d, x, y):
+    """Every simple undirected path from x to y, by exhaustive search."""
+    stack = [[x]]
+    while stack:
+        path = stack.pop()
+        for m in d.neighbors(path[-1]):
+            if m == y:
+                yield path + [m]
+            elif m not in path:
+                stack.append(path + [m])
+
+
+def separated_by_paths(d, x, y, gamma):
+    """True when an interior member of gamma that is not head-to-head on the
+    path blocks every simple path from x to y."""
+    edges = set(d.edges)
+    for path in simple_paths(d, x, y):
+        if not any(
+            m in gamma and not ((a, m) in edges and (b, m) in edges)
+            for a, m, b in zip(path, path[1:], path[2:])
+        ):
+            return False
+    return True
 
 
 class TestUniqueConnector:

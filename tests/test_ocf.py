@@ -424,6 +424,20 @@ class TestBelief:
     def test_the_full_space_is_always_believed(self, prior, penguin_space):
         assert prior.is_believed(Proposition.full(penguin_space))
 
+    def test_belief_with_no_state_or_only_impossible_ones_outside(self):
+        # The full proposition has no outside to read; one whose outside is
+        # all INF is believed as well, and its complement is not.
+        space = StateSpace((Variable("X", ("a", "b", "c")),))
+        for ranks in ((0, 1, 2), (0, INF, INF), (INF, 0, INF)):
+            k = OCF(space, ranks)
+            assert k.is_believed(Proposition.full(space))
+            assert not k.is_believed(Proposition.empty(space))
+        k = OCF(space, (0, 3, INF))
+        ab = Proposition.constrain(space, {"X": ("a", "b")})
+        assert k.is_believed(ab)
+        assert not k.is_believed(~ab)
+        assert k.is_believed(Proposition.constrain(space, {"X": ("a",)}))
+
     def test_strength_matches_its_rank_definition(self):
         # beta(A) is -inf when A is impossible, -rank(A) when A is
         # disbelieved, and rank(not A) otherwise; checked on every proper
